@@ -64,11 +64,6 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def apply(op: HermitianOperator, state: np.ndarray) -> np.ndarray:
-    """Matrix-free O @ state; see HermitianOperator.apply."""
-    return op.apply(state)
-
-
 def expectation(state: np.ndarray, op: HermitianOperator, imag_tol: float = 1e-12) -> float:
     """Re <state|O|state> for a normalized state."""
     nrm = np.linalg.norm(state)

@@ -9,6 +9,14 @@ application we encode the pattern as two bitmasks (X-type flips, Z-type
 signs); a letter Y sets both bits and contributes one factor of i, so that
 every string with a real coefficient is Hermitian.  Applying a string never
 builds a matrix: X-bits permute amplitudes, Z-bits flip signs.
+
+An operator is applied from a plan built on its first `apply` and cached on
+the operator.  Terms that share an X-mask are one group; the group's Z-masks,
+coefficients and factors of i sum to a single diagonal over the basis (a
+scalar when no term in the group has a Z-bit).  Viewing a state as an array
+of shape (2,)*N, with site n on axis N-1-n, flipping bit n is reversing that
+axis, so a group's contribution is `diag * vec` read through `np.flip` over
+its X-mask's axes: one multiply and one add per group, and no index arrays.
 """
 
 from __future__ import annotations
@@ -18,22 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LETTERS = "IXYZ"
-
-# arange caches keyed by dimension; shared read-only
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(dim: int) -> np.ndarray:
-    idx = _INDEX_CACHE.get(dim)
-    if idx is None:
-        idx = np.arange(dim, dtype=np.int64)
-        _INDEX_CACHE[dim] = idx
-    return idx
-
-
-def _z_signs(idx: np.ndarray, z_mask: int) -> np.ndarray:
-    """(-1)**popcount(index & z_mask) as a float array."""
-    return 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
 
 
 @dataclass(frozen=True)
@@ -69,6 +61,45 @@ class PauliString:
         return x, z, ny
 
 
+def _phase(term: PauliString) -> complex:
+    """coefficient * i**n_y: a string's factor once its Y letters are split into X and Z."""
+    return complex(term.coefficient) * (1j) ** term.letters.count("Y")
+
+
+def _site_signs(n_sites: int, z_mask: int) -> np.ndarray:
+    """(-1)**popcount(index & z_mask) with each index as N bits, broadcastable to (2,)*N."""
+    signs = np.ones((1,) * n_sites)
+    for n in range(n_sites):
+        if z_mask >> n & 1:
+            shape = [1] * n_sites
+            shape[n_sites - 1 - n] = 2
+            signs = signs * np.array([1.0, -1.0]).reshape(shape)
+    return signs
+
+
+def _build_plan(n_sites: int, terms) -> tuple[bool, tuple]:
+    """(is_real, ((flip axes, diagonal), ...)) with one entry per distinct X-mask."""
+    groups: dict[int, list[tuple[complex, int]]] = {}
+    for term in terms:
+        x, z, _ = term.masks()
+        groups.setdefault(x, []).append((_phase(term), z))
+    is_real = all(c.imag == 0.0 for members in groups.values() for c, _ in members)
+    plan = []
+    for x, members in sorted(groups.items()):
+        if is_real:
+            members = [(c.real, z) for c, z in members]
+        if all(z == 0 for _, z in members):
+            diag = sum(c for c, _ in members)
+        else:
+            diag = np.zeros((2,) * n_sites, dtype=np.float64 if is_real else np.complex128)
+            for c, z in members:
+                diag += c * _site_signs(n_sites, z)
+            diag = diag.reshape(-1)
+        axes = tuple(n_sites - 1 - n for n in range(n_sites) if x >> n & 1)
+        plan.append((axes, diag))
+    return is_real, tuple(plan)
+
+
 def single_site(n_sites: int, site: int, letter: str, coefficient: complex = 1.0) -> PauliString:
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} sites")
@@ -96,25 +127,17 @@ class HermitianOperator:
     Construct through :meth:`from_strings`, which merges identical letter
     patterns and checks that the combined coefficients are real (each Pauli
     string is itself Hermitian, so real weights are exactly the Hermiticity
-    condition).
+    condition).  The application plan is built on the first :meth:`apply`
+    and kept on the operator; it takes no part in equality, hashing or repr.
     """
 
     n_sites: int
     terms: tuple[PauliString, ...]
-    _app: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False, default=None)
+    _plan: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        coeffs = np.empty(len(self.terms), dtype=np.complex128)
-        x_masks = np.empty(len(self.terms), dtype=np.int64)
-        z_masks = np.empty(len(self.terms), dtype=np.int64)
-        for i, term in enumerate(self.terms):
-            if term.n_sites != self.n_sites:
-                raise ValueError("term length does not match n_sites")
-            x, z, ny = term.masks()
-            coeffs[i] = term.coefficient * (1j) ** ny
-            x_masks[i] = x
-            z_masks[i] = z
-        object.__setattr__(self, "_app", (coeffs, x_masks, z_masks))
+        if any(term.n_sites != self.n_sites for term in self.terms):
+            raise ValueError("term length does not match n_sites")
 
     @classmethod
     def from_strings(cls, n_sites: int, strings, drop_tol: float | None = None,
@@ -156,11 +179,11 @@ class HermitianOperator:
     @property
     def is_real(self) -> bool:
         """True when the matrix is real (no odd-Y strings); lets solvers work in float64."""
-        return bool(np.all(self._app[0].imag == 0.0))
+        return all(_phase(t).imag == 0.0 for t in self.terms)
 
     @property
     def one_norm(self) -> float:
-        return float(np.sum(np.abs(self._app[0])))
+        return float(sum(abs(t.coefficient) for t in self.terms))
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         if other.n_sites != self.n_sites:
@@ -174,21 +197,26 @@ class HermitianOperator:
     __rmul__ = __mul__
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """O @ vec without forming a matrix; bit ops permute, sign and phase amplitudes."""
+        """O @ vec without forming a matrix, one pass per distinct X-mask.
+
+        Each group of terms sharing an X-mask scales `vec` by its diagonal
+        and adds the product into the output through a reversed-axes view
+        (see the module docstring).  The output is float64 for a real
+        operator and a real state, complex128 otherwise.
+        """
         vec = np.asarray(vec)
         if vec.shape != (self.dim,):
             raise ValueError(f"state has shape {vec.shape}, expected ({self.dim},)")
-        coeffs, x_masks, z_masks = self._app
-        out_dtype = np.result_type(vec.dtype, np.float64 if self.is_real else np.complex128)
-        out = np.zeros(self.dim, dtype=out_dtype)
-        idx = _indices(self.dim)
-        for c, xm, zm in zip(coeffs, x_masks, z_masks):
-            c = c if out_dtype == np.complex128 else c.real
-            amp = c * vec if zm == 0 else (c * _z_signs(idx, int(zm))) * vec
-            if xm == 0:
-                out += amp
-            else:
-                out[idx ^ xm] += amp
+        if self._plan is None:
+            object.__setattr__(self, "_plan", _build_plan(self.n_sites, self.terms))
+        is_real, groups = self._plan
+        out = np.zeros(self.dim, dtype=np.result_type(vec.dtype, np.float64 if is_real else np.complex128))
+        scaled = np.empty_like(out)
+        shape = (2,) * self.n_sites
+        out_nd, scaled_nd = out.reshape(shape), scaled.reshape(shape)
+        for axes, diag in groups:
+            np.multiply(diag, vec, out=scaled)
+            out_nd += np.flip(scaled_nd, axes)
         return out
 
     def expectation(self, vec: np.ndarray, imag_tol: float = 1e-12) -> float:
@@ -208,24 +236,16 @@ class HermitianOperator:
         if sites is None:
             sites = tuple(range(self.n_sites))
         sites = tuple(sites)
-        pos = {s: j for j, s in enumerate(sites)}
         dim = 1 << len(sites)
         mat = np.zeros((dim, dim), dtype=np.complex128)
-        idx = _indices(dim)
+        idx = np.arange(dim)
         for term in self.terms:
             if not set(term.support) <= set(sites):
                 raise ValueError(f"term {term.letters!r} acts outside sites {sites}")
-            x = z = ny = 0
-            for s in term.support:
-                c = term.letters[s]
-                if c in "XY":
-                    x |= 1 << pos[s]
-                if c in "ZY":
-                    z |= 1 << pos[s]
-                if c == "Y":
-                    ny += 1
-            coeff = term.coefficient * (1j) ** ny
-            mat[idx ^ x, idx] += coeff * _z_signs(idx, z)
+            restricted = PauliString(term.coefficient, "".join(term.letters[s] for s in sites))
+            x, z, _ = restricted.masks()
+            signs = np.broadcast_to(_site_signs(len(sites), z), (2,) * len(sites)).reshape(-1)
+            mat[idx ^ x, idx] += _phase(restricted) * signs
         if self.is_real:
             return mat.real.copy()
         return mat

@@ -123,9 +123,3 @@ def test_expectation_rejects_unnormalized_state():
     op = HermitianOperator.identity(3)
     with pytest.raises(ValueError, match="normalized"):
         expectation(np.ones(8), op)
-
-
-def test_apply_wrapper_checks_dimensions():
-    op = HermitianOperator.identity(3)
-    with pytest.raises(ValueError):
-        eigensolver.apply(op, np.zeros(4))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.pauli import (
     HermitianOperator,
@@ -65,6 +67,61 @@ def test_apply_matches_kron_dense():
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12
         assert np.max(np.abs(op.dense() - ref)) < 1e-12
+
+
+def test_terms_sharing_an_x_mask_are_grouped():
+    # X-mask 0b001 carries four terms (two with Y), X-mask 0 carries two
+    complex_op = HermitianOperator.from_strings(3, [
+        PauliString(0.7, "XII"), PauliString(-1.1, "XZI"), PauliString(0.4, "YII"),
+        PauliString(1.3, "YZZ"), PauliString(-0.6, "IZI"), PauliString(0.25, "III")])
+    # Y letters in pairs keep the matrix real: X-masks 0b001, 0b011 and 0
+    real_op = HermitianOperator.from_strings(3, [
+        PauliString(0.7, "XII"), PauliString(-1.1, "XZI"), PauliString(0.9, "XIZ"),
+        PauliString(0.5, "YYI"), PauliString(-0.8, "XXZ"), PauliString(1.2, "XXI"),
+        PauliString(-0.6, "IZI"), PauliString(0.25, "III")])
+    assert not complex_op.is_real and real_op.is_real
+    rng = np.random.default_rng(17)
+    real_vec = rng.standard_normal(8)
+    complex_vec = real_vec + 1j * rng.standard_normal(8)
+    for op, n_groups in ((complex_op, 2), (real_op, 3)):
+        ref = dense_reference(op)
+        for v in (real_vec, complex_vec):
+            assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12
+        assert len(op._plan[1]) == n_groups
+    assert real_op.apply(real_vec).dtype == np.float64
+    assert real_op.apply(complex_vec).dtype == np.complex128
+    assert complex_op.apply(real_vec).dtype == np.complex128
+
+
+def test_apply_on_a_single_site():
+    op = HermitianOperator.from_strings(1, [PauliString(c, letter) for c, letter
+                                            in zip((0.3, -0.7, 1.1, 0.5), "IXYZ")])
+    ref = dense_reference(op)
+    for v in (np.array([0.6, -0.8]), np.array([0.6, 0.8j])):
+        assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12
+
+
+pauli_sums = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
+                       st.text(alphabet="IXYZ", min_size=n, max_size=n)), max_size=10)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_sums, st.integers(0, 2**32 - 1))
+def test_apply_matches_kron_dense_on_random_sums(case, seed):
+    n, terms = case
+    strings = [PauliString(c, letters) for c, letters in terms]
+    op = HermitianOperator.from_strings(n, strings)
+    twin = HermitianOperator.from_strings(n, strings)
+    before = (hash(op), repr(op))
+    ref = dense_reference(op) if op.terms else np.zeros((1 << n, 1 << n))
+    rng = np.random.default_rng(seed)
+    for v in (rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)):
+        assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12 * max(1.0, op.one_norm)
+    # the cached plan is invisible to equality, hashing and repr
+    assert op == twin
+    assert (hash(op), repr(op)) == before == (hash(twin), repr(twin))
 
 
 def test_apply_is_linear():
@@ -172,9 +229,11 @@ def test_axis_operator_rejects_zero_vector():
 
 
 def test_apply_rejects_wrong_dimension():
-    op = HermitianOperator.from_strings(3, [single_site(3, 0, "Z")])
-    with pytest.raises(ValueError, match="shape"):
-        op.apply(np.zeros(4))
+    for op in (HermitianOperator.from_strings(3, [single_site(3, 0, "Z")]),
+               HermitianOperator.identity(3)):
+        for bad in (np.zeros(4), np.zeros((8, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                op.apply(bad)
 
 
 def test_invalid_letter_rejected():
