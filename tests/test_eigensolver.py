@@ -123,3 +123,13 @@ def test_expectation_rejects_unnormalized_state():
     op = HermitianOperator.identity(3)
     with pytest.raises(ValueError, match="normalized"):
         expectation(np.ones(8), op)
+
+
+def test_apply_wrapper_checks_dimensions():
+    # The state utilities that apply an operator reject a state of the wrong length.
+    op = HermitianOperator.identity(3)
+    bad = np.full(4, 0.5)
+    with pytest.raises(ValueError, match="shape"):
+        expectation(bad, op)
+    with pytest.raises(ValueError, match="shape"):
+        energy_variance(bad, op)
