@@ -147,16 +147,14 @@ def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
 
 def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "periodic",
                      site_a: int = 0, site_b: int = 1, tol: float = 1e-10,
-                     seed: int = 0, method: str = "auto",
-                     max_iter: int = 4000) -> tuple[ChainSpec, eigensolver.EigenResult]:
+                     seed: int = 0) -> tuple[ChainSpec, eigensolver.EigenResult]:
     """Build the chain, solve for its ground state, and tune the offsets.
 
     Returns the calibrated spec together with the ground-state result; the
     reported energy is the (near-zero) expectation of the calibrated H.
     """
     spec = ChainSpec(n_sites, coupling, boundary, None, site_a, site_b)
-    res = eigensolver.ground_state(build_hamiltonian(spec), tol=tol, seed=seed,
-                                   method=method, max_iter=max_iter)
+    res = eigensolver.ground_state(build_hamiltonian(spec), tol=tol, seed=seed)
     eps = calibrate_epsilon(spec, res.state)
     spec = spec.with_epsilon(eps)
     res.energy = res.energy - float(np.sum(eps))

@@ -1,11 +1,10 @@
 """Ground-state computation for Pauli-sum operators, plus state-vector utilities.
 
-The solver is Lanczos with full reorthogonalization (robustness over speed at
-these sizes, <= ~20 qubits) and an explicit restart from the current Ritz
-vector when the Krylov block hits its memory cap.  A dense eigensolve is
-available both as a small-system fallback and as an independent oracle for
-tests.  States are plain numpy vectors of length 2**n_sites in the basis
-described in :mod:`qetsim.pauli`.
+The solver is ARPACK's implicitly restarted Lanczos (`scipy.sparse.linalg.eigsh`)
+on a matrix-free `LinearOperator`, which keeps a fixed, small set of state
+vectors.  A dense eigensolve is both a small-system fallback and an
+independent oracle for tests.  States are plain numpy vectors of length
+2**n_sites in the basis described in :mod:`qetsim.pauli`.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .pauli import HermitianOperator
 
@@ -79,150 +78,80 @@ def energy_variance(state: np.ndarray, op: HermitianOperator) -> float:
 
 
 def ground_state(op: HermitianOperator, tol: float = 1e-10, max_iter: int = 2000,
-                 seed: int = 0, method: str = "auto", block_size: int = 220,
-                 gap_tol: float = 1e-8) -> EigenResult:
+                 seed: int = 0, method: str = "auto", gap_tol: float = 1e-8) -> EigenResult:
     """Lowest eigenpair of a Hermitian Pauli-sum operator.
 
-    method: "lanczos", "dense", or "auto" (Lanczos, falling back to a dense
-    eigensolve for n_sites <= 10 if Lanczos fails to converge).  The start
-    vector is drawn from a seeded generator so runs are reproducible.  A
-    gap below `gap_tol` sets the `degenerate` flag and emits a warning.
+    method: "lanczos" (ARPACK), "dense", or "auto" (Lanczos, falling back to a
+    dense eigensolve for n_sites <= 10 if Lanczos fails to converge); a 1-site
+    operator is always solved densely.  `max_iter` caps the operator
+    applications, which `iterations` counts.  The start vector is seeded, so
+    runs are reproducible.  A gap below `gap_tol` sets `degenerate` and warns.
     """
     if method not in ("auto", "lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense":
-        return _dense_ground(op, tol, gap_tol)
-    try:
-        return _lanczos_ground(op, tol, max_iter, seed, block_size, gap_tol)
-    except EigensolverError:
-        if method == "auto" and op.n_sites <= 10:
-            return _dense_ground(op, tol, gap_tol)
-        raise
+    if method != "dense" and op.dim > 2:
+        try:
+            return _arpack_ground(op, tol, max_iter, seed, gap_tol)
+        except EigensolverError:
+            if method == "lanczos" or op.n_sites > 10:
+                raise
+    vals, vecs = np.linalg.eigh(op.dense())
+    gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.inf
+    return _finish(op, float(vals[0]), vecs[:, 0], gap, gap_tol, iterations=0)
 
 
-def _dense_ground(op: HermitianOperator, tol: float, gap_tol: float) -> EigenResult:
-    mat = op.dense()
-    vals, vecs = np.linalg.eigh(mat)
-    state = fix_phase(normalize(np.ascontiguousarray(vecs[:, 0])))
-    energy = float(vals[0])
+def _finish(op: HermitianOperator, energy: float, vec: np.ndarray, gap: float,
+            gap_tol: float, iterations: int) -> EigenResult:
+    state = fix_phase(normalize(np.ascontiguousarray(vec)))
     residual = float(np.linalg.norm(op.apply(state) - energy * state))
-    degenerate = mat.shape[0] > 1 and float(vals[1] - vals[0]) < gap_tol
-    if degenerate:
-        warnings.warn(f"near-degenerate ground space (gap {vals[1] - vals[0]:.2e})")
-    return EigenResult(energy, state, residual, iterations=0, degenerate=degenerate)
+    if gap < gap_tol:
+        warnings.warn(f"near-degenerate ground space (gap {gap:.2e})")
+    return EigenResult(energy, state, residual, iterations, degenerate=gap < gap_tol)
 
 
-def _tridiag_lowest(alphas: np.ndarray, betas: np.ndarray):
-    """(theta0, eig-vector s0, theta1 - theta0) of the tridiagonal projection."""
-    if len(alphas) == 1:
-        return float(alphas[0]), np.ones(1), np.inf
-    vals, vecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 1))
-    return float(vals[0]), vecs[:, 0], float(vals[1] - vals[0])
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum, not BLAS: numpy's OpenBLAS threads would wake and contend with scipy's
+    return float(np.einsum("i,i", a.conj(), b).real)
 
 
-def _start_vector(op: HermitianOperator, rng) -> np.ndarray:
-    if op.is_real:
-        return normalize(rng.standard_normal(op.dim))
-    return normalize(rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim))
+def _arpack_ground(op: HermitianOperator, tol: float, max_iter: int, seed: int,
+                   gap_tol: float) -> EigenResult:
+    """The two lowest eigenpairs from `eigsh`; the second gives the gap.
 
-
-def _lanczos_ground(op: HermitianOperator, tol: float, max_iter: int, seed: int,
-                    block_size: int, gap_tol: float) -> EigenResult:
-    rng = np.random.default_rng(seed)
-    v = _start_vector(op, rng)
-    breakdown = 1e-13 * max(1.0, op.one_norm)
-    applies = 0
-    best = EigenResult(np.inf, v, np.inf, 0)
-
-    while applies < max_iter:
-        cap = max(2, min(block_size, op.dim, max_iter - applies))
-        basis = np.empty((cap, op.dim), dtype=v.dtype)
-        alphas = np.empty(cap)
-        betas = np.empty(cap - 1)
-        basis[0] = v
-        k = 0
-        while True:
-            w = op.apply(basis[k])
-            applies += 1
-            alphas[k] = np.real(np.vdot(basis[k], w))
-            w -= alphas[k] * basis[k]
-            if k > 0:
-                w -= betas[k - 1] * basis[k - 1]
-            # full reorthogonalization, two passes
-            for _ in range(2):
-                w -= basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
-            beta = float(np.linalg.norm(w))
-            if k < cap - 1:
-                betas[k] = beta
-
-            theta, s0, _ = _tridiag_lowest(alphas[: k + 1], betas[:k])
-            res_est = beta * abs(s0[-1])
-            terminal = k + 1 >= cap or applies >= max_iter or beta < breakdown
-            if res_est < tol or terminal:
-                state = normalize(s0 @ basis[: k + 1])
-                residual = float(np.linalg.norm(op.apply(state) - theta * state))
-                if residual < best.residual:
-                    best = EigenResult(theta, state, residual, applies)
-                if best.residual < tol or beta < breakdown:
-                    degenerate, probe_applies = _degenerate_ground(
-                        op, best.energy, best.state, gap_tol, rng, max_iter)
-                    best.state = fix_phase(best.state)
-                    best.iterations = applies + probe_applies
-                    best.degenerate = degenerate
-                    if degenerate:
-                        warnings.warn("near-degenerate ground space")
-                    return best
-                if terminal:
-                    break
-            basis[k + 1] = w / beta
-            k += 1
-        v = best.state  # explicit restart from the best Ritz vector so far
-
-    raise EigensolverError(
-        f"Lanczos did not converge in {applies} iterations "
-        f"(best residual {best.residual:.3e})",
-        EigenResult(best.energy, fix_phase(best.state), best.residual, applies),
-    )
-
-
-def _degenerate_ground(op: HermitianOperator, energy: float, state: np.ndarray,
-                       gap_tol: float, rng, max_iter: int) -> tuple[bool, int]:
-    """Probe the orthogonal complement of the found eigenvector for the gap.
-
-    A plain Krylov space holds one copy of each eigenspace, so exact
-    multiplicity is invisible to the main sweep; a second deflated pass sees
-    it.  The probe stops as soon as the residual bound certifies the second
-    eigenvalue to be at least `gap_tol` above the ground energy (Ritz value
-    minus residual is a lower bound on the nearest eigenvalue).
+    ARPACK's tolerance is relative to |lambda| <= one_norm, so it is scaled to
+    an absolute residual below `tol`.  The matvec enforces `max_iter`, raising
+    the lowest Rayleigh quotient seen (a variational bound) as the best pair.
     """
-    dim = op.dim
-    scale = max(1.0, op.one_norm)
-    cap = min(150, dim, max_iter)
-    defl = state[np.newaxis, :]
-    v = _start_vector(op, rng)
-    v = normalize(v - defl.T @ (defl.conj() @ v))
-    basis = np.empty((cap, dim), dtype=v.dtype)
-    alphas = np.empty(cap)
-    betas = np.empty(cap - 1)
-    basis[0] = v
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(op.dim)
+    if not op.is_real:
+        start = start + 1j * rng.standard_normal(op.dim)
+    start = normalize(start)
     applies = 0
-    for k in range(cap):
-        w = op.apply(basis[k])
+    best = EigenResult(np.inf, start, np.inf, 0)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal applies, best
+        if applies == max_iter:
+            best.iterations = applies
+            raise EigensolverError(f"Lanczos did not converge in {applies} operator "
+                                   f"applications (best residual {best.residual:.3e})", best)
+        y = op.apply(x)
         applies += 1
-        alphas[k] = np.real(np.vdot(basis[k], w))
-        w -= alphas[k] * basis[k]
-        if k > 0:
-            w -= betas[k - 1] * basis[k - 1]
-        for _ in range(2):
-            w -= basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
-            w -= defl.T @ (defl.conj() @ w)
-        beta = float(np.linalg.norm(w))
-        theta, s0, _ = _tridiag_lowest(alphas[: k + 1], betas[:k])
-        res_est = beta * abs(s0[-1])
-        if theta - res_est - energy > gap_tol:
-            return False, applies          # certified clear of the tolerance
-        if res_est < gap_tol or beta < 1e-13 * scale or k == cap - 1:
-            return theta - energy < gap_tol, applies
-        betas[k] = beta
-        basis[k + 1] = w / beta
-    return False, applies
+        sq = _dot(x, x)
+        theta = _dot(x, y) / sq
+        if theta < best.energy:
+            r = y - theta * x
+            best = EigenResult(theta, fix_phase(x / np.sqrt(sq)), np.sqrt(_dot(r, r) / sq), 0)
+        return y
+
+    lin = LinearOperator((op.dim, op.dim), matvec=matvec, dtype=start.dtype)
+    # without `rng`, any random vector ARPACK asks for would come from OS entropy
+    vals, vecs = eigsh(lin, k=2, which="SA", v0=start, tol=tol / max(1.0, op.one_norm),
+                       maxiter=max_iter, rng=rng)
+    lo = int(np.argmin(vals))
+    result = _finish(op, float(vals[lo]), vecs[:, lo], float(abs(vals[1] - vals[0])),
+                     gap_tol, iterations=applies + 1)
+    if result.residual >= tol:
+        raise EigensolverError(f"ARPACK stopped at residual {result.residual:.3e}", result)
+    return result

@@ -204,10 +204,6 @@ def apply_feedback(ensemble: MixedEnsemble, sigma_b: HermitianOperator,
     return MixedEnsemble(tuple(branches))
 
 
-def ensemble_energy(ensemble: MixedEnsemble, hamiltonian: HermitianOperator) -> float:
-    return ensemble.energy(hamiltonian)
-
-
 def _density_profile(spec: ChainSpec, states) -> tuple[float, ...]:
     """Per-site <T_n> averaged over weighted states [(weight, state), ...]."""
     profile = []
@@ -289,7 +285,7 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, theta: float | None =
     ensemble = apply_feedback(ensemble, sigma_b, theta_used)
     profiles["post_feedback"] = _density_profile(
         spec, [(b.weight, b.state) for b in ensemble.branches])
-    trace_energy = ensemble_energy(ensemble, hamiltonian)
+    trace_energy = ensemble.energy(hamiltonian)
     e_b = e_a - trace_energy
 
     if theta is None and teleportable:
@@ -333,11 +329,13 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     eta(a, b) = a . N b with N[p,q] = i <g|sigma^p_A [H, sigma^q_B]|g>.
     """
     h = build_hamiltonian(spec) if hamiltonian is None else hamiltonian
-    a_vecs = [axis_operator(AXES[p], spec.site_a, spec.n_sites).apply(ground) for p in "xyz"]
-    b_vecs = [axis_operator(AXES[q], spec.site_b, spec.n_sites).apply(ground) for q in "xyz"]
+    sigma_a = [axis_operator(AXES[p], spec.site_a, spec.n_sites) for p in "xyz"]
+    sigma_b = [axis_operator(AXES[q], spec.site_b, spec.n_sites) for q in "xyz"]
+    a_vecs = [s.apply(ground) for s in sigma_a]
+    b_vecs = [s.apply(ground) for s in sigma_b]
     h_b_vecs = [h.apply(v) for v in b_vecs]
     hg = h.apply(ground)
-    b_hg = [axis_operator(AXES[q], spec.site_b, spec.n_sites).apply(hg) for q in "xyz"]
+    b_hg = [s.apply(hg) for s in sigma_b]
 
     scale = max(1.0, h.one_norm)
     xi_mat = np.empty((3, 3))
@@ -349,8 +347,7 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
         for q in range(3):
             val = 1j * (np.vdot(a_vecs[p], h_b_vecs[q]) - np.vdot(a_vecs[p], b_hg[q]))
             if abs(val.imag) > imag_tol * scale and _commutes_with_bracket(
-                    axis_operator(AXES["xyz"[p]], spec.site_a, spec.n_sites),
-                    axis_operator(AXES["xyz"[q]], spec.site_b, spec.n_sites), h):
+                    sigma_a[p], sigma_b[q], h):
                 raise ValueError(f"imaginary residue {val.imag:g} in eta tensor")
             eta_mat[p, q] = val.real
     # symmetrize: only the symmetric part of Xi enters xi(b)

@@ -19,7 +19,6 @@ from qetsim.protocol import (
     MeasurementSetup,
     apply_feedback,
     axis_sweep,
-    ensemble_energy,
     eq9_energy,
     measure,
     projectors,
@@ -78,7 +77,7 @@ def test_criterion_3_energy_identity(chains):
                 xi, eta = xi_eta(res.state, sigma_a, sigma_b, h)
                 for theta in THETA_GRID_32:
                     rotated = apply_feedback(ensemble, sigma_b, float(theta))
-                    simulated = ensemble_energy(rotated, h)
+                    simulated = rotated.energy(h)
                     closed = eq9_energy(e_a, xi, eta, float(theta))
                     worst = max(worst, abs(simulated - closed))
     ok = worst < 1e-10
@@ -96,9 +95,9 @@ def test_criterion_4_optimality_and_positivity(chains):
     ensemble, e_a = measure(res.state, p0, p1, h)
     xi, eta = xi_eta(res.state, axis_operator(setup.axis_a, 0, 10), sigma_b, h)
     theta_star = protocol.optimal_theta(xi, eta)
-    at_star = ensemble_energy(apply_feedback(ensemble, sigma_b, theta_star), h)
+    at_star = apply_feedback(ensemble, sigma_b, theta_star).energy(h)
     grid_best = min(
-        ensemble_energy(apply_feedback(ensemble, sigma_b, float(t)), h)
+        apply_feedback(ensemble, sigma_b, float(t)).energy(h)
         for t in np.linspace(-math.pi / 2, math.pi / 2, 1000))
     beats_grid = at_star <= grid_best + 1e-10
 

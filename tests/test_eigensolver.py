@@ -1,4 +1,4 @@
-"""Eigensolver: Lanczos against the dense oracle, plus state utilities."""
+"""Eigensolver: ARPACK Lanczos against the dense oracle, plus state utilities."""
 
 import warnings
 
@@ -91,6 +91,61 @@ def test_degenerate_ground_space_flagged():
         res = ground_state(op, method="lanczos")
     assert res.degenerate
     assert res.energy == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_exact_degeneracy_flagged_at_twelve_qubits():
+    # -X_0 on 12 qubits: the ground space is 2048-fold degenerate, which a single
+    # Krylov space cannot span; ARPACK's k=2 still sees the zero gap
+    op = HermitianOperator.from_strings(12, [single_site(12, 0, "X", -1.0)])
+    with pytest.warns(UserWarning, match="degenerate"):
+        res = ground_state(op, method="lanczos")
+    with pytest.warns(UserWarning, match="degenerate"):
+        again = ground_state(op, method="lanczos")
+    # reproducible even where the solve depends on how ARPACK restarts a closed space
+    assert np.array_equal(res.state, again.state)
+    assert res.degenerate
+    assert res.iterations > 0           # sparse path
+    assert res.energy == pytest.approx(-1.0, abs=1e-10)
+    assert res.residual < 1e-10
+
+
+def test_single_site_operator_solves_by_default():
+    op = HermitianOperator.from_strings(1, [single_site(1, 0, "X", -0.5)])
+    for method in ("auto", "lanczos"):
+        res = ground_state(op, method=method)
+        assert res.energy == pytest.approx(-0.5, abs=1e-14)
+        assert res.residual < 1e-14
+        assert not res.degenerate
+
+
+def test_seeded_chain_solves_are_bit_identical():
+    op = chain.build_hamiltonian(chain.ChainSpec(12))
+    a = ground_state(op, seed=5, method="lanczos")
+    b = ground_state(op, seed=5, method="lanczos")
+    assert a.iterations > 0
+    assert np.array_equal(a.state, b.state)
+    assert a.energy == b.energy
+    assert a.residual == b.residual
+    assert a.iterations == b.iterations
+
+
+def test_iterations_count_operator_applications(monkeypatch):
+    op = chain.build_hamiltonian(chain.ChainSpec(10))
+    calls = []
+    original = HermitianOperator.apply
+
+    def counting(self, vec):
+        calls.append(len(vec))
+        return original(self, vec)
+
+    monkeypatch.setattr(HermitianOperator, "apply", counting)
+    res = ground_state(op, method="lanczos")
+    assert res.residual < 1e-10
+    assert res.iterations == len(calls) > 0
+    calls.clear()
+    with pytest.raises(EigensolverError) as excinfo:
+        ground_state(op, method="lanczos", max_iter=7)
+    assert excinfo.value.best.iterations == len(calls) == 7
 
 
 def test_nonconvergence_raises_with_best_so_far():

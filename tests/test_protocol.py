@@ -14,7 +14,6 @@ from qetsim.protocol import (
     MixedEnsemble,
     apply_feedback,
     axis_sweep,
-    ensemble_energy,
     eq9_energy,
     measure,
     optimal_theta,
@@ -159,7 +158,7 @@ def test_feedback_identity_at_zero_angle(chains):
     same = apply_feedback(ensemble, sigma("x", spec.site_b, 8), 0.0)
     for before, after in zip(ensemble.branches, same.branches):
         assert np.max(np.abs(before.state - after.state)) < 1e-14
-    assert ensemble_energy(same, h) == pytest.approx(e_a, abs=1e-10)
+    assert same.energy(h) == pytest.approx(e_a, abs=1e-10)
 
 
 def test_feedback_half_pi_applies_sigma(chains):
@@ -198,7 +197,7 @@ def test_simulation_matches_closed_form_over_theta_grid(chains):
             xi, eta = xi_eta(res.state, sigma(a, 0, 8), sigma(b, 3, 8), h)
             for theta in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
                 rotated = apply_feedback(ensemble, sigma(b, 3, 8), float(theta))
-                simulated = ensemble_energy(rotated, h)
+                simulated = rotated.energy(h)
                 assert simulated == pytest.approx(
                     eq9_energy(e_a, xi, eta, float(theta)), abs=1e-10)
 
