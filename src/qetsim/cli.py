@@ -81,7 +81,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 DEFAULTS = {
     "sites": 10, "j": 1.0, "bc": "periodic", "site_a": 0, "site_b": 1,
     "axis_a": "x", "axis_b": "x", "seed": 0, "tol": 1e-10, "fmt": "json",
-    "out": None, "large": False, "theta": None, "restarts": 32,
+    "out": None, "large": False, "theta": None,
     "sizes": None, "distances": None, "n_min": 1, "n_max": 50,
 }
 
@@ -107,7 +107,7 @@ def _load_config(path: str) -> dict:
 
 
 _CONVERTERS = {
-    "sites": int, "site_a": int, "site_b": int, "seed": int, "restarts": int,
+    "sites": int, "site_a": int, "site_b": int, "seed": int,
     "n_min": int, "n_max": int, "j": float, "tol": float, "theta": float,
     "large": lambda s: s.lower() in ("1", "true", "yes"),
     "sizes": str, "distances": str,
@@ -324,29 +324,31 @@ def cmd_cool(args: argparse.Namespace) -> int:
     spec, res = _build_chain(cfg)
     setup, axis_origin = _resolve_setup(cfg, spec, res)
     result = protocol.run_protocol(spec, setup, ground=res, tol=cfg["tol"], seed=cfg["seed"])
-    cool = cooling.minimize_residual(spec, setup, restarts=cfg["restarts"],
-                                     seed=cfg["seed"], ground=res, tol=cfg["tol"])
+    cool = cooling.minimize_residual(spec, setup, seed=cfg["seed"], ground=res, tol=cfg["tol"])
     bound_ok = cool.e_r_numeric >= result.e_b - 1e-8 * cfg["j"]
     feasible_ok = cool.e_r_numeric <= cool.e_a + 1e-9 * cfg["j"]
+    gap_ok = cool.duality_gap <= 1e-9 * cfg["j"]
     if cfg["fmt"] == "csv":
-        doc = _csv_doc(["restart", "minimum"],
-                       [[r, repr(v)] for r, v in enumerate(cool.per_restart)])
+        doc = _csv_doc(["outcome", "minimum"],
+                       [[mu, repr(v)] for mu, v in zip(cool.best_channel.kraus_sets,
+                                                       cool.per_outcome)])
     else:
         doc = _json_doc({
             "params": _params_block(cfg, "cool", {
-                "restarts": cfg["restarts"], "axes_from": axis_origin,
+                "axes_from": axis_origin,
                 "axis_a_used": list(setup.axis_a), "axis_b_used": list(setup.axis_b)}),
             "e_a": cool.e_a,
             "e_b": result.e_b,
             "e_r_numeric": cool.e_r_numeric,
             "e_r_analytic_infinite": analytics.residual_energy_analytic(
                 analytics.AnalyticConfig(coupling=cfg["j"])),
-            "per_restart": list(cool.per_restart),
+            "duality_gap": cool.duality_gap,
             "per_outcome": list(cool.per_outcome),
-            "checks": {"e_r_above_e_b": bound_ok, "e_r_below_e_a": feasible_ok},
+            "checks": {"e_r_above_e_b": bound_ok, "e_r_below_e_a": feasible_ok,
+                       "duality_gap_ok": gap_ok},
         })
     _emit(cfg, doc)
-    return 0 if (bound_ok and feasible_ok) else 1
+    return 0 if (bound_ok and feasible_ok and gap_ok) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cool = sub.add_parser("cool", help="minimize residual energy over local channels")
     _add_common(p_cool)
-    p_cool.add_argument("--restarts", type=int, default=None,
-                        help="random restarts for the simplex search (default 32)")
     p_cool.set_defaults(func=cmd_cool)
     return parser
 

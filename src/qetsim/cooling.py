@@ -6,24 +6,22 @@ out.  Nonnegativity of the total energy forbids full recovery: the minimum
 of Tr[rho_c H] over channels is the residual energy E_r, and it stays above
 the teleported energy E_B.
 
-Channels are parameterized as Stinespring isometries from the qubit into
-qubit x (4-level environment); an environment of dimension 4 reaches every
-qubit channel, and the isometry form makes the Kraus completeness sum hold
-by construction, so the search is unconstrained.  The objective is evaluated
-through a precomputed 4x4 Gram matrix: Tr[rho_c H] is linear in the channel,
-so for each outcome
+Tr[rho_c H] is linear in the channel's Choi matrix J = sum_alpha m_alpha m_alpha^dag,
+where m_alpha = vec(M_alpha) has index k*2 + l (k the output, l the input):
 
-    sum_alpha <M_alpha psi| H |M_alpha psi> = sum_alpha m_alpha^dag C m_alpha,
+    sum_alpha <M_alpha psi| H |M_alpha psi> = Tr[C J],
     C[(i,j),(k,l)] = w <psi| (|j><i| at A) H (|k><l| at A) |psi>,
 
-with m_alpha = vec(M_alpha).  C is positive semidefinite (H >= 0), which
-also certifies that no channel reports negative energy.  Because the
-objective is linear in the channel's Choi matrix, the exact minimum is a
-small semidefinite program (minimize Tr[J C~] over Choi matrices J >= 0 with
-the partial-trace-identity constraint); the implementation here is the
-simpler seeded multi-start simplex search, cross-checked against random
-channel sampling.  The two outcomes decouple: each is minimized on its own
-and the weighted results are summed.
+so each outcome's minimum is the SDP min Tr[C J] over J >= 0 with
+Tr_out J = I_2.  Its dual, max Tr Y subject to C - I_2 (x) Y >= 0 (Watrous,
+The Theory of Quantum Information, 2018, ch. 1 and 3), becomes with
+Y = y0 I + t.sigma the concave three-parameter problem
+max_t 2 lambda_min(C - I_2 (x) t.sigma).  Every t gives a lower bound (weak
+duality), and that bound is the value reported.  The channel attaining it
+lives on the kernel of S = C - I_2 (x) Y* (complementary slackness S J = 0);
+its energy minus the bound is the duality gap, the certificate of the value.
+The two outcomes decouple: each is solved on its own and the weighted
+results are summed.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .protocol import (
 )
 
 ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
-N_PARAMS = 2 * ENV_DIM * 2 * 2   # real + imaginary parts of an (2*ENV_DIM) x 2 matrix
 
 
 @dataclass
@@ -81,31 +78,6 @@ def _kraus_from_isometry(v: np.ndarray) -> tuple[np.ndarray, ...]:
     if v.shape != (2 * ENV_DIM, 2):
         raise ValueError(f"expected a {2 * ENV_DIM}x2 isometry")
     return tuple(v[2 * a: 2 * a + 2, :].copy() for a in range(ENV_DIM))
-
-
-def isometry_from_params(params: np.ndarray) -> np.ndarray:
-    """Orthonormalize an unconstrained parameter vector into an isometry.
-
-    QR of the (2*ENV_DIM) x 2 complex matrix built from the 32 reals, with
-    the R diagonal forced positive so the map is deterministic and smooth
-    almost everywhere.  The identity channel sits at params = vec(I padded).
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (N_PARAMS,):
-        raise ValueError(f"expected {N_PARAMS} parameters")
-    half = N_PARAMS // 2
-    mat = (params[:half] + 1j * params[half:]).reshape(2 * ENV_DIM, 2)
-    q, r = np.linalg.qr(mat)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0.0] = 1.0
-    return q * (np.abs(diag) / diag)[np.newaxis, :]
-
-
-def identity_params() -> np.ndarray:
-    params = np.zeros(N_PARAMS)
-    params[0] = 1.0   # real part of row 0, column 0
-    params[3] = 1.0   # real part of row 1, column 1
-    return params
 
 
 def random_channel(seed: int, outcomes=(0, 1)) -> LocalChannel:
@@ -150,6 +122,11 @@ def channel_energy(ensemble: MixedEnsemble, channel: LocalChannel, site: int,
     return apply_channel(ensemble, channel, site).energy(hamiltonian)
 
 
+# I_2 (x) sigma for sigma = x, y, z: the dual variable acts on the input index l
+_INPUT_PAULIS = np.stack([np.kron(np.eye(2), s) for s in (
+    np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))])
+
+
 class OutcomeObjective:
     """Per-outcome cooling objective w <psi| M^dag H M |psi> as a 4x4 Gram form."""
 
@@ -173,29 +150,74 @@ class OutcomeObjective:
         vecs = isometry.reshape(ENV_DIM, 4)   # row-major vec of each Kraus block
         return float(np.real(np.einsum("ap,pq,aq->", vecs.conj(), self.gram, vecs)))
 
-    def __call__(self, params: np.ndarray) -> float:
-        return self.from_isometry(isometry_from_params(params))
+    def slack(self, t: np.ndarray) -> np.ndarray:
+        """C - I_2 (x) t.sigma, the dual constraint matrix before the y0 shift."""
+        return self.gram - np.tensordot(t, _INPUT_PAULIS, axes=1)
+
+    def __call__(self, t: np.ndarray) -> float:
+        """Dual objective 2 lambda_min(C - I_2 (x) t.sigma): a lower bound for every t."""
+        return 2.0 * float(np.linalg.eigvalsh(self.slack(t))[0])
+
+
+def _solve_choi_sdp(objective: OutcomeObjective) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """Dual bound, primal energy and optimal Kraus set of one outcome's Choi SDP."""
+    res = minimize(lambda t: -objective(t), np.zeros(3), method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-15, "adaptive": True,
+                            "maxfev": 2000})
+    bound = objective(res.x)
+    evals, evecs = np.linalg.eigh(objective.slack(res.x))
+    evals -= evals[0]                     # S = C - I_2 (x) Y* with Y* = lambda_min I + t.sigma
+    kernel = evecs[:, evals <= 1e-6 * max(1.0, float(evals[-1]))]
+
+    # Tr_out(K X K^dag) = I_2 is linear in X; the min-norm solution is Hermitian
+    k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
+    rank = kernel.shape[1]
+    system = np.einsum("kli,kmj->lmij", k3, k3.conj()).reshape(4, rank * rank)
+    x = np.linalg.lstsq(system, np.eye(2, dtype=np.complex128).ravel(), rcond=None)[0]
+    x = x.reshape(rank, rank)
+    x = 0.5 * (x + x.conj().T)
+    if np.linalg.eigvalsh(x)[0] < -1e-12:
+        raise RuntimeError("no positive Choi matrix on the dual kernel; the dual solve "
+                           "did not reach the optimum")
+
+    choi = kernel @ x @ kernel.conj().T
+    weights, vecs = np.linalg.eigh(choi)
+    kraus = tuple(math.sqrt(max(float(w), 0.0)) * vecs[:, a].reshape(2, 2)
+                  for a, w in enumerate(weights))
+    primal = float(np.real(np.trace(objective.gram @ choi)))
+    return bound, primal, kraus
 
 
 @dataclass
 class CoolingResult:
-    e_r_numeric: float
-    best_channel: LocalChannel
-    restarts_used: int
-    per_restart: tuple[float, ...]
+    e_r_numeric: float               # sum of the per-outcome dual bounds
+    best_channel: LocalChannel       # primal channel recovered from the dual kernel
     e_a: float
-    per_outcome: tuple[float, ...]   # weighted per-outcome minima summing to e_r
+    per_outcome: tuple[float, ...]   # weighted per-outcome bounds summing to e_r
+    duality_gap: float               # energy of best_channel minus e_r_numeric
 
 
-def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, restarts: int = 32,
-                      seed: int = 0, max_evals: int = 5000, tol: float = 1e-10,
-                      ground=None) -> CoolingResult:
+def _min_local_channel(ensemble: MixedEnsemble, site: int, hamiltonian: HermitianOperator
+                       ) -> tuple[tuple[float, ...], float, LocalChannel]:
+    """Per-outcome bounds, total duality gap and optimal channel for a channel at `site`."""
+    bounds, gap, kraus_sets = [], 0.0, {}
+    for b in ensemble.branches:
+        if b.weight > 0.0:
+            bound, primal, kraus = _solve_choi_sdp(
+                OutcomeObjective(b.weight, b.state, site, hamiltonian))
+            bounds.append(bound)
+            gap += primal - bound
+            kraus_sets[b.outcome] = kraus
+    return tuple(bounds), gap, LocalChannel(kraus_sets)
+
+
+def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, seed: int = 0,
+                      tol: float = 1e-10, ground=None) -> CoolingResult:
     """Minimize the post-measurement energy over the sender's local channels.
 
     The protocol stops after step (i); each measurement outcome is cooled by
-    its own channel (the objective is a weighted sum of decoupled outcome
-    terms).  Restart 0 starts from the identity channel, so the result never
-    exceeds E_A; the remaining restarts are seeded random simplex searches.
+    its own channel, solved exactly through the dual of its Choi SDP.  Raises
+    RuntimeError if the duality gap exceeds 1e-9 J.
     """
     g = _resolve_ground(spec, ground, tol, seed)
     check_calibration(spec, g)
@@ -203,31 +225,7 @@ def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, restarts: int = 
     p_0, p_1 = projectors(setup.axis_a, spec.site_a, spec.n_sites)
     ensemble, e_a = measure(g, p_0, p_1, hamiltonian)
 
-    objectives = [OutcomeObjective(b.weight, b.state, spec.site_a, hamiltonian)
-                  for b in ensemble.branches if b.weight > 0.0]
-    outcomes = [b.outcome for b in ensemble.branches if b.weight > 0.0]
-
-    rng = np.random.default_rng(seed)
-    minima = np.empty((len(objectives), restarts))
-    best_params = [None] * len(objectives)
-    for r in range(restarts):
-        for i, objective in enumerate(objectives):
-            x0 = identity_params() if r == 0 else rng.standard_normal(N_PARAMS)
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxfev": max_evals, "fatol": tol,
-                                    "xatol": 1e-8, "adaptive": True})
-            minima[i, r] = res.fun
-            # ties keep the earliest restart, so the pick is deterministic
-            if r == 0 or res.fun < minima[i, :r].min():
-                best_params[i] = res.x
-    per_outcome = minima.min(axis=1)
-    per_restart = tuple(float(v) for v in minima.sum(axis=0))
-    e_r = float(per_outcome.sum())
-
-    channel = LocalChannel.from_isometries(
-        {mu: isometry_from_params(p) for mu, p in zip(outcomes, best_params)})
-    if e_r < -1e-9 * spec.coupling:
-        raise RuntimeError(f"cooling objective went negative ({e_r:.3e}); "
-                           "the Gram form should be positive semidefinite")
-    return CoolingResult(e_r, channel, restarts, per_restart, e_a,
-                         tuple(float(v) for v in per_outcome))
+    per_outcome, gap, channel = _min_local_channel(ensemble, spec.site_a, hamiltonian)
+    if gap > 1e-9 * spec.coupling:
+        raise RuntimeError(f"cooling duality gap {gap:.3e} exceeds 1e-9 J")
+    return CoolingResult(sum(per_outcome), channel, e_a, per_outcome, gap)

@@ -114,13 +114,37 @@ def test_analytic_csv_schema(capsys):
 
 def test_cool_bound_checks(capsys):
     code, out, _ = run_cli(capsys, "cool", "--sites", "6", "--axis-a", "y",
-                           "--axis-b", "x", "--restarts", "4")
+                           "--axis-b", "x")
     assert code == 0
     doc = json.loads(out)
     assert doc["checks"]["e_r_above_e_b"] is True
     assert doc["checks"]["e_r_below_e_a"] is True
-    assert len(doc["per_restart"]) == 4
+    assert doc["checks"]["duality_gap_ok"] is True
+    assert doc["duality_gap"] <= 1e-10
+    assert "restarts" not in doc["params"]
     assert doc["e_b"] <= doc["e_r_numeric"] + 1e-8
+
+
+def test_cool_csv_schema(capsys):
+    code, out, _ = run_cli(capsys, "cool", "--sites", "6", "--axis-a", "y",
+                           "--axis-b", "x", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["outcome", "minimum"]
+    assert [r[0] for r in rows[1:]] == ["0", "1"]
+    _, doc, _ = run_cli(capsys, "cool", "--sites", "6", "--axis-a", "y", "--axis-b", "x")
+    assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(
+        json.loads(doc)["e_r_numeric"], abs=1e-12)
+
+
+def test_restarts_knob_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["cool", "--sites", "6", "--restarts", "4"])
+    assert "--restarts" in capsys.readouterr().err
+    cfg = tmp_path / "cool.cfg"
+    cfg.write_text("restarts = 4\n")
+    code, _, err = run_cli(capsys, "cool", "--config", str(cfg))
+    assert code == 1 and "unknown key" in err
 
 
 def test_byte_identical_reruns(capsys):
