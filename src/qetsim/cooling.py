@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chain import ChainSpec, build_hamiltonian
 from .pauli import HermitianOperator, apply_single_qubit
@@ -159,13 +158,54 @@ class OutcomeObjective:
         return 2.0 * float(np.linalg.eigvalsh(self.slack(t))[0])
 
 
-def _solve_choi_sdp(objective: OutcomeObjective) -> tuple[float, float, tuple[np.ndarray, ...]]:
-    """Dual bound, primal energy and optimal Kraus set of one outcome's Choi SDP."""
-    res = minimize(lambda t: -objective(t), np.zeros(3), method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-15, "adaptive": True,
-                            "maxfev": 2000})
-    bound = objective(res.x)
-    evals, evecs = np.linalg.eigh(objective.slack(res.x))
+# S(y) = C - y0 I - I_2 (x) t.sigma for y = (y0, t); the dual maximizes Tr Y = 2 y0
+_DUAL_BASIS = np.concatenate([np.eye(4)[np.newaxis], _INPUT_PAULIS])
+_DUAL_COST = np.array([2.0, 0.0, 0.0, 0.0])
+
+
+def _maximize_dual(objective: OutcomeObjective, t: np.ndarray, max_evals: int
+                   ) -> tuple[float, np.ndarray]:
+    """Best dual bound and its t along the log-barrier path started at t.
+
+    The centre for weight mu maximizes 2 y0 + mu log det S(y); there J = mu S^-1
+    is primal feasible and Tr[S J] = 4 mu, so the centre's bound is within 4 mu
+    of the optimum.  Damped Newton steps on the barrier (self-concordant, so a
+    step of 1/(1 + decrement) keeps S positive) re-centre after each 20-fold cut
+    of mu until 4 mu <= 1e-13 ||C||.  Each step evaluates the dual objective at
+    its t once, for at most max_evals steps.
+    """
+    c = objective.gram
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(c)))))
+    y = np.concatenate([[0.5 * objective(t) - scale], t])   # lambda_min(S) = scale
+    mu = scale
+    best, best_t = -math.inf, t
+    for _ in range(max_evals):
+        bound = objective(y[1:])
+        if bound > best:
+            best, best_t = bound, y[1:]
+        w, v = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
+        s_inv_a = np.einsum("pq,iqr->ipr", (v / w) @ v.conj().T, _DUAL_BASIS)
+        trace = np.real(np.einsum("ipp->i", s_inv_a))
+        hess = np.real(np.einsum("ipq,jqp->ij", s_inv_a, s_inv_a))
+        while True:                       # cut mu while the point is still centred
+            grad = _DUAL_COST / mu - trace
+            step = np.linalg.solve(hess, grad)
+            decrement = math.sqrt(max(float(grad @ step), 0.0))
+            if decrement >= 0.1 or 4.0 * mu <= 1e-13 * scale:
+                break
+            mu *= 0.05
+        if decrement < 0.1:
+            break
+        y = y + (step / (1.0 + decrement) if decrement > 0.25 else step)
+    return best, best_t
+
+
+def _solve_choi_sdp(objective: OutcomeObjective, starts: list[np.ndarray], max_evals: int
+                    ) -> tuple[list[float], float, tuple[np.ndarray, ...]]:
+    """Per-start dual bounds, primal energy and optimal Kraus set of one outcome's Choi SDP."""
+    runs = [_maximize_dual(objective, t, max_evals) for t in starts]
+    t_best = max(runs, key=lambda run: run[0])[1]
+    evals, evecs = np.linalg.eigh(objective.slack(t_best))
     evals -= evals[0]                     # S = C - I_2 (x) Y* with Y* = lambda_min I + t.sigma
     kernel = evecs[:, evals <= 1e-6 * max(1.0, float(evals[-1]))]
 
@@ -173,11 +213,13 @@ def _solve_choi_sdp(objective: OutcomeObjective) -> tuple[float, float, tuple[np
     k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
     rank = kernel.shape[1]
     system = np.einsum("kli,kmj->lmij", k3, k3.conj()).reshape(4, rank * rank)
-    x = np.linalg.lstsq(system, np.eye(2, dtype=np.complex128).ravel(), rcond=None)[0]
+    target = np.eye(2, dtype=np.complex128).ravel()
+    x = np.linalg.lstsq(system, target, rcond=None)[0]
+    residual = float(np.linalg.norm(system @ x - target))
     x = x.reshape(rank, rank)
     x = 0.5 * (x + x.conj().T)
-    if np.linalg.eigvalsh(x)[0] < -1e-12:
-        raise RuntimeError("no positive Choi matrix on the dual kernel; the dual solve "
+    if residual > 1e-10 or np.linalg.eigvalsh(x)[0] < -1e-12:
+        raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
                            "did not reach the optimum")
 
     choi = kernel @ x @ kernel.conj().T
@@ -185,7 +227,7 @@ def _solve_choi_sdp(objective: OutcomeObjective) -> tuple[float, float, tuple[np
     kraus = tuple(math.sqrt(max(float(w), 0.0)) * vecs[:, a].reshape(2, 2)
                   for a, w in enumerate(weights))
     primal = float(np.real(np.trace(objective.gram @ choi)))
-    return bound, primal, kraus
+    return [bound for bound, _ in runs], primal, kraus
 
 
 @dataclass
@@ -195,37 +237,54 @@ class CoolingResult:
     e_a: float
     per_outcome: tuple[float, ...]   # weighted per-outcome bounds summing to e_r
     duality_gap: float               # energy of best_channel minus e_r_numeric
+    per_restart: tuple[float, ...]   # summed bound of each dual start
 
 
-def _min_local_channel(ensemble: MixedEnsemble, site: int, hamiltonian: HermitianOperator
-                       ) -> tuple[tuple[float, ...], float, LocalChannel]:
-    """Per-outcome bounds, total duality gap and optimal channel for a channel at `site`."""
-    bounds, gap, kraus_sets = [], 0.0, {}
+def _min_local_channel(ensemble: MixedEnsemble, site: int, hamiltonian: HermitianOperator,
+                       starts: list[np.ndarray] | None = None, max_evals: int = 500
+                       ) -> tuple[tuple[float, ...], tuple[float, ...], float, LocalChannel]:
+    """Per-outcome bounds, per-start totals, duality gap and optimal channel at `site`.
+
+    Every outcome's dual is solved from each t in `starts` (default t = 0) and
+    keeps its best bound.
+    """
+    starts = [np.zeros(3)] if starts is None else starts
+    bounds, totals, gap, kraus_sets = [], np.zeros(len(starts)), 0.0, {}
     for b in ensemble.branches:
         if b.weight > 0.0:
-            bound, primal, kraus = _solve_choi_sdp(
-                OutcomeObjective(b.weight, b.state, site, hamiltonian))
-            bounds.append(bound)
-            gap += primal - bound
+            per_start, primal, kraus = _solve_choi_sdp(
+                OutcomeObjective(b.weight, b.state, site, hamiltonian), starts, max_evals)
+            bounds.append(max(per_start))
+            totals += per_start
+            gap += primal - bounds[-1]
             kraus_sets[b.outcome] = kraus
-    return tuple(bounds), gap, LocalChannel(kraus_sets)
+    return tuple(bounds), tuple(totals.tolist()), gap, LocalChannel(kraus_sets)
 
 
 def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, seed: int = 0,
-                      tol: float = 1e-10, ground=None) -> CoolingResult:
+                      tol: float = 1e-10, ground=None, restarts: int = 1,
+                      max_evals: int = 500) -> CoolingResult:
     """Minimize the post-measurement energy over the sender's local channels.
 
     The protocol stops after step (i); each measurement outcome is cooled by
-    its own channel, solved exactly through the dual of its Choi SDP.  Raises
-    RuntimeError if the duality gap exceeds 1e-9 J.
+    its own channel, solved exactly through the dual of its Choi SDP.  The dual
+    is concave, so every start reaches the same bound: `restarts` > 1 adds
+    starts at t drawn from `seed` as a check, and `per_restart` shows whether
+    they agree.  `max_evals` caps the Newton steps of each outcome and start.
+    Raises RuntimeError if the duality gap exceeds 1e-9 J.
     """
+    if restarts < 1 or max_evals < 1:
+        raise ValueError("restarts and max_evals must be at least 1")
     g = _resolve_ground(spec, ground, tol, seed)
     check_calibration(spec, g)
     hamiltonian = build_hamiltonian(spec)
     p_0, p_1 = projectors(setup.axis_a, spec.site_a, spec.n_sites)
     ensemble, e_a = measure(g, p_0, p_1, hamiltonian)
 
-    per_outcome, gap, channel = _min_local_channel(ensemble, spec.site_a, hamiltonian)
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(3)] + [spec.coupling * rng.standard_normal(3) for _ in range(restarts - 1)]
+    per_outcome, per_restart, gap, channel = _min_local_channel(
+        ensemble, spec.site_a, hamiltonian, starts, max_evals)
     if gap > 1e-9 * spec.coupling:
         raise RuntimeError(f"cooling duality gap {gap:.3e} exceeds 1e-9 J")
-    return CoolingResult(sum(per_outcome), channel, e_a, per_outcome, gap)
+    return CoolingResult(sum(per_outcome), channel, e_a, per_outcome, gap, per_restart)

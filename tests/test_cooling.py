@@ -156,3 +156,25 @@ def test_open_chain_residual_law(chains, n_sites):
         assert cool.e_r_numeric == pytest.approx(cool.e_a - spec.coupling,
                                                  abs=1e-10 * spec.coupling)
         assert cool.duality_gap <= 1e-10 * spec.coupling
+
+
+def test_seeded_dual_starts_agree(measured_chain):
+    # the dual is concave: extra starts drawn from the seed reach the same bound
+    spec, res, _, _, _ = measured_chain
+    setup = MeasurementSetup.cardinal("y", "x")
+    one = minimize_residual(spec, setup, ground=res)
+    three = minimize_residual(spec, setup, ground=res, restarts=3)
+    assert len(one.per_restart) == 1 and len(three.per_restart) == 3
+    assert one.per_restart[0] == one.e_r_numeric
+    assert max(abs(v - one.e_r_numeric) for v in three.per_restart) <= 1e-12 * spec.coupling
+    assert three.e_r_numeric == pytest.approx(one.e_r_numeric, abs=1e-12)
+
+
+def test_dual_step_cap_is_enforced(measured_chain):
+    # a few Newton steps leave the dual short of its optimum, and the solve says so
+    spec, res, _, _, _ = measured_chain
+    setup = MeasurementSetup.cardinal("y", "x")
+    with pytest.raises(RuntimeError, match="did not reach the optimum"):
+        minimize_residual(spec, setup, ground=res, max_evals=5)
+    with pytest.raises(ValueError, match="at least 1"):
+        minimize_residual(spec, setup, ground=res, restarts=0)
