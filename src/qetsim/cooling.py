@@ -1,10 +1,9 @@
 """Minimum residual energy over the sender's local quantum channels.
 
 After step (i) the sender holds outcome mu and may apply any trace-preserving
-local channel {M(alpha, mu)} to her qubit, hoping to pull her deposit back
-out.  Nonnegativity of the total energy forbids full recovery: the minimum
-of Tr[rho_c H] over channels is the residual energy E_r, and it stays above
-the teleported energy E_B.
+local channel {M(alpha, mu)} to the sender's qubit to pull the deposit back out.
+Nonnegativity of the total energy forbids full recovery: the minimum of
+Tr[rho_c H] over channels is the residual energy E_r, above the teleported E_B.
 
 Tr[rho_c H] is linear in the channel's Choi matrix J = sum_alpha m_alpha m_alpha^dag,
 where m_alpha = vec(M_alpha) has index k*2 + l (k the output, l the input):
@@ -13,15 +12,12 @@ where m_alpha = vec(M_alpha) has index k*2 + l (k the output, l the input):
     C[(i,j),(k,l)] = w <psi| (|j><i| at A) H (|k><l| at A) |psi>,
 
 so each outcome's minimum is the SDP min Tr[C J] over J >= 0 with
-Tr_out J = I_2.  Its dual, max Tr Y subject to C - I_2 (x) Y >= 0 (Watrous,
-The Theory of Quantum Information, 2018, ch. 1 and 3), becomes with
-Y = y0 I + t.sigma the concave three-parameter problem
-max_t 2 lambda_min(C - I_2 (x) t.sigma).  Every t gives a lower bound (weak
-duality), and that bound is the value reported.  The channel attaining it
-lives on the kernel of S = C - I_2 (x) Y* (complementary slackness S J = 0);
-its energy minus the bound is the duality gap, the certificate of the value.
-The two outcomes decouple: each is solved on its own and the weighted
-results are summed.
+Tr_out J = I_2.  Its dual (Watrous, The Theory of Quantum Information, 2018,
+ch. 1 and 3) maximizes Tr Y over Y = y0 I + t.sigma subject to
+S = C - I_2 (x) Y >= 0.  Every feasible Y bounds the minimum from below (weak
+duality), and that bound is the value reported.  The optimal channel lives on
+the kernel of S (complementary slackness S J = 0); its energy minus the bound
+is the duality gap, the certificate of the value.  The outcomes decouple.
 """
 
 from __future__ import annotations
@@ -68,27 +64,17 @@ class LocalChannel:
     def identity(cls, outcomes=(0, 1)) -> "LocalChannel":
         return cls({mu: (np.eye(2, dtype=np.complex128),) for mu in outcomes})
 
-    @classmethod
-    def from_isometries(cls, isometries: dict[int, np.ndarray]) -> "LocalChannel":
-        return cls({mu: _kraus_from_isometry(v) for mu, v in isometries.items()})
-
-
-def _kraus_from_isometry(v: np.ndarray) -> tuple[np.ndarray, ...]:
-    if v.shape != (2 * ENV_DIM, 2):
-        raise ValueError(f"expected a {2 * ENV_DIM}x2 isometry")
-    return tuple(v[2 * a: 2 * a + 2, :].copy() for a in range(ENV_DIM))
-
 
 def random_channel(seed: int, outcomes=(0, 1)) -> LocalChannel:
     """Haar-style random channel: an independent Ginibre-QR isometry per outcome."""
     rng = np.random.default_rng(seed)
-    isometries = {}
+    kraus_sets = {}
     for mu in outcomes:
         g = rng.standard_normal((2 * ENV_DIM, 2)) + 1j * rng.standard_normal((2 * ENV_DIM, 2))
         q, r = np.linalg.qr(g)
         diag = np.diagonal(r)
-        isometries[mu] = q * (np.abs(diag) / diag)[np.newaxis, :]
-    return LocalChannel.from_isometries(isometries)
+        kraus_sets[mu] = tuple((q * (np.abs(diag) / diag)).reshape(ENV_DIM, 2, 2))
+    return LocalChannel(kraus_sets)
 
 
 def apply_channel(ensemble: MixedEnsemble, channel: LocalChannel, site: int) -> MixedEnsemble:
@@ -121,9 +107,9 @@ def channel_energy(ensemble: MixedEnsemble, channel: LocalChannel, site: int,
     return apply_channel(ensemble, channel, site).energy(hamiltonian)
 
 
-# I_2 (x) sigma for sigma = x, y, z: the dual variable acts on the input index l
-_INPUT_PAULIS = np.stack([np.kron(np.eye(2), s) for s in (
-    np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))])
+# I_2 (x) sigma for sigma = 1, x, y, z: S = C - I_2 (x) Y = C - y.basis for Y = y0 I + t.sigma
+_DUAL_BASIS = np.stack([np.kron(np.eye(2), s) for s in (
+    np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))])
 
 
 class OutcomeObjective:
@@ -131,64 +117,41 @@ class OutcomeObjective:
 
     def __init__(self, weight: float, state: np.ndarray, site: int,
                  hamiltonian: HermitianOperator):
-        n_sites = hamiltonian.n_sites
-        units = []
-        for k in range(2):
-            for l in range(2):
-                e_kl = np.zeros((2, 2), dtype=np.complex128)
-                e_kl[k, l] = 1.0
-                units.append(apply_single_qubit(e_kl, state, site, n_sites))
-        h_units = [hamiltonian.apply(u) for u in units]
-        gram = np.empty((4, 4), dtype=np.complex128)
-        for i in range(4):
-            for j in range(4):
-                gram[i, j] = np.vdot(units[i], h_units[j])
+        # unit p = k*2 + l is |k><l| at the site applied to the state
+        units = np.array([apply_single_qubit(e.reshape(2, 2), state, site, hamiltonian.n_sites)
+                          for e in np.eye(4, dtype=np.complex128)])
+        gram = units.conj() @ np.array([hamiltonian.apply(u) for u in units]).T
         self.gram = weight * 0.5 * (gram + gram.conj().T)
 
     def from_isometry(self, isometry: np.ndarray) -> float:
         vecs = isometry.reshape(ENV_DIM, 4)   # row-major vec of each Kraus block
         return float(np.real(np.einsum("ap,pq,aq->", vecs.conj(), self.gram, vecs)))
 
-    def slack(self, t: np.ndarray) -> np.ndarray:
-        """C - I_2 (x) t.sigma, the dual constraint matrix before the y0 shift."""
-        return self.gram - np.tensordot(t, _INPUT_PAULIS, axes=1)
-
     def __call__(self, t: np.ndarray) -> float:
         """Dual objective 2 lambda_min(C - I_2 (x) t.sigma): a lower bound for every t."""
-        return 2.0 * float(np.linalg.eigvalsh(self.slack(t))[0])
+        slack = self.gram - np.tensordot(t, _DUAL_BASIS[1:], axes=1)
+        return 2.0 * float(np.linalg.eigvalsh(slack)[0])
 
 
-# S(y) = C - y0 I - I_2 (x) t.sigma for y = (y0, t); the dual maximizes Tr Y = 2 y0
-_DUAL_BASIS = np.concatenate([np.eye(4)[np.newaxis], _INPUT_PAULIS])
-_DUAL_COST = np.array([2.0, 0.0, 0.0, 0.0])
+def _solve_choi_sdp(objective: OutcomeObjective, t: np.ndarray, max_evals: int
+                    ) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """Dual bound, primal energy and Kraus set of one outcome's Choi SDP, started at t.
 
-
-def _maximize_dual(objective: OutcomeObjective, t: np.ndarray, max_evals: int
-                   ) -> tuple[float, np.ndarray]:
-    """Best dual bound and its t along the log-barrier path started at t.
-
-    The centre for weight mu maximizes 2 y0 + mu log det S(y); there J = mu S^-1
-    is primal feasible and Tr[S J] = 4 mu, so the centre's bound is within 4 mu
-    of the optimum.  Damped Newton steps on the barrier (self-concordant, so a
-    step of 1/(1 + decrement) keeps S positive) re-centre after each 20-fold cut
-    of mu until 4 mu <= 1e-13 ||C||.  Each step evaluates the dual objective at
-    its t once, for at most max_evals steps.
+    The log-barrier centre for weight mu maximizes 2 y0 + mu log det S(y); there
+    J = mu S^-1 is primal feasible and Tr[S J] = 4 mu bounds the gap.  Damped Newton
+    steps re-centre after each 20-fold cut of mu until 4 mu <= 1e-13 ||C||, for at
+    most max_evals steps; the last S gives the bound and, on its kernel, the channel.
     """
     c = objective.gram
-    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(c)))))
-    y = np.concatenate([[0.5 * objective(t) - scale], t])   # lambda_min(S) = scale
-    mu = scale
-    best, best_t = -math.inf, t
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(c)))) or 1.0
+    y, mu = np.concatenate([[0.5 * objective(t) - scale], t]), scale   # lambda_min(S) = mu
     for _ in range(max_evals):
-        bound = objective(y[1:])
-        if bound > best:
-            best, best_t = bound, y[1:]
         w, v = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
         s_inv_a = np.einsum("pq,iqr->ipr", (v / w) @ v.conj().T, _DUAL_BASIS)
         trace = np.real(np.einsum("ipp->i", s_inv_a))
         hess = np.real(np.einsum("ipq,jqp->ij", s_inv_a, s_inv_a))
         while True:                       # cut mu while the point is still centred
-            grad = _DUAL_COST / mu - trace
+            grad = np.array([2.0 / mu, 0.0, 0.0, 0.0]) - trace   # Tr Y = 2 y0
             step = np.linalg.solve(hess, grad)
             decrement = math.sqrt(max(float(grad @ step), 0.0))
             if decrement >= 0.1 or 4.0 * mu <= 1e-13 * scale:
@@ -197,43 +160,29 @@ def _maximize_dual(objective: OutcomeObjective, t: np.ndarray, max_evals: int
         if decrement < 0.1:
             break
         y = y + (step / (1.0 + decrement) if decrement > 0.25 else step)
-    return best, best_t
 
-
-def _solve_choi_sdp(objective: OutcomeObjective, starts: list[np.ndarray], max_evals: int
-                    ) -> tuple[list[float], float, tuple[np.ndarray, ...]]:
-    """Per-start dual bounds, primal energy and optimal Kraus set of one outcome's Choi SDP."""
-    runs = [_maximize_dual(objective, t, max_evals) for t in starts]
-    t_best = max(runs, key=lambda run: run[0])[1]
-    evals, evecs = np.linalg.eigh(objective.slack(t_best))
-    evals -= evals[0]                     # S = C - I_2 (x) Y* with Y* = lambda_min I + t.sigma
-    kernel = evecs[:, evals <= 1e-6 * max(1.0, float(evals[-1]))]
-
-    # Tr_out(K X K^dag) = I_2 is linear in X; the min-norm solution is Hermitian
+    # J = K X K^dag on the kernel K of S (complementary slackness S J = 0), with
+    # Tr_out(K X K^dag) = I_2 linear in X; its min-norm solution is Hermitian
+    evals, evecs = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
+    bound = 2.0 * float(y[0] + evals[0])  # Tr Y for Y = (y0 + lambda_min S) I + t.sigma
+    kernel = evecs[:, evals - evals[0] <= 1e-6 * (evals[-1] - evals[0])]
     k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
-    rank = kernel.shape[1]
-    system = np.einsum("kli,kmj->lmij", k3, k3.conj()).reshape(4, rank * rank)
+    system = np.einsum("kli,kmj->lmij", k3, k3.conj()).reshape(4, -1)
     target = np.eye(2, dtype=np.complex128).ravel()
     x = np.linalg.lstsq(system, target, rcond=None)[0]
-    residual = float(np.linalg.norm(system @ x - target))
-    x = x.reshape(rank, rank)
-    x = 0.5 * (x + x.conj().T)
-    if residual > 1e-10 or np.linalg.eigvalsh(x)[0] < -1e-12:
+    choi = kernel @ x.reshape(kernel.shape[1], -1) @ kernel.conj().T
+    weights, vecs = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+    if np.linalg.norm(system @ x - target) > 1e-10 or weights[0] < -1e-12:
         raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
                            "did not reach the optimum")
-
-    choi = kernel @ x @ kernel.conj().T
-    weights, vecs = np.linalg.eigh(choi)
-    kraus = tuple(math.sqrt(max(float(w), 0.0)) * vecs[:, a].reshape(2, 2)
-                  for a, w in enumerate(weights))
-    primal = float(np.real(np.trace(objective.gram @ choi)))
-    return [bound for bound, _ in runs], primal, kraus
+    kraus = tuple((vecs * np.sqrt(np.clip(weights, 0.0, None))).T.reshape(-1, 2, 2))
+    return bound, float(np.real(np.trace(c @ choi))), kraus
 
 
 @dataclass
 class CoolingResult:
     e_r_numeric: float               # sum of the per-outcome dual bounds
-    best_channel: LocalChannel       # primal channel recovered from the dual kernel
+    best_channel: LocalChannel       # primal channel on the dual kernel
     e_a: float
     per_outcome: tuple[float, ...]   # weighted per-outcome bounds summing to e_r
     duality_gap: float               # energy of best_channel minus e_r_numeric
@@ -241,23 +190,18 @@ class CoolingResult:
 
 
 def _min_local_channel(ensemble: MixedEnsemble, site: int, hamiltonian: HermitianOperator,
-                       starts: list[np.ndarray] | None = None, max_evals: int = 500
+                       starts: np.ndarray = np.zeros((1, 3)), max_evals: int = 500
                        ) -> tuple[tuple[float, ...], tuple[float, ...], float, LocalChannel]:
-    """Per-outcome bounds, per-start totals, duality gap and optimal channel at `site`.
-
-    Every outcome's dual is solved from each t in `starts` (default t = 0) and
-    keeps its best bound.
-    """
-    starts = [np.zeros(3)] if starts is None else starts
+    """Per-outcome bounds (best over the rows t of `starts`), per-start totals, gap, channel."""
     bounds, totals, gap, kraus_sets = [], np.zeros(len(starts)), 0.0, {}
     for b in ensemble.branches:
         if b.weight > 0.0:
-            per_start, primal, kraus = _solve_choi_sdp(
-                OutcomeObjective(b.weight, b.state, site, hamiltonian), starts, max_evals)
-            bounds.append(max(per_start))
-            totals += per_start
-            gap += primal - bounds[-1]
-            kraus_sets[b.outcome] = kraus
+            objective = OutcomeObjective(b.weight, b.state, site, hamiltonian)
+            runs = [_solve_choi_sdp(objective, t, max_evals) for t in starts]
+            totals += [run[0] for run in runs]
+            bound, primal, kraus_sets[b.outcome] = max(runs, key=lambda run: run[0])
+            bounds.append(bound)
+            gap += primal - bound
     return tuple(bounds), tuple(totals.tolist()), gap, LocalChannel(kraus_sets)
 
 
@@ -267,22 +211,20 @@ def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, seed: int = 0,
     """Minimize the post-measurement energy over the sender's local channels.
 
     The protocol stops after step (i); each measurement outcome is cooled by
-    its own channel, solved exactly through the dual of its Choi SDP.  The dual
-    is concave, so every start reaches the same bound: `restarts` > 1 adds
-    starts at t drawn from `seed` as a check, and `per_restart` shows whether
-    they agree.  `max_evals` caps the Newton steps of each outcome and start.
-    Raises RuntimeError if the duality gap exceeds 1e-9 J.
+    its own channel, solved exactly through the dual of its Choi SDP from t = 0
+    and `restarts` - 1 starts drawn from `seed`, each for at most `max_evals`
+    Newton steps; `per_restart` holds each start's total bound.  Raises
+    RuntimeError if the duality gap exceeds 1e-9 J.
     """
     if restarts < 1 or max_evals < 1:
         raise ValueError("restarts and max_evals must be at least 1")
     g = _resolve_ground(spec, ground, tol, seed)
     check_calibration(spec, g)
     hamiltonian = build_hamiltonian(spec)
-    p_0, p_1 = projectors(setup.axis_a, spec.site_a, spec.n_sites)
-    ensemble, e_a = measure(g, p_0, p_1, hamiltonian)
+    ensemble, e_a = measure(g, *projectors(setup.axis_a, spec.site_a, spec.n_sites), hamiltonian)
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(3)] + [spec.coupling * rng.standard_normal(3) for _ in range(restarts - 1)]
+    starts = spec.coupling * np.vstack([np.zeros(3), rng.standard_normal((restarts - 1, 3))])
     per_outcome, per_restart, gap, channel = _min_local_channel(
         ensemble, spec.site_a, hamiltonian, starts, max_evals)
     if gap > 1e-9 * spec.coupling:

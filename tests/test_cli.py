@@ -119,10 +119,24 @@ def test_cool_bound_checks(capsys):
     doc = json.loads(out)
     assert doc["checks"]["e_r_above_e_b"] is True
     assert doc["checks"]["e_r_below_e_a"] is True
-    assert doc["checks"]["duality_gap_ok"] is True
     assert doc["duality_gap"] <= 1e-10
     assert "restarts" not in doc["params"]
     assert doc["e_b"] <= doc["e_r_numeric"] + 1e-8
+
+
+def test_cool_is_scale_free_in_the_coupling(capsys):
+    # the dual solve's stopping rule and kernel cutoff are relative to C, so a
+    # coupling far below 1 gives the same e_r / J and gap / J as J = 1
+    docs = {}
+    for j in ("1", "1e-7"):
+        code, out, _ = run_cli(capsys, "cool", "--sites", "6", "--axis-a", "y",
+                               "--axis-b", "x", "--j", j)
+        assert code == 0
+        docs[float(j)] = json.loads(out)
+    for j, doc in docs.items():
+        assert doc["e_r_numeric"] / j == pytest.approx(docs[1.0]["e_r_numeric"], abs=1e-12)
+        assert doc["e_r_numeric"] / j == pytest.approx(doc["e_a"] / j - 1.0, abs=1e-10)
+        assert doc["duality_gap"] / j <= 1e-10
 
 
 def test_cool_csv_schema(capsys):

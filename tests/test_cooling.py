@@ -158,23 +158,26 @@ def test_open_chain_residual_law(chains, n_sites):
         assert cool.duality_gap <= 1e-10 * spec.coupling
 
 
-def test_seeded_dual_starts_agree(measured_chain):
-    # the dual is concave: extra starts drawn from the seed reach the same bound
+def test_minimum_stable_under_more_restarts(measured_chain):
     spec, res, _, _, _ = measured_chain
     setup = MeasurementSetup.cardinal("y", "x")
-    one = minimize_residual(spec, setup, ground=res)
-    three = minimize_residual(spec, setup, ground=res, restarts=3)
-    assert len(one.per_restart) == 1 and len(three.per_restart) == 3
-    assert one.per_restart[0] == one.e_r_numeric
-    assert max(abs(v - one.e_r_numeric) for v in three.per_restart) <= 1e-12 * spec.coupling
-    assert three.e_r_numeric == pytest.approx(one.e_r_numeric, abs=1e-12)
+    few = minimize_residual(spec, setup, restarts=4, seed=0, ground=res)
+    more = minimize_residual(spec, setup, restarts=8, seed=0, ground=res)
+    assert more.e_r_numeric <= few.e_r_numeric + 1e-12
+    assert abs(more.e_r_numeric - few.e_r_numeric) < 1e-6
+    # the dual is concave: every start reaches the same bound
+    assert len(more.per_restart) == 8
+    assert max(abs(v - more.e_r_numeric) for v in more.per_restart) <= 1e-12
 
 
-def test_dual_step_cap_is_enforced(measured_chain):
-    # a few Newton steps leave the dual short of its optimum, and the solve says so
+def test_dual_certifies_within_a_hundred_newton_steps(measured_chain):
+    # about 60 barrier steps per outcome certify the bound; a handful do not,
+    # and the solve says so instead of reporting an uncertified value
     spec, res, _, _, _ = measured_chain
     setup = MeasurementSetup.cardinal("y", "x")
-    with pytest.raises(RuntimeError, match="did not reach the optimum"):
-        minimize_residual(spec, setup, ground=res, max_evals=5)
+    assert minimize_residual(spec, setup, ground=res, max_evals=100).duality_gap <= 1e-10
+    for cap in (5, 35):
+        with pytest.raises(RuntimeError, match="did not reach the optimum|duality gap"):
+            minimize_residual(spec, setup, ground=res, max_evals=cap)
     with pytest.raises(ValueError, match="at least 1"):
         minimize_residual(spec, setup, ground=res, restarts=0)
