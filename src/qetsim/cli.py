@@ -214,10 +214,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     result = protocol.run_protocol(spec, setup, theta=cfg["theta"], ground=res,
                                    tol=cfg["tol"], seed=cfg["seed"])
     profile_ok = all(
-        abs(sum(result.profiles[stage]) - total) < 1e-10 * max(1.0, cfg["j"])
+        abs(sum(result.profiles[stage]) - total) < 1e-10 * cfg["j"]
         for stage, total in (("ground", 0.0), ("post_measurement", result.e_a),
                              ("post_feedback", result.trace_energy)))
-    ok = profile_ok and result.e_a >= result.e_b - 1e-10
+    ok = profile_ok and result.e_a >= result.e_b - 1e-10 * cfg["j"]
     if cfg["fmt"] == "csv":
         rows = [[n,
                  repr(result.profiles["ground"][n]),

@@ -28,6 +28,19 @@ import numpy as np
 LETTERS = "IXYZ"
 
 
+def _letter_products() -> dict[tuple[str, str], tuple[complex, str]]:
+    """Single-site products a * b = phase * c, keyed by (a, b)."""
+    table = {(a, b): (1, b if a == "I" else a if b == "I" else "I")
+             for a in LETTERS for b in LETTERS}
+    for a, b, c in ("XYZ", "YZX", "ZXY"):
+        table[a, b] = (1j, c)
+        table[b, a] = (-1j, c)
+    return table
+
+
+_PRODUCT = _letter_products()
+
+
 @dataclass(frozen=True)
 class PauliString:
     """One term of an operator: coefficient times a tensor product of Pauli letters."""
@@ -195,6 +208,31 @@ class HermitianOperator:
         return HermitianOperator.from_strings(self.n_sites, scaled, drop_tol=0.0)
 
     __rmul__ = __mul__
+
+    def commutator(self, other: "HermitianOperator") -> "HermitianOperator":
+        """i[A, B] as a canonical Pauli sum, built from exact string products.
+
+        Strings P and Q commute exactly when P Q is Hermitian, i.e. when the
+        site-by-site product phase is real; otherwise P Q = -Q P = +-i R and
+        the pair contributes 2i a b P Q, a real multiple of the string R.
+        :meth:`from_strings` merges repeated patterns and drops those that
+        cancel, so the result has no terms exactly when A and B commute.
+        """
+        if other.n_sites != self.n_sites:
+            raise ValueError("operator sizes differ")
+        strings = []
+        for p in self.terms:
+            for q in other.terms:
+                phase = 1
+                letters = []
+                for a, b in zip(p.letters, q.letters):
+                    factor, c = _PRODUCT[a, b]
+                    phase *= factor
+                    letters.append(c)
+                if phase.imag:
+                    strings.append(PauliString(2j * phase * p.coefficient * q.coefficient,
+                                               "".join(letters)))
+        return HermitianOperator.from_strings(self.n_sites, strings)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """O @ vec without forming a matrix, one pass per distinct X-mask.

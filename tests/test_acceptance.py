@@ -18,12 +18,12 @@ from qetsim.protocol import (
     MeasurementSetup,
     apply_feedback,
     axis_sweep,
+    correlation_tensors,
     eq9_energy,
     measure,
     projectors,
     run_protocol,
     teleported_energy,
-    xi_eta,
 )
 
 mp.mp.dps = 60
@@ -67,13 +67,13 @@ def test_criterion_3_energy_identity(chains):
         spec, res = chains(n_sites)
         spec = spec.with_sites(0, 2)
         h = build_hamiltonian(spec)
-        for a_label in "xyz":
+        xi_mat, eta_mat = correlation_tensors(spec, res.state, h)
+        for p, a_label in enumerate("xyz"):
             p0, p1 = projectors(protocol.AXES[a_label], 0, n_sites)
             ensemble, e_a = measure(res.state, p0, p1, h)
-            sigma_a = axis_operator(protocol.AXES[a_label], 0, n_sites)
-            for b_label in "xyz":
+            for q, b_label in enumerate("xyz"):
                 sigma_b = axis_operator(protocol.AXES[b_label], 2, n_sites)
-                xi, eta = xi_eta(res.state, sigma_a, sigma_b, h)
+                xi, eta = xi_mat[q, q], eta_mat[p, q]
                 for theta in THETA_GRID_32:
                     rotated = apply_feedback(ensemble, sigma_b, float(theta))
                     simulated = rotated.energy(h)
@@ -92,7 +92,9 @@ def test_criterion_4_optimality_and_positivity(chains):
     sigma_b = axis_operator(setup.axis_b, 2, 10)
     p0, p1 = projectors(setup.axis_a, 0, 10)
     ensemble, e_a = measure(res.state, p0, p1, h)
-    xi, eta = xi_eta(res.state, axis_operator(setup.axis_a, 0, 10), sigma_b, h)
+    xi_mat, eta_mat = correlation_tensors(spec, res.state, h)
+    a_vec, b_vec = np.asarray(setup.axis_a), np.asarray(setup.axis_b)
+    xi, eta = b_vec @ xi_mat @ b_vec, a_vec @ eta_mat @ b_vec
     theta_star = protocol.optimal_theta(xi, eta)
     at_star = apply_feedback(ensemble, sigma_b, theta_star).energy(h)
     grid_best = min(
@@ -101,10 +103,9 @@ def test_criterion_4_optimality_and_positivity(chains):
     beats_grid = at_star <= grid_best + 1e-10
 
     positive = True
-    for a_label in "xyz":
-        for b_label in "xyz":
-            xi_p, eta_p = xi_eta(res.state, axis_operator(protocol.AXES[a_label], 0, 10),
-                                 axis_operator(protocol.AXES[b_label], 2, 10), h)
+    for p in range(3):
+        for q in range(3):
+            xi_p, eta_p = xi_mat[q, q], eta_mat[p, q]
             e_b = teleported_energy(max(xi_p, 0.0), eta_p)
             if abs(eta_p) > 1e-8 and not e_b > 0.0:
                 positive = False

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from qetsim import protocol
 from qetsim.cli import main
 
 
@@ -137,6 +138,28 @@ def test_cool_is_scale_free_in_the_coupling(capsys):
         assert doc["e_r_numeric"] / j == pytest.approx(docs[1.0]["e_r_numeric"], abs=1e-12)
         assert doc["e_r_numeric"] / j == pytest.approx(doc["e_a"] / j - 1.0, abs=1e-10)
         assert doc["duality_gap"] / j <= 1e-10
+
+
+def test_teleport_is_scale_free_in_the_coupling(capsys, monkeypatch):
+    # the bookkeeping and profile checks are relative to J: a coupling far
+    # below 1 gives the same energies / J as J = 1, and a feedback that
+    # extracts nothing still fails the bookkeeping although E_B is ~4e-9
+    docs = {}
+    for j in ("1", "1e-7"):
+        code, out, _ = run_cli(capsys, "teleport", "--sites", "8", "--axis-a", "y",
+                               "--axis-b", "x", "--j", j)
+        assert code == 0
+        docs[float(j)] = json.loads(out)
+    for j, doc in docs.items():
+        for key in ("e_a", "xi", "eta", "e_b", "trace_energy"):
+            assert doc[key] / j == pytest.approx(docs[1.0][key], abs=1e-12)
+        assert doc["theta_star"] == pytest.approx(docs[1.0]["theta_star"], abs=1e-12)
+        assert doc["checks"]["profiles_consistent"] is True
+    monkeypatch.setattr(protocol, "apply_feedback", lambda ensemble, sigma_b, theta: ensemble)
+    code, _, err = run_cli(capsys, "teleport", "--sites", "8", "--axis-a", "y",
+                           "--axis-b", "x", "--j", "1e-7")
+    assert code == 1
+    assert "bookkeeping" in err
 
 
 def test_cool_csv_schema(capsys):

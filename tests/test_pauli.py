@@ -124,6 +124,34 @@ def test_apply_matches_kron_dense_on_random_sums(case, seed):
     assert (hash(op), repr(op)) == before == (hash(twin), repr(twin))
 
 
+pauli_sum_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*(
+    st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
+                       st.text(alphabet="IXYZ", min_size=n, max_size=n)), max_size=8)
+    for _ in range(2))).map(lambda pair: (n, *pair)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pauli_sum_pairs)
+def test_commutator_matches_dense_on_random_sums(case):
+    n, terms_a, terms_b = case
+    a = HermitianOperator.from_strings(n, [PauliString(c, letters) for c, letters in terms_a])
+    b = HermitianOperator.from_strings(n, [PauliString(c, letters) for c, letters in terms_b])
+    ref = 1j * (a.dense() @ b.dense() - b.dense() @ a.dense())
+    assert np.max(np.abs(a.commutator(b).dense() - ref)) <= 1e-12
+
+
+def test_commutator_of_single_letters():
+    # i[X, Y] = i (2i Z) = -2 Z; a string commutes with itself and with
+    # a string that differs from it on an even number of sites
+    x, y, z = (HermitianOperator.from_strings(1, [PauliString(1.0, c)]) for c in "XYZ")
+    assert x.commutator(y) == -2.0 * z
+    assert not x.commutator(x).terms
+    xx, yy = (HermitianOperator.from_strings(2, [PauliString(1.0, c * 2)]) for c in "XY")
+    assert not xx.commutator(yy).terms
+    with pytest.raises(ValueError, match="sizes"):
+        x.commutator(xx)
+
+
 def test_apply_is_linear():
     rng = np.random.default_rng(7)
     op = random_operator(6, 8, rng)

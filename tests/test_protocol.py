@@ -8,26 +8,27 @@ import pytest
 
 from qetsim import chain, eigensolver, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian
-from qetsim.pauli import HermitianOperator, single_site
+from qetsim.pauli import HermitianOperator, axis_operator, single_site
 from qetsim.protocol import (
     MeasurementSetup,
     MixedEnsemble,
     apply_feedback,
     axis_sweep,
+    closed_form_applies,
+    correlation_tensors,
     eq9_energy,
     measure,
     optimal_theta,
     projectors,
     run_protocol,
     teleported_energy,
-    xi_eta,
 )
+
+XYZ = "xyz"
 
 
 def sigma(axis_label, site, n_sites):
-    from qetsim.pauli import axis_operator
-    from qetsim.protocol import AXES
-    return axis_operator(AXES[axis_label], site, n_sites)
+    return axis_operator(protocol.AXES[axis_label], site, n_sites)
 
 
 def test_projectors_resolve_identity_and_square():
@@ -100,20 +101,20 @@ def test_measured_energy_equals_density_profile_sum(chains):
 
 
 def test_xi_nonnegative_everywhere(chains):
+    # xi(b) = b . Xi b >= 0 on every axis b, so Xi is positive semidefinite
     spec, res = chains(8)
-    h = build_hamiltonian(spec)
-    for a in "xyz":
-        for b in "xyz":
-            xi, _ = xi_eta(res.state, sigma(a, spec.site_a, 8), sigma(b, spec.site_b, 8), h)
-            assert xi >= -1e-12
+    xi_mat, _ = correlation_tensors(spec, res.state, build_hamiltonian(spec))
+    for q in range(3):
+        assert xi_mat[q, q] >= -1e-12
+    assert np.linalg.eigvalsh(xi_mat).min() >= -1e-12
 
 
 def test_eta_vanishes_for_product_ground_state():
     n = 6
     h = HermitianOperator.from_strings(n, [single_site(n, k, "Z", -1.0) for k in range(n)])
     ground = eigensolver.basis_state(n, 0)
-    _, eta = xi_eta(ground, sigma("x", 0, n), sigma("x", 3, n), h)
-    assert abs(eta) < 1e-12
+    _, eta_mat = correlation_tensors(chain.ChainSpec(n, site_b=3), ground, hamiltonian=h)
+    assert np.max(np.abs(eta_mat)) < 1e-12
 
 
 def test_eta_matches_finite_difference_of_protocol_energy(chains):
@@ -190,11 +191,12 @@ def test_simulation_matches_closed_form_over_theta_grid(chains):
     spec, res = chains(8)
     spec = spec.with_sites(0, 3)
     h = build_hamiltonian(spec)
+    xi_mat, eta_mat = correlation_tensors(spec, res.state, h)
     for a in ("x", "y"):
         for b in ("x", "y"):
             p0, p1 = projectors(protocol.AXES[a], 0, 8)
             ensemble, e_a = measure(res.state, p0, p1, h)
-            xi, eta = xi_eta(res.state, sigma(a, 0, 8), sigma(b, 3, 8), h)
+            xi, eta = xi_mat[XYZ.index(b), XYZ.index(b)], eta_mat[XYZ.index(a), XYZ.index(b)]
             for theta in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
                 rotated = apply_feedback(ensemble, sigma(b, 3, 8), float(theta))
                 simulated = rotated.energy(h)
@@ -290,20 +292,87 @@ def test_axis_sweep_cardinal_table(chains):
 
 
 def test_axis_sweep_agrees_with_direct_xi_eta(chains):
+    # direct state-vector evaluation of xi = <sigma_B H sigma_B> and
+    # eta = Re i <sigma_A [H, sigma_B]>, at the swept y|x pair and at tilted
+    # axes, where the tensors enter only through their bilinear forms
     spec, res = chains(10)
     sweep = axis_sweep(spec, ground=res)
     h = build_hamiltonian(spec)
+    g = res.state
+    xi_mat, eta_mat = correlation_tensors(spec, g, h)
+
+    def direct(axis_a, axis_b):
+        sig_a = axis_operator(axis_a, spec.site_a, 10)
+        sig_b = axis_operator(axis_b, spec.site_b, 10)
+        bv, av = sig_b.apply(g), sig_a.apply(g)
+        xi = np.vdot(bv, h.apply(bv)).real
+        eta = (1j * (np.vdot(av, h.apply(bv)) - np.vdot(av, sig_b.apply(h.apply(g))))).real
+        return xi, eta
+
     point = {pt.label: pt for pt in sweep.points}["y|x"]
-    xi, eta = xi_eta(res.state, sigma("y", spec.site_a, 10), sigma("x", spec.site_b, 10), h)
+    xi, eta = direct(protocol.AXES["y"], protocol.AXES["x"])
     assert point.xi == pytest.approx(xi, abs=1e-10)
     assert point.eta == pytest.approx(eta, abs=1e-10)
+    a_vec = np.array([1.0, 2.0, -2.0]) / 3.0
+    b_vec = np.array([0.6, 0.0, 0.8])
+    xi, eta = direct(tuple(a_vec), tuple(b_vec))
+    assert b_vec @ xi_mat @ b_vec == pytest.approx(xi, abs=1e-10)
+    assert a_vec @ eta_mat @ b_vec == pytest.approx(eta, abs=1e-10)
 
 
-def test_axis_sweep_refinement_never_loses(chains):
-    spec, res = chains(8)
-    coarse = axis_sweep(spec, ground=res)
-    refined = axis_sweep(spec, refine=6, ground=res)
-    assert refined.best_e_b >= coarse.best_e_b - 1e-12
+SELECTION_CASES = ([("periodic", n_sites, 0, n) for n_sites in (8, 10) for n in (1, 2, 3)]
+                   + [("open", n_sites, a, b) for n_sites in (8, 10)
+                      for a, b in ((0, 1), (0, 2), (0, 3), (2, 3), (2, 5))])
+
+
+@pytest.mark.parametrize("boundary,n_sites,site_a,site_b", SELECTION_CASES)
+def test_parity_and_reality_selection_rules(chains, boundary, n_sites, site_a, site_b):
+    # H is real and commutes with prod sz, so the ground state is real and has
+    # definite parity: Xi is diagonal and N[y,x] = -N[x,y] is all of N
+    spec, res = chains(n_sites, boundary)
+    spec = spec.with_sites(site_a, site_b)
+    j = spec.coupling
+    xi_mat, eta_mat = correlation_tensors(spec, res.state)
+    x, y = XYZ.index("x"), XYZ.index("y")
+    assert np.max(np.abs(xi_mat - np.diag(np.diag(xi_mat)))) <= 1e-12 * j
+    others = eta_mat.copy()
+    others[y, x] = others[x, y] = 0.0
+    assert np.max(np.abs(others)) <= 1e-12 * j
+    assert abs(eta_mat[y, x] + eta_mat[x, y]) <= 1e-12 * j
+    assert xi_mat[x, x] == min(np.diag(xi_mat))
+    # so cardinal y|x is optimal over both spheres: for any feedback axis b
+    # the best sender axis lies along N b, and none of those beats y|x
+    cardinal = teleported_energy(xi_mat[x, x], eta_mat[y, x])
+    rng = np.random.default_rng(n_sites * 100 + site_a * 10 + site_b)
+    for _ in range(200):
+        b_vec = rng.standard_normal(3)
+        b_vec /= np.linalg.norm(b_vec)
+        eta = float(np.linalg.norm(eta_mat @ b_vec))
+        assert teleported_energy(max(float(b_vec @ xi_mat @ b_vec), 0.0), eta) <= cardinal
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_closed_form_predicate_matches_dense_commutator(boundary):
+    # the exact Pauli-algebra test against [sigma_A, [H, sigma_B]] as 64x64 matrices
+    n = 6
+    rng = np.random.default_rng(17)
+    cardinal = [protocol.AXES[label] for label in XYZ]
+    for site_a in range(n):
+        for site_b in range(n):
+            if site_a == site_b:
+                continue
+            spec = chain.ChainSpec(n, boundary=boundary, site_a=site_a, site_b=site_b,
+                                   epsilon=tuple(rng.standard_normal(n)))
+            h = build_hamiltonian(spec)
+            h_dense = h.dense()
+            tilted = [tuple(v / np.linalg.norm(v)) for v in rng.integers(-1, 2, (4, 3))
+                      if v.any()]
+            for axis_a, axis_b in zip(cardinal + tilted, cardinal[::-1] + tilted[::-1]):
+                sig_a = axis_operator(axis_a, site_a, n)
+                sig_b = axis_operator(axis_b, site_b, n)
+                bracket = h_dense @ sig_b.dense() - sig_b.dense() @ h_dense
+                nested = sig_a.dense() @ bracket - bracket @ sig_a.dense()
+                assert closed_form_applies(sig_a, sig_b, h) == (np.linalg.norm(nested) < 1e-10)
 
 
 def test_sweep_best_energy_is_attained_by_simulation(chains):
