@@ -131,6 +131,43 @@ def build_hamiltonian(spec: ChainSpec) -> HermitianOperator:
     return HermitianOperator.from_strings(spec.n_sites, strings, drop_tol=1e-15 * spec.coupling)
 
 
+def local_observables(spec: ChainSpec, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site z[n] = <sz_n> and xx[n] = <sx_n sx_{n+1 mod N}>, read from one state.
+
+    Viewing the state as an array of shape (2,)*N puts site n on axis N-1-n,
+    and bit n of the flat index.  <sz_n> is the weight of |psi|^2 with bit n
+    clear minus the weight with it set; summing out each bit once it is read
+    makes all N marginals cost two passes over |psi|^2.  sx_n sx_m flips two
+    axes.  On an open chain xx[N-1] = 0, since the last site has no bond to
+    the first.
+    """
+    n_sites = spec.n_sites
+    psi = np.asarray(state).reshape((2,) * n_sites)
+    marginal = np.abs(psi.reshape(-1)) ** 2
+    z = np.empty(n_sites)
+    xx = np.zeros(n_sites)
+    for n in range(n_sites):
+        clear, set_ = marginal[0::2], marginal[1::2]
+        z[n] = clear.sum() - set_.sum()
+        marginal = clear + set_
+    bonds = n_sites if spec.boundary == "periodic" else n_sites - 1
+    for n in range(bonds):
+        axes = (n_sites - 1 - n, n_sites - 1 - (n + 1) % n_sites)
+        xx[n] = np.vdot(psi, np.flip(psi, axes)).real
+    return z, xx
+
+
+def energy_densities(spec: ChainSpec, state: np.ndarray) -> np.ndarray:
+    """Every <T_n> of a normalized state at once, from `local_observables`.
+
+    Site n's bonds are xx[n] and xx[n-1]; on an open chain the missing edge
+    bond is the zero xx[N-1], so one formula serves both boundaries.
+    """
+    z, xx = local_observables(spec, state)
+    j = spec.coupling
+    return -j * z - (j / 2.0) * (xx + np.roll(xx, 1)) - np.asarray(spec.epsilon)
+
+
 def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
     """Offsets eps_n = <g|(-J sz_n - (J/2) sx_n sx_{n+-1})|g> that zero every <T_n>.
 
@@ -140,9 +177,7 @@ def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(ground)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"ground state is not normalized (norm {nrm:.3e})")
-    bare = spec.with_epsilon((0.0,) * spec.n_sites)
-    return np.array([build_energy_density(bare, n).expectation(ground)
-                     for n in range(spec.n_sites)])
+    return energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
 
 
 def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "periodic",

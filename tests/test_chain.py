@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim import chain, eigensolver
 from qetsim.chain import (
@@ -14,9 +16,12 @@ from qetsim.chain import (
     calibrated_chain,
     correlation_check,
     density_eigenbasis_weights,
+    energy_densities,
     local_density_spectrum,
+    local_observables,
 )
 from qetsim.pauli import HermitianOperator, PauliString, from_sites, single_site
+from qetsim.protocol import _density_profile
 
 
 def term_map(op):
@@ -115,6 +120,66 @@ def test_open_chain_offsets_vary_near_edges():
     assert abs(eps[0] - eps[4]) > 1e-3
     for n in range(8):
         assert abs(build_energy_density(spec, n).expectation(res.state)) < 1e-10
+
+
+def operator_densities(spec, state):
+    return np.array([build_energy_density(spec, n).expectation(state)
+                     for n in range(spec.n_sites)])
+
+
+def random_state(n_sites, rng, complex_):
+    vec = rng.standard_normal(1 << n_sites)
+    if complex_:
+        vec = vec + 1j * rng.standard_normal(1 << n_sites)
+    return vec / np.linalg.norm(vec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 10), st.sampled_from(chain.BOUNDARIES), st.floats(1e-3, 1e3),
+       st.booleans(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_local_observables_match_operator_densities(n_sites, boundary, coupling, complex_,
+                                                    weight, seed):
+    # every <T_n> read from (z, xx) equals the T_n operator's expectation,
+    # for one state and for a weighted two-branch ensemble
+    rng = np.random.default_rng(seed)
+    spec = ChainSpec(n_sites, coupling, boundary,
+                     epsilon=tuple(coupling * rng.standard_normal(n_sites)))
+    first, second = (random_state(n_sites, rng, complex_) for _ in range(2))
+    tol = 1e-12 * coupling
+    assert np.max(np.abs(energy_densities(spec, first)
+                         - operator_densities(spec, first))) <= tol
+    ensemble = [(weight, first), (1.0 - weight, second)]
+    expected = sum(w * operator_densities(spec, s) for w, s in ensemble if w > 0.0)
+    assert np.max(np.abs(np.array(_density_profile(spec, ensemble)) - expected)) <= tol
+
+
+def test_local_observables_of_a_product_state():
+    # site n in cos(t_n/2)|0> + sin(t_n/2)|1> has <sz> = cos t_n and <sx> = sin t_n;
+    # distinct angles pin each value to its site, and the open chain drops xx[N-1]
+    angles = np.array([0.3, 1.1, 2.0, 2.9, 0.7])
+    state = np.ones(1)
+    for t in angles:                         # site N-1 ends up as the leftmost factor
+        state = np.kron([math.cos(t / 2.0), math.sin(t / 2.0)], state)
+    bonds = np.sin(angles) * np.roll(np.sin(angles), -1)
+    for boundary in chain.BOUNDARIES:
+        z, xx = local_observables(ChainSpec(len(angles), boundary=boundary), state)
+        assert z == pytest.approx(np.cos(angles), abs=1e-15)
+        expected = bonds if boundary == "periodic" else np.append(bonds[:-1], 0.0)
+        assert xx == pytest.approx(expected, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 10), st.sampled_from(chain.BOUNDARIES), st.floats(0.1, 10.0), st.data())
+def test_calibration_invariants(n_sites, boundary, coupling, data):
+    # the T_n operators are the independent oracle: each has zero ground-state
+    # expectation, and the offsets add up to the bare chain's ground energy
+    site_a = data.draw(st.integers(0, n_sites - 1))
+    site_b = data.draw(st.integers(0, n_sites - 1).filter(lambda b: b != site_a))
+    spec, res = calibrated_chain(n_sites, coupling, boundary, site_a, site_b)
+    assert np.max(np.abs(operator_densities(spec, res.state))) < 1e-10 * coupling
+    bare = spec.with_epsilon((0.0,) * n_sites)
+    e_0 = np.linalg.eigvalsh(build_hamiltonian(bare).dense())[0]
+    assert math.fsum(spec.epsilon) == pytest.approx(e_0, abs=1e-10 * coupling)
 
 
 def test_calibrate_epsilon_requires_normalized_state():

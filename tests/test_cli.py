@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, config precedence, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -92,6 +93,30 @@ def test_sweep_json_has_slope(capsys):
     doc = json.loads(out)
     assert doc["closed_form_slope"] == pytest.approx(-4.5, abs=0.05)
     assert doc["checks"]["eb_decreasing_with_distance"] is True
+
+
+def test_sweep_monotonicity_check_scales_with_coupling(capsys, monkeypatch):
+    # at J = 1e-7 every E_B is ~1e-11, so a rise of 0.5e-12 at the last
+    # distance is a few percent and must fail the check
+    n_sites = 12
+    run_protocol = protocol.run_protocol
+    reported = []
+
+    def rising_at_the_end(spec, setup, **kwargs):
+        result = run_protocol(spec, setup, **kwargs)
+        if spec.site_b == n_sites // 2:
+            result = dataclasses.replace(result, e_b=reported[-1] + 0.5e-12)
+        reported.append(result.e_b)
+        return result
+
+    monkeypatch.setattr(protocol, "run_protocol", rising_at_the_end)
+    code, out, _ = run_cli(capsys, "sweep", "--sizes", str(n_sites), "--j", "1e-7",
+                           "--axis-a", "y", "--axis-b", "x")
+    doc = json.loads(out)
+    assert [row["eb_numeric"] for row in doc["rows"]] == reported
+    assert reported[-1] < 1.2 * reported[-2]
+    assert doc["checks"]["eb_decreasing_with_distance"] is False
+    assert code == 1
 
 
 def test_analytic_report(capsys):

@@ -351,6 +351,62 @@ def test_parity_and_reality_selection_rules(chains, boundary, n_sites, site_a, s
         assert teleported_energy(max(float(b_vec @ xi_mat @ b_vec), 0.0), eta) <= cardinal
 
 
+def test_check_calibration_rejects_uncalibrated_and_nan_states(chains):
+    spec, res = chains(8)
+    protocol.check_calibration(spec, res.state)
+    for bad_spec, state in ((spec.with_epsilon((0.0,) * 8), res.state),
+                            (spec, np.full_like(res.state, np.nan))):
+        with pytest.raises(ValueError, match="not calibrated"):
+            protocol.check_calibration(bad_spec, state)
+
+
+EDGE_CASES = [(n_sites, a, b) for n_sites in (8, 10)
+              for a, b in ((1, 0), (3, 0), (n_sites - 2, n_sites - 1))]
+
+
+@pytest.mark.parametrize("n_sites,site_a,site_b", EDGE_CASES)
+def test_selection_rules_with_the_receiver_at_an_open_edge(chains, n_sites, site_a, site_b):
+    # parity and reality still fix Xi and N, but at an edge receiver Xi[z,z]
+    # undercuts Xi[x,x]; y|x stays optimal because Xi[x,x] <= Xi[y,y] and
+    # Xi[z,z] > 0, and sampled feedback axes, each with its best sender axis
+    # along N b, still lose to it
+    spec, res = chains(n_sites, "open")
+    spec = spec.with_sites(site_a, site_b)
+    j = spec.coupling
+    xi_mat, eta_mat = correlation_tensors(spec, res.state)
+    x, y = XYZ.index("x"), XYZ.index("y")
+    assert np.max(np.abs(xi_mat - np.diag(np.diag(xi_mat)))) <= 1e-12 * j
+    others = eta_mat.copy()
+    others[y, x] = others[x, y] = 0.0
+    assert np.max(np.abs(others)) <= 1e-12 * j
+    assert abs(eta_mat[y, x] + eta_mat[x, y]) <= 1e-12 * j
+    z = XYZ.index("z")
+    assert xi_mat[z, z] < xi_mat[x, x] <= xi_mat[y, y]
+    assert xi_mat[z, z] > 0.0
+    cardinal = teleported_energy(xi_mat[x, x], eta_mat[y, x])
+    rng = np.random.default_rng(n_sites * 100 + site_a * 10 + site_b)
+    for _ in range(2000):
+        b_vec = rng.standard_normal(3)
+        b_vec /= np.linalg.norm(b_vec)
+        eta = float(np.linalg.norm(eta_mat @ b_vec))
+        assert teleported_energy(max(float(b_vec @ xi_mat @ b_vec), 0.0), eta) <= cardinal
+
+
+def test_run_protocol_solves_its_own_ground_state(chains):
+    # with ground=None the bare chain is solved; the offsets only shift H by
+    # a multiple of I, so every reported number matches the calibrated ground
+    spec, res = chains(10)
+    spec = spec.with_sites(0, 2)
+    setup = MeasurementSetup.cardinal("y", "x")
+    solved = run_protocol(spec, setup)
+    given = run_protocol(spec, setup, ground=res)
+    tol = 1e-12 * spec.coupling
+    for name in ("e_a", "xi", "eta", "e_b", "trace_energy"):
+        assert getattr(solved, name) == pytest.approx(getattr(given, name), abs=tol)
+    for stage in protocol.PROFILE_STAGES:
+        assert solved.profiles[stage] == pytest.approx(given.profiles[stage], abs=tol)
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_closed_form_predicate_matches_dense_commutator(boundary):
     # the exact Pauli-algebra test against [sigma_A, [H, sigma_B]] as 64x64 matrices
