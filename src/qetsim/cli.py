@@ -127,11 +127,15 @@ def _effective(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build_chain(cfg: dict):
+def _check_sites(cfg: dict) -> None:
     if cfg["sites"] > LARGE_SITES and not cfg["large"]:
         raise CliError(f"sites > {LARGE_SITES} takes a while; pass --large to confirm")
     if cfg["sites"] > 20:
         raise CliError("sites > 20 is out of range for this tool")
+
+
+def _build_chain(cfg: dict):
+    _check_sites(cfg)
     return chain.calibrated_chain(cfg["sites"], cfg["j"], cfg["bc"],
                                   site_a=cfg["site_a"], site_b=cfg["site_b"],
                                   tol=cfg["tol"], seed=cfg["seed"])
@@ -209,8 +213,9 @@ def cmd_ground(args: argparse.Namespace) -> int:
 def cmd_teleport(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     spec, res = _build_chain(cfg)
-    setup, axis_origin = _resolve_setup(cfg, spec, res)
-    result = protocol.run_protocol(spec, setup, theta=cfg["theta"], ground=res,
+    ground = protocol.PreparedGround(spec, res.state)
+    setup, axis_origin = _resolve_setup(cfg, spec, ground)
+    result = protocol.run_protocol(spec, setup, theta=cfg["theta"], ground=ground,
                                    tol=cfg["tol"], seed=cfg["seed"])
     profile_ok = all(
         abs(sum(result.profiles[stage]) - total) < 1e-10 * cfg["j"]
@@ -247,28 +252,36 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     sizes = _parse_int_list(cfg["sizes"]) if cfg["sizes"] else (cfg["sites"],)
-    acfg = analytics.AnalyticConfig(coupling=cfg["j"])
-    rows = []
-    ok = True
-    for n_sites in sizes:
+    plan = []
+    for n_sites in sizes:       # every (size, distance) is checked before any solve
         size_cfg = dict(cfg, sites=n_sites, site_a=0, site_b=1)
+        _check_sites(size_cfg)
+        chain.ChainSpec(n_sites, cfg["j"], cfg["bc"])      # N >= 3, J > 0, boundary
         distances = (_parse_int_list(cfg["distances"]) if cfg["distances"]
                      else tuple(range(1, n_sites // 2 + 1)))
-        spec, res = _build_chain(size_cfg)
-        previous = None
         for dist in distances:
             if not 1 <= dist <= n_sites // 2:
                 raise CliError(f"distance {dist} invalid for {n_sites} sites")
+        plan.append((size_cfg, distances))
+    acfg = analytics.AnalyticConfig(coupling=cfg["j"])
+    rows = []
+    ok = True
+    for size_cfg, distances in plan:
+        spec, res = _build_chain(size_cfg)
+        ground = protocol.PreparedGround(spec, res.state)
+        e_b = {}
+        for dist in distances:
             dspec = spec.with_sites(0, dist)
-            setup, note = _resolve_setup(cfg, dspec, res)
-            result = protocol.run_protocol(dspec, setup, ground=res,
+            setup, note = _resolve_setup(cfg, dspec, ground)
+            result = protocol.run_protocol(dspec, setup, ground=ground,
                                            tol=cfg["tol"], seed=cfg["seed"])
             closed = analytics.eb_closed_form(acfg, dist)
-            rows.append([n_sites, dist, result.e_b, closed, analytics.delta(dist),
+            rows.append([spec.n_sites, dist, result.e_b, closed, analytics.delta(dist),
                          f"axes={note}"])
-            if previous is not None and result.e_b > previous + 1e-12 * cfg["j"]:
-                ok = False
-            previous = result.e_b
+            e_b[dist] = result.e_b
+        by_distance = [e_b[dist] for dist in sorted(e_b)]
+        ok = ok and all(far <= near + 1e-12 * cfg["j"]
+                        for near, far in zip(by_distance, by_distance[1:]))
     slope = analytics.power_law_slope(acfg)
     if cfg["fmt"] == "csv":
         doc = _csv_doc(["n", "distance", "eb_numeric", "eb_closed", "delta", "note"],
@@ -321,9 +334,10 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     spec, res = _build_chain(cfg)
-    setup, axis_origin = _resolve_setup(cfg, spec, res)
-    result = protocol.run_protocol(spec, setup, ground=res, tol=cfg["tol"], seed=cfg["seed"])
-    cool = cooling.minimize_residual(spec, setup, seed=cfg["seed"], ground=res, tol=cfg["tol"])
+    ground = protocol.PreparedGround(spec, res.state)
+    setup, axis_origin = _resolve_setup(cfg, spec, ground)
+    result = protocol.run_protocol(spec, setup, ground=ground, tol=cfg["tol"], seed=cfg["seed"])
+    cool = cooling.minimize_residual(spec, setup, seed=cfg["seed"], ground=ground, tol=cfg["tol"])
     bound_ok = cool.e_r_numeric >= result.e_b - 1e-8 * cfg["j"]
     feasible_ok = cool.e_r_numeric <= cool.e_a + 1e-9 * cfg["j"]
     if cfg["fmt"] == "csv":

@@ -27,17 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, build_hamiltonian
+from .chain import ChainSpec
 from .pauli import HermitianOperator, apply_single_qubit
-from .protocol import (
-    Branch,
-    MeasurementSetup,
-    MixedEnsemble,
-    _resolve_ground,
-    check_calibration,
-    measure,
-    projectors,
-)
+from .protocol import Branch, MeasurementSetup, MixedEnsemble, _resolve_ground
 
 ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
 
@@ -213,20 +205,20 @@ def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, seed: int = 0,
     The protocol stops after step (i); each measurement outcome is cooled by
     its own channel, solved exactly through the dual of its Choi SDP from t = 0
     and `restarts` - 1 starts drawn from `seed`, each for at most `max_evals`
-    Newton steps; `per_restart` holds each start's total bound.  Raises
-    RuntimeError if the duality gap exceeds 1e-9 J.
+    Newton steps; `per_restart` holds each start's total bound.  `ground`
+    takes the same forms as in `protocol.run_protocol`; a shared
+    PreparedGround measures once for both.  Raises RuntimeError if the
+    duality gap exceeds 1e-9 J.
     """
     if restarts < 1 or max_evals < 1:
         raise ValueError("restarts and max_evals must be at least 1")
-    g = _resolve_ground(spec, ground, tol, seed)
-    check_calibration(spec, g)
-    hamiltonian = build_hamiltonian(spec)
-    ensemble, e_a = measure(g, *projectors(setup.axis_a, spec.site_a, spec.n_sites), hamiltonian)
+    prepared = _resolve_ground(spec, ground, tol, seed)
+    ensemble, e_a, _ = prepared.measurement(spec, setup.axis_a)
 
     rng = np.random.default_rng(seed)
     starts = spec.coupling * np.vstack([np.zeros(3), rng.standard_normal((restarts - 1, 3))])
     per_outcome, per_restart, gap, channel = _min_local_channel(
-        ensemble, spec.site_a, hamiltonian, starts, max_evals)
+        ensemble, spec.site_a, prepared.hamiltonian, starts, max_evals)
     if gap > 1e-9 * spec.coupling:
         raise RuntimeError(f"cooling duality gap {gap:.3e} exceeds 1e-9 J")
     return CoolingResult(sum(per_outcome), channel, e_a, per_outcome, gap, per_restart)

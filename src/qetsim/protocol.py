@@ -170,24 +170,88 @@ def _density_profile(spec: ChainSpec, states) -> tuple[float, ...]:
     return tuple(float(t) for t in profile)
 
 
-def _resolve_ground(spec: ChainSpec, ground, tol: float, seed: int) -> np.ndarray:
-    if ground is None:
-        # the offsets shift H by a multiple of I, so the bare chain has the
-        # same ground state, and ARPACK reaches it in fewer applies than it
-        # needs at the calibrated chain's zero eigenvalue
-        bare = spec.with_epsilon((0.0,) * spec.n_sites)
-        return eigensolver.ground_state(build_hamiltonian(bare), tol=tol, seed=seed).state
-    if isinstance(ground, eigensolver.EigenResult):
-        return ground.state
-    return np.asarray(ground)
-
-
 def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) -> None:
     worst = float(np.max(np.abs(energy_densities(spec, ground))))
     if not worst <= tol * spec.coupling:    # a NaN density fails too
         raise ValueError(
             f"spec is not calibrated: max |<T_n>| = {worst:.3e}; "
             "run chain.calibrated_chain or chain.calibrate_epsilon first")
+
+
+class PreparedGround:
+    """A calibrated chain's ground state with the work every receiver shares done once.
+
+    Construction runs `check_calibration` and keeps the calibrated H, H|g>
+    and the ground profile.  The correlation tensors are memoized per
+    (site_a, site_b) and the sender's measurement (ensemble, E_A and the
+    post-measurement profile) per (site_a, axis_a), so a sweep over
+    receivers checks and measures once.  Every use names a spec, which must
+    describe the same chain (N, J, boundary and offsets); its protocol sites
+    are free.  Memoized arrays are read-only, since every caller shares them.
+    """
+
+    def __init__(self, spec: ChainSpec, state: np.ndarray):
+        self.state = np.asarray(state)
+        check_calibration(spec, self.state)
+        self.spec = spec
+        self.hamiltonian = build_hamiltonian(spec)
+        self.h_ground = _read_only(self.hamiltonian.apply(self.state))
+        self.ground_profile = _density_profile(spec, [(1.0, self.state)])
+        self._tensors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._measurements: dict[tuple, tuple[MixedEnsemble, float, tuple[float, ...]]] = {}
+
+    def _require(self, spec: ChainSpec) -> None:
+        """Raise ValueError unless `spec` differs from the prepared one only in its sites."""
+        if _chain_of(spec) != _chain_of(self.spec):
+            raise ValueError("spec describes a different chain (N, J, boundary or offsets) "
+                             "than the prepared ground state")
+
+    def tensors(self, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+        """`correlation_tensors` at spec's sites, computed once per (site_a, site_b)."""
+        self._require(spec)
+        key = (spec.site_a, spec.site_b)
+        if key not in self._tensors:
+            self._tensors[key] = tuple(_read_only(m) for m in correlation_tensors(
+                spec, self.state, self.hamiltonian, h_ground=self.h_ground))
+        return self._tensors[key]
+
+    def measurement(self, spec: ChainSpec, axis_a
+                    ) -> tuple[MixedEnsemble, float, tuple[float, ...]]:
+        """(ensemble, E_A, post-measurement profile) of measuring axis_a at spec.site_a."""
+        self._require(spec)
+        key = (spec.site_a, tuple(float(c) for c in axis_a))
+        if key not in self._measurements:
+            ensemble, e_a = measure(self.state, *projectors(axis_a, spec.site_a, spec.n_sites),
+                                    self.hamiltonian)
+            for b in ensemble.branches:
+                _read_only(b.state)
+            profile = _density_profile(spec, [(b.weight, b.state) for b in ensemble.branches])
+            self._measurements[key] = (ensemble, e_a, profile)
+        return self._measurements[key]
+
+
+def _chain_of(spec: ChainSpec) -> tuple:
+    return spec.n_sites, spec.coupling, spec.boundary, spec.epsilon
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _resolve_ground(spec: ChainSpec, ground, tol: float, seed: int) -> PreparedGround:
+    """`ground` as a PreparedGround: None (solved here), a state, an EigenResult, or one prepared."""
+    if isinstance(ground, PreparedGround):
+        return ground
+    if ground is None:
+        # the offsets shift H by a multiple of I, so the bare chain has the
+        # same ground state, and ARPACK reaches it in fewer applies than it
+        # needs at the calibrated chain's zero eigenvalue
+        bare = spec.with_epsilon((0.0,) * spec.n_sites)
+        ground = eigensolver.ground_state(build_hamiltonian(bare), tol=tol, seed=seed)
+    if isinstance(ground, eigensolver.EigenResult):
+        ground = ground.state
+    return PreparedGround(spec, ground)
 
 
 def closed_form_applies(sigma_a: HermitianOperator, sigma_b: HermitianOperator,
@@ -211,22 +275,18 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, theta: float | None =
 
     `theta` overrides the optimal feedback angle (the reported theta_star is
     always the optimum).  `ground` may carry a precomputed ground state to
-    avoid re-solving.  Per-site <T_n> profiles are recorded for the ground
+    avoid re-solving: a state, an EigenResult, or a PreparedGround shared
+    across calls.  Per-site <T_n> profiles are recorded for the ground
     state, after the measurement, and after the feedback.
     """
-    g = _resolve_ground(spec, ground, tol, seed)
-    check_calibration(spec, g)
-    hamiltonian = build_hamiltonian(spec)
+    prepared = _resolve_ground(spec, ground, tol, seed)
+    hamiltonian = prepared.hamiltonian
     sigma_b = axis_operator(setup.axis_b, spec.site_b, spec.n_sites)
 
-    profiles = {"ground": _density_profile(spec, [(1.0, g)])}
+    ensemble, e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
+    profiles = {"ground": prepared.ground_profile, "post_measurement": post_measurement}
 
-    p_0, p_1 = projectors(setup.axis_a, spec.site_a, spec.n_sites)
-    ensemble, e_a = measure(g, p_0, p_1, hamiltonian)
-    profiles["post_measurement"] = _density_profile(
-        spec, [(b.weight, b.state) for b in ensemble.branches])
-
-    xi_mat, eta_mat = correlation_tensors(spec, g, hamiltonian)
+    xi_mat, eta_mat = prepared.tensors(spec)
     a_vec, b_vec = np.asarray(setup.axis_a), np.asarray(setup.axis_b)
     xi = float(b_vec @ xi_mat @ b_vec)
     eta = float(a_vec @ eta_mat @ b_vec)
@@ -277,7 +337,8 @@ class AxisSweepResult:
 
 def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
                         hamiltonian: HermitianOperator | None = None,
-                        imag_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                        imag_tol: float = 1e-10, h_ground: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """3x3 tensors reducing (xi, eta) at any axes to bilinear forms.
 
     xi(b) = b . Xi b with Xi[q,q'] = Re <g|sigma^q_B H sigma^q'_B|g>, and
@@ -288,7 +349,8 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     Xi, which is an expectation of a Hermitian operator, and on an entry of N
     whose axes pass `closed_form_applies`, which makes i sigma^p_A
     [H, sigma^q_B] Hermitian.  Otherwise the residue is a contact term of
-    adjacent parties and only the real part is kept.
+    adjacent parties and only the real part is kept.  `h_ground` may carry
+    H|g> when the caller already holds it.
     """
     h = build_hamiltonian(spec) if hamiltonian is None else hamiltonian
     sigma_a = [axis_operator(AXES[p], spec.site_a, spec.n_sites) for p in "xyz"]
@@ -296,7 +358,7 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     a_vecs = [s.apply(ground) for s in sigma_a]
     b_vecs = [s.apply(ground) for s in sigma_b]
     h_b_vecs = [h.apply(v) for v in b_vecs]
-    hg = h.apply(ground)
+    hg = h.apply(ground) if h_ground is None else h_ground
     b_hg = [s.apply(hg) for s in sigma_b]
 
     limit = imag_tol * h.one_norm
@@ -327,9 +389,7 @@ def axis_sweep(spec: ChainSpec, ground=None, tol: float = 1e-10,
     N[y,x] = -N[x,y] nonzero, so no tilted pair beats the best cardinal one
     while Xi[x,x] <= Xi[y,y] and Xi[z,z] > 0 (see the README).
     """
-    g = _resolve_ground(spec, ground, tol, seed)
-    check_calibration(spec, g)
-    xi_mat, eta_mat = correlation_tensors(spec, g)
+    xi_mat, eta_mat = _resolve_ground(spec, ground, tol, seed).tensors(spec)
     points = []
     for p, label_a in enumerate("xyz"):
         for q, label_b in enumerate("xyz"):

@@ -8,8 +8,9 @@ import math
 
 import pytest
 
-from qetsim import protocol
+from qetsim import chain, cooling, eigensolver, protocol
 from qetsim.cli import main
+from qetsim.pauli import HermitianOperator
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,92 @@ def test_sweep_monotonicity_check_scales_with_coupling(capsys, monkeypatch):
     assert reported[-1] < 1.2 * reported[-2]
     assert doc["checks"]["eb_decreasing_with_distance"] is False
     assert code == 1
+
+
+def test_sweep_monotonicity_follows_distance_not_row_order(capsys):
+    # rows keep the order given, while the check compares E_B in ascending distance
+    code, out, _ = run_cli(capsys, "sweep", "--sizes", "8", "--distances", "3,1",
+                           "--axis-a", "y", "--axis-b", "x")
+    doc = json.loads(out)
+    assert [row["distance"] for row in doc["rows"]] == [3, 1]
+    assert doc["rows"][1]["eb_numeric"] > doc["rows"][0]["eb_numeric"]
+    assert doc["checks"]["eb_decreasing_with_distance"] is True
+    assert code == 0
+
+
+class SolverCalled(Exception):
+    """Not caught by the CLI, so a solve before validation surfaces as an error."""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--sizes", "16", "--distances", "1,9"), "distance 9 invalid for 16 sites"),
+    (("--sizes", "8,18", "--distances", "1"), "--large"),
+    (("--sizes", "8,2", "--distances", "1"), "at least 3 sites"),
+])
+def test_sweep_validates_every_size_and_distance_before_solving(capsys, monkeypatch, argv, message):
+    def fail(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+@pytest.mark.parametrize("axes", [("best", "x"), ("y", "x")])
+def test_sweep_rows_equal_one_shot_protocol_runs(capsys, bc, axes):
+    # one prepared ground state per size must give the E_B of a fresh chain,
+    # axis sweep and run_protocol per distance
+    n_sites = 8
+    code, out, _ = run_cli(capsys, "sweep", "--sizes", str(n_sites), "--bc", bc,
+                           "--axis-a", axes[0], "--axis-b", axes[1])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["distance"] for row in rows] == list(range(1, n_sites // 2 + 1))
+    for row in rows:
+        spec, res = chain.calibrated_chain(n_sites, boundary=bc, site_a=0, site_b=row["distance"])
+        setup = (protocol.axis_sweep(spec, ground=res).best if axes[0] == "best"
+                 else protocol.MeasurementSetup.cardinal(*axes))
+        result = protocol.run_protocol(spec, setup, ground=res)
+        assert row["eb_numeric"] == pytest.approx(result.e_b, abs=1e-12 * spec.coupling)
+
+
+def test_sweep_applies_the_calibrated_hamiltonian_five_times_per_distance(capsys, monkeypatch):
+    built, applied = [], []
+    build, apply = protocol.build_hamiltonian, HermitianOperator.apply
+
+    def recording_build(spec):
+        built.append(build(spec))
+        return built[-1]
+
+    def counting_apply(self, vec):
+        if any(self is op for op in built):
+            applied.append(self)
+        return apply(self, vec)
+
+    monkeypatch.setattr(protocol, "build_hamiltonian", recording_build)
+    monkeypatch.setattr(HermitianOperator, "apply", counting_apply)
+    code, _, _ = run_cli(capsys, "sweep", "--sizes", "10", "--axis-a", "best")
+    assert code == 0
+    assert len(built) == 1
+    # per size: H|g> and the energy of each measured branch; per distance:
+    # H sigma_B|g> on three axes, and the energy of each fed-back branch
+    assert len(applied) == 3 + 5 * 5
+
+
+def test_cool_measures_once(capsys, monkeypatch):
+    measure, calls = protocol.measure, []
+
+    def counting_measure(*args):
+        calls.append(args)
+        return measure(*args)
+
+    for module in (protocol, cooling):     # wherever `measure` is bound by name
+        if getattr(module, "measure", None) is measure:
+            monkeypatch.setattr(module, "measure", counting_measure)
+    code, _, _ = run_cli(capsys, "cool", "--sites", "6", "--axis-a", "y", "--axis-b", "x")
+    assert code == 0 and len(calls) == 1
 
 
 def test_analytic_report(capsys):

@@ -124,6 +124,47 @@ def test_apply_matches_kron_dense_on_random_sums(case, seed):
     assert (hash(op), repr(op)) == before == (hash(twin), repr(twin))
 
 
+# few coefficients, so that several X-mask groups share one and fold together
+shared_coefficient_sums = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.sampled_from((-1.0, 0.5, 2.0)),
+                       st.one_of(st.text(alphabet="IX", min_size=n, max_size=n),
+                                 st.text(alphabet="IXYZ", min_size=n, max_size=n))),
+             max_size=10),
+    st.sampled_from((None, -1.0, 0.5, 2.0)),
+    st.booleans()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shared_coefficient_sums, st.integers(0, 2**32 - 1))
+def test_apply_folds_groups_that_share_a_coefficient(case, seed):
+    n, terms, identity, odd_y = case
+    strings = [PauliString(c, letters) for c, letters in terms]
+    if identity is not None:        # an identity-only group
+        strings.append(PauliString(identity, "I" * n))
+    if odd_y:                       # one Y makes the operator non-real
+        strings.append(single_site(n, n - 1, "Y", 0.5))
+    op = HermitianOperator.from_strings(n, strings)
+    ref = dense_reference(op) if op.terms else np.zeros((1 << n, 1 << n))
+    rng = np.random.default_rng(seed)
+    real_vec = rng.standard_normal(1 << n)
+    for v in (real_vec, real_vec + 1j * rng.standard_normal(1 << n)):
+        out = op.apply(v)
+        assert np.max(np.abs(out - ref @ v)) < 1e-12 * max(1.0, op.one_norm)
+        assert out.dtype == (np.float64 if op.is_real and v.dtype == np.float64 else np.complex128)
+    # every X-mask whose terms carry no Z-bit is one flip, folded under its coefficient
+    plain = {}
+    for term in op.terms:
+        x, z, _ = term.masks()
+        plain.setdefault(x, []).append((z, term.coefficient))
+    plain = {x: members[0][1] for x, members in plain.items()
+             if len(members) == 1 and members[0][0] == 0}
+    _, diagonals, scalars = op._plan
+    assert len(diagonals) + len(plain) == len({t.masks()[0] for t in op.terms})
+    assert sorted(len(flips) for _, flips in scalars) == sorted(
+        sum(c == d for c in plain.values()) for d in set(plain.values()))
+
+
 pauli_sum_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*(
     st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
                        st.text(alphabet="IXYZ", min_size=n, max_size=n)), max_size=8)

@@ -1,5 +1,6 @@
 """Measurement, feedback, energy bookkeeping, and the axis sweep."""
 
+import dataclasses
 import math
 import warnings
 
@@ -405,6 +406,30 @@ def test_run_protocol_solves_its_own_ground_state(chains):
         assert getattr(solved, name) == pytest.approx(getattr(given, name), abs=tol)
     for stage in protocol.PROFILE_STAGES:
         assert solved.profiles[stage] == pytest.approx(given.profiles[stage], abs=tol)
+
+
+def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains):
+    spec, res = chains(8)
+    prepared = protocol.PreparedGround(spec, res.state)
+    far = spec.with_sites(0, 3)
+    assert prepared.tensors(far) is prepared.tensors(spec.with_sites(0, 3))
+    assert prepared.tensors(far) is not prepared.tensors(spec)
+    y_axis = MeasurementSetup.cardinal("y", "x").axis_a
+    assert prepared.measurement(far, y_axis) is prepared.measurement(spec, y_axis)
+    other_sender = prepared.measurement(spec.with_sites(2, 3), y_axis)
+    assert other_sender is not prepared.measurement(spec, y_axis)
+    ensemble, _, _ = prepared.measurement(spec, y_axis)
+    for shared in (*prepared.tensors(far), prepared.h_ground, ensemble.branches[0].state):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    eps = np.asarray(spec.epsilon)
+    others = (dataclasses.replace(spec, coupling=2.0), dataclasses.replace(spec, boundary="open"),
+              spec.with_epsilon(eps + 1e-3), chains(10)[0])
+    for other in others:
+        for use in (lambda s: prepared.tensors(s), lambda s: prepared.measurement(s, y_axis),
+                    lambda s: run_protocol(s, MeasurementSetup(), ground=prepared)):
+            with pytest.raises(ValueError, match="different chain"):
+                use(other)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
