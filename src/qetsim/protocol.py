@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .chain import ChainSpec, build_hamiltonian, energy_densities
+from .chain import ChainSpec, build_hamiltonian, energy_densities, solve_ground
 from .pauli import HermitianOperator, axis_operator
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -244,11 +244,7 @@ def _resolve_ground(spec: ChainSpec, ground, tol: float, seed: int) -> PreparedG
     if isinstance(ground, PreparedGround):
         return ground
     if ground is None:
-        # the offsets shift H by a multiple of I, so the bare chain has the
-        # same ground state, and ARPACK reaches it in fewer applies than it
-        # needs at the calibrated chain's zero eigenvalue
-        bare = spec.with_epsilon((0.0,) * spec.n_sites)
-        ground = eigensolver.ground_state(build_hamiltonian(bare), tol=tol, seed=seed)
+        ground = solve_ground(spec, tol=tol, seed=seed)
     if isinstance(ground, eigensolver.EigenResult):
         ground = ground.state
     return PreparedGround(spec, ground)

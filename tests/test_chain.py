@@ -17,6 +17,7 @@ from qetsim.chain import (
     correlation_check,
     density_eigenbasis_weights,
     energy_densities,
+    even_parity_sector,
     local_density_spectrum,
     local_observables,
 )
@@ -120,6 +121,62 @@ def test_open_chain_offsets_vary_near_edges():
     assert abs(eps[0] - eps[4]) > 1e-3
     for n in range(8):
         assert abs(build_energy_density(spec, n).expectation(res.state)) < 1e-10
+
+
+def even_parity_indices(n_sites):
+    # the full-space index of each even-parity basis state, in the sector's order:
+    # the first N-1 bits are the reduced index, and bit N-1 carries their parity
+    reduced = np.arange(1 << (n_sites - 1))
+    return reduced + (np.bitwise_count(reduced) % 2 << (n_sites - 1))
+
+
+@pytest.mark.parametrize("n_sites", range(3, 9))
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+@pytest.mark.parametrize("coupling", (1.0, 0.37))
+def test_even_parity_sector_is_the_dense_restriction(n_sites, boundary, coupling):
+    spec, _ = calibrated_chain(n_sites, coupling, boundary)
+    assert max(abs(e) for e in spec.epsilon) > 0.1 * coupling
+    full = build_hamiltonian(spec).dense()
+    even = even_parity_indices(n_sites)
+    sector = even_parity_sector(build_hamiltonian(spec))
+    assert sector.n_sites == n_sites - 1
+    assert np.max(np.abs(sector.dense() - full[np.ix_(even, even)])) < 1e-13 * coupling
+
+
+def test_even_parity_sector_keeps_the_phase_of_y_letters():
+    # a Y on the last site toggles Z elsewhere (X -> Y, Y -> X with phases); each
+    # string has an even number of X/Y letters, so the sum keeps parity
+    op = HermitianOperator.from_strings(4, [
+        PauliString(0.7, "XIIY"), PauliString(-1.3, "YZIY"), PauliString(0.4, "ZYXZ"),
+        PauliString(0.9, "YYZI"), PauliString(-0.2, "IZZZ"),
+    ])
+    even = even_parity_indices(4)
+    restricted = op.dense()[np.ix_(even, even)]
+    assert np.max(np.abs(even_parity_sector(op).dense() - restricted)) < 1e-15
+
+
+def test_even_parity_sector_rejects_a_parity_odd_string():
+    op = HermitianOperator.from_strings(4, [single_site(4, 0, "X"),
+                                            from_sites(4, 1.0, {1: "X", 2: "X"})])
+    with pytest.raises(ValueError, match="parity"):
+        even_parity_sector(op)
+
+
+@pytest.mark.parametrize("n_sites", range(4, 11))
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+def test_calibrated_chain_matches_the_full_space_solve(n_sites, boundary):
+    spec, res = calibrated_chain(n_sites, boundary=boundary)
+    j = spec.coupling
+    full = build_hamiltonian(spec).dense()
+    vals, vecs = np.linalg.eigh(full)
+    assert abs(np.vdot(vecs[:, 0], res.state)) >= 1.0 - 1e-12
+    odd = np.bitwise_count(np.arange(1 << n_sites)) % 2 == 1
+    assert np.all(res.state[odd] == 0.0)
+    residual = np.linalg.norm(full @ res.state - res.energy * res.state)
+    assert abs(res.residual - residual) < 1e-13 * j
+    # the odd sector stays gapped above E0, which `degenerate` relies on when it
+    # reads only the second even level
+    assert np.linalg.eigvalsh(full[np.ix_(odd, odd)])[0] - vals[0] >= 0.1 * j
 
 
 def operator_densities(spec, state):
