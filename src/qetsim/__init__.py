@@ -1,6 +1,6 @@
 """Energy teleportation on critical Ising chains: simulator and closed-form checks."""
 
-from .analytics import AnalyticConfig, delta, eb_closed_form, fit_c, residual_energy_analytic
+from .analytics import delta, eb_closed_form, residual_energy_analytic
 from .chain import ChainSpec, build_energy_density, build_hamiltonian, calibrated_chain
 from .cooling import CoolingResult, LocalChannel, minimize_residual, random_channel
 from .eigensolver import EigenResult, expectation, ground_state
@@ -15,7 +15,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "AnalyticConfig",
     "AxisSweepResult",
     "ChainSpec",
     "CoolingResult",
@@ -33,7 +32,6 @@ __all__ = [
     "delta",
     "eb_closed_form",
     "expectation",
-    "fit_c",
     "ground_state",
     "minimize_residual",
     "random_channel",

@@ -165,15 +165,16 @@ def solve_ground(spec: ChainSpec, tol: float = 1e-10,
     3 J/N on an open one), so `even_parity_sector` gives the same state from
     half-length vectors.  The lift sets every odd-parity amplitude to exactly
     0, which keeps the norm, the phase fix and the residual; `iterations`
-    counts applies of the (N-1)-site operator, and `degenerate` reads the
-    second even level.  The offsets shift H by a multiple of I, so they do
-    not change the state: the solve drops them, since ARPACK reaches the bare
-    chain's ground state in fewer applies than it needs at the calibrated
-    chain's zero eigenvalue, and the reported energy adds their sum back.
+    counts applies of the (N-1)-site operator, and `degenerate` flags a
+    second even level within 1e-8 J.  The offsets shift H by a multiple of
+    I, so they do not change the state: the solve drops them, since ARPACK
+    reaches the bare chain's ground state in fewer applies than it needs at
+    the calibrated chain's zero eigenvalue, and the reported energy adds
+    their sum back.
     """
     bare = spec.with_epsilon((0.0,) * spec.n_sites)
     res = eigensolver.ground_state(even_parity_sector(build_hamiltonian(bare)),
-                                   tol=tol, seed=seed)
+                                   tol=tol, seed=seed, gap_tol=1e-8 * spec.coupling)
     odd = np.bitwise_count(np.arange(res.state.size)) % 2 == 1
     # site N-1 is the leading bit: its clear half, then its set half
     res.state = np.concatenate([np.where(odd, 0.0, res.state), np.where(odd, res.state, 0.0)])

@@ -4,7 +4,7 @@ Subcommands:
     ground    calibrate a chain and report ground-state diagnostics
     teleport  run the full protocol and report the energy bookkeeping
     sweep     vary chain size and/or separation; simulated vs closed-form E_B
-    analytic  tabulate the closed-form quantities and the fitted constant
+    analytic  tabulate the closed-form quantities and the asymptotic constant
     cool      minimize the residual energy over the sender's local channels
 
 Every command is deterministic for a fixed (config, seed): rerunning writes
@@ -145,8 +145,7 @@ def _resolve_setup(cfg: dict, spec, ground) -> tuple[protocol.MeasurementSetup, 
     axis_a = _parse_axis(cfg["axis_a"])
     axis_b = _parse_axis(cfg["axis_b"])
     if axis_a == "best" or axis_b == "best":
-        sweep = protocol.axis_sweep(spec, ground=ground, tol=cfg["tol"], seed=cfg["seed"])
-        return sweep.best, "axis sweep"
+        return protocol.axis_sweep(spec, ground=ground).best, "axis sweep"
     return protocol.MeasurementSetup(axis_a, axis_b), "flags"
 
 
@@ -215,8 +214,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     spec, res = _build_chain(cfg)
     ground = protocol.PreparedGround(spec, res.state)
     setup, axis_origin = _resolve_setup(cfg, spec, ground)
-    result = protocol.run_protocol(spec, setup, theta=cfg["theta"], ground=ground,
-                                   tol=cfg["tol"], seed=cfg["seed"])
+    result = protocol.run_protocol(spec, setup, theta=cfg["theta"], ground=ground)
     profile_ok = all(
         abs(sum(result.profiles[stage]) - total) < 1e-10 * cfg["j"]
         for stage, total in (("ground", 0.0), ("post_measurement", result.e_a),
@@ -263,7 +261,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if not 1 <= dist <= n_sites // 2:
                 raise CliError(f"distance {dist} invalid for {n_sites} sites")
         plan.append((size_cfg, distances))
-    acfg = analytics.AnalyticConfig(coupling=cfg["j"])
     rows = []
     ok = True
     for size_cfg, distances in plan:
@@ -273,16 +270,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for dist in distances:
             dspec = spec.with_sites(0, dist)
             setup, note = _resolve_setup(cfg, dspec, ground)
-            result = protocol.run_protocol(dspec, setup, ground=ground,
-                                           tol=cfg["tol"], seed=cfg["seed"])
-            closed = analytics.eb_closed_form(acfg, dist)
+            result = protocol.run_protocol(dspec, setup, ground=ground)
+            closed = analytics.eb_closed_form(dist, cfg["j"])
             rows.append([spec.n_sites, dist, result.e_b, closed, analytics.delta(dist),
                          f"axes={note}"])
             e_b[dist] = result.e_b
         by_distance = [e_b[dist] for dist in sorted(e_b)]
         ok = ok and all(far <= near + 1e-12 * cfg["j"]
                         for near, far in zip(by_distance, by_distance[1:]))
-    slope = analytics.power_law_slope(acfg)
+    slope = analytics.power_law_slope()
     if cfg["fmt"] == "csv":
         doc = _csv_doc(["n", "distance", "eb_numeric", "eb_closed", "delta", "note"],
                        [[r[0], r[1], repr(r[2]), repr(r[3]), repr(r[4]), r[5]] for r in rows])
@@ -301,17 +297,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _effective(args)
-    acfg = analytics.AnalyticConfig(coupling=cfg["j"])
     n_min, n_max = cfg["n_min"], cfg["n_max"]
     if not 1 <= n_min <= n_max:
         raise CliError("need 1 <= n-min <= n-max")
     rows = []
     for n in range(n_min, n_max + 1):
         d = analytics.delta(n)
-        rows.append([n, d, analytics.eb_closed_form(acfg, n),
-                     d / analytics.delta_asymptotic(acfg, n)])
-    fitted = analytics.fit_c()
-    e_r = analytics.residual_energy_analytic(acfg)
+        rows.append([n, d, analytics.eb_closed_form(n, cfg["j"]),
+                     d / analytics.delta_asymptotic(n)])
+    e_r = analytics.residual_energy_analytic(cfg["j"])
     ok = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
     if cfg["fmt"] == "csv":
         doc = _csv_doc(["n", "delta", "eb_closed", "asym_ratio"],
@@ -321,10 +315,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
             "params": _params_block(cfg, "analytic", {"n_min": n_min, "n_max": n_max}),
             "rows": [{"n": r[0], "delta": r[1], "eb_closed": r[2], "asym_ratio": r[3]}
                      for r in rows],
-            "fitted_c": fitted,
-            "default_c": acfg.c_constant,
+            "glaisher_kinkelin": analytics.GLAISHER_KINKELIN,
             "residual_energy": e_r,
-            "closed_form_slope": analytics.power_law_slope(acfg),
+            "closed_form_slope": analytics.power_law_slope(),
             "checks": {"delta_decreasing": ok},
         })
     _emit(cfg, doc)
@@ -336,8 +329,8 @@ def cmd_cool(args: argparse.Namespace) -> int:
     spec, res = _build_chain(cfg)
     ground = protocol.PreparedGround(spec, res.state)
     setup, axis_origin = _resolve_setup(cfg, spec, ground)
-    result = protocol.run_protocol(spec, setup, ground=ground, tol=cfg["tol"], seed=cfg["seed"])
-    cool = cooling.minimize_residual(spec, setup, seed=cfg["seed"], ground=ground, tol=cfg["tol"])
+    result = protocol.run_protocol(spec, setup, ground=ground)
+    cool = cooling.minimize_residual(spec, setup, ground=ground)
     bound_ok = cool.e_r_numeric >= result.e_b - 1e-8 * cfg["j"]
     feasible_ok = cool.e_r_numeric <= cool.e_a + 1e-9 * cfg["j"]
     if cfg["fmt"] == "csv":
@@ -352,8 +345,7 @@ def cmd_cool(args: argparse.Namespace) -> int:
             "e_a": cool.e_a,
             "e_b": result.e_b,
             "e_r_numeric": cool.e_r_numeric,
-            "e_r_analytic_infinite": analytics.residual_energy_analytic(
-                analytics.AnalyticConfig(coupling=cfg["j"])),
+            "e_r_analytic_infinite": analytics.residual_energy_analytic(cfg["j"]),
             "duality_gap": cool.duality_gap,
             "per_outcome": list(cool.per_outcome),
             "checks": {"e_r_above_e_b": bound_ok, "e_r_below_e_a": feasible_ok},
@@ -385,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated separations (default all up to N/2)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_an = sub.add_parser("analytic", help="closed-form tables and fitted constants")
+    p_an = sub.add_parser("analytic", help="closed-form tables and the asymptotic constant")
     _add_common(p_an)
     p_an.add_argument("--n-min", dest="n_min", type=int, default=None)
     p_an.add_argument("--n-max", dest="n_max", type=int, default=None)

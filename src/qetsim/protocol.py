@@ -128,9 +128,13 @@ def measure(ground: np.ndarray, p_0: HermitianOperator, p_1: HermitianOperator,
     return MixedEnsemble(tuple(branches)), e_a
 
 
-def optimal_theta(xi: float, eta: float, zero_tol: float = 1e-14) -> float:
-    """Feedback angle minimizing the post-protocol energy, in (-pi/2, pi/2]."""
-    if abs(xi) < zero_tol and abs(eta) < zero_tol:
+def optimal_theta(xi: float, eta: float) -> float:
+    """Feedback angle minimizing the post-protocol energy, in (-pi/2, pi/2].
+
+    Any nonzero pair fixes the angle, however small, so the result is
+    scale-free in J; only xi = eta = 0 leaves it undefined.
+    """
+    if xi == 0.0 and eta == 0.0:
         warnings.warn("xi and eta both vanish; no energy can be teleported")
         return 0.0
     return 0.5 * math.atan2(-eta, xi)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qetsim import analytics, chain, cooling, eigensolver, protocol
-from qetsim.analytics import AnalyticConfig
 from qetsim.chain import build_energy_density, build_hamiltonian, local_density_spectrum
 from qetsim.pauli import HermitianOperator, PauliString, axis_operator
 from qetsim.protocol import (
@@ -147,7 +146,7 @@ def test_criterion_6_closed_form_cross_check(chains):
         and abs(analytics.delta(1) / float(_delta_highprec(1)) - 1.0) < 1e-12
         and abs(analytics.delta(2) / float(_delta_highprec(2)) - 1.0) < 1e-12)
 
-    target = analytics.eb_closed_form(AnalyticConfig(), 1)
+    target = analytics.eb_closed_form(1)
     gaps = []
     labels = []
     for n_sites in (8, 10, 12, 14, 16):
@@ -164,24 +163,21 @@ def test_criterion_6_closed_form_cross_check(chains):
 
 
 def test_criterion_7_power_law():
-    cfg = AnalyticConfig()
-    slope = analytics.power_law_slope(cfg, 20, 200)
+    slope = analytics.power_law_slope(20, 200)
     slope_ok = abs(slope + 4.5) < 0.05
-    fitted = analytics.fit_c()
-    dev10 = abs(analytics.delta(10) / analytics.delta_asymptotic(
-        AnalyticConfig(c_constant=fitted), 10) - 1.0)
-    dev100 = abs(analytics.delta(100) / analytics.delta_asymptotic(
-        AnalyticConfig(c_constant=fitted), 100) - 1.0)
-    ratio_ok = dev100 < dev10
+    # Delta(n) / asymptotic = 1 + 15/(64 n^2) + O(n^-4), with c exactly A
+    worst = max(abs(analytics.delta(n) / analytics.delta_asymptotic(n) - 1.0
+                    - 15.0 / (64.0 * n * n)) * n ** 4 for n in range(1, 101))
+    ratio_ok = worst <= 0.09
     ok = slope_ok and ratio_ok
     report(7, f"ln E_B slope over [20,200] = {slope:.4f} (within -4.5 +/- 0.05); "
-              f"asymptotic-ratio deviation {dev10:.2e} -> {dev100:.2e} with fitted "
-              f"c = {fitted:.6f}", ok)
+              f"|ratio - 1 - 15/(64 n^2)| n^4 <= {worst:.4f} over n = 1..100 (bound 0.09) "
+              f"with c = A = {analytics.GLAISHER_KINKELIN:.10f}", ok)
 
 
 def test_criterion_8_residual_energy(chains):
     setup = MeasurementSetup.cardinal("y", "x")
-    analytic = analytics.residual_energy_analytic(AnalyticConfig())
+    analytic = analytics.residual_energy_analytic()
     rows = []
     bound_ok = True
     feasible_ok = True

@@ -1,6 +1,7 @@
 """Chain construction, calibration, local spectra, and the entanglement witness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,14 @@ def test_calibrated_ground_energy_vanishes(chains):
         spec, res = chains(n_sites)
         assert abs(res.energy) < 1e-9
         assert abs(build_hamiltonian(spec).expectation(res.state)) < 1e-12
+
+
+def test_degeneracy_flag_is_relative_to_the_coupling():
+    # the even-sector gap at N = 8 is ~1.56 J, far from degenerate at any J
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, res = calibrated_chain(8, coupling=1e-13)
+    assert res.degenerate is False
 
 
 def test_epsilon_extrapolates_to_thermodynamic_value(chains):

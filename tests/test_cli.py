@@ -210,11 +210,19 @@ def test_analytic_report(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--n-max", "6")
     assert code == 0
     doc = json.loads(out)
-    assert doc["fitted_c"] == pytest.approx(1.28243, abs=1e-4)
+    assert "fitted_c" not in doc and "default_c" not in doc
+    assert doc["glaisher_kinkelin"] == pytest.approx(1.2824271291006226, abs=1e-15)
+    n, ratio = doc["rows"][5]["n"], doc["rows"][5]["asym_ratio"]
+    assert n == 6 and abs(ratio - 1.0 - 15.0 / (64.0 * n * n)) <= 0.09 / n ** 4
     assert doc["residual_energy"] == pytest.approx(0.9098593, abs=1e-7)
     deltas = [row["delta"] for row in doc["rows"]]
     assert deltas == sorted(deltas, reverse=True)
     assert doc["rows"][0]["delta"] == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-12)
+
+
+def test_analytic_rejects_nonpositive_coupling(capsys):
+    code, _, err = run_cli(capsys, "analytic", "--j", "0")
+    assert code == 1 and "coupling J must be positive" in err
 
 
 def test_analytic_csv_schema(capsys):
@@ -257,7 +265,7 @@ def test_teleport_is_scale_free_in_the_coupling(capsys, monkeypatch):
     # below 1 gives the same energies / J as J = 1, and a feedback that
     # extracts nothing still fails the bookkeeping although E_B is ~4e-9
     docs = {}
-    for j in ("1", "1e-7"):
+    for j in ("1", "1e-7", "1e-15"):
         code, out, _ = run_cli(capsys, "teleport", "--sites", "8", "--axis-a", "y",
                                "--axis-b", "x", "--j", j)
         assert code == 0

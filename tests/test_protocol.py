@@ -138,6 +138,12 @@ def test_optimal_theta_quoted_arithmetic():
     assert optimal_theta(1.0, 0.0) == 0.0
 
 
+def test_optimal_theta_is_scale_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_theta(3e-20, 4e-20) == optimal_theta(3.0, 4.0)
+
+
 def test_optimal_theta_degenerate_pair_warns():
     with pytest.warns(UserWarning, match="teleported"):
         assert optimal_theta(0.0, 0.0) == 0.0
