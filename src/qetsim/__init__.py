@@ -3,7 +3,7 @@
 from .analytics import delta, eb_closed_form, residual_energy_analytic
 from .chain import ChainSpec, build_energy_density, build_hamiltonian, calibrated_chain
 from .cooling import CoolingResult, LocalChannel, minimize_residual, random_channel
-from .eigensolver import EigenResult, expectation, ground_state
+from .eigensolver import EigenResult, ground_state
 from .pauli import HermitianOperator, PauliString
 from .protocol import (
     AxisSweepResult,
@@ -31,7 +31,6 @@ __all__ = [
     "calibrated_chain",
     "delta",
     "eb_closed_form",
-    "expectation",
     "ground_state",
     "minimize_residual",
     "random_channel",

@@ -170,15 +170,18 @@ def solve_ground(spec: ChainSpec, tol: float = 1e-10,
     I, so they do not change the state: the solve drops them, since ARPACK
     reaches the bare chain's ground state in fewer applies than it needs at
     the calibrated chain's zero eigenvalue, and the reported energy adds
-    their sum back.
+    their sum back.  The bare H is J times its J = 1 form, so the solve runs
+    at J = 1 and scales the energy and residual by J: the residual ends below
+    tol * J, and the state and apply count do not depend on J.
     """
-    bare = spec.with_epsilon((0.0,) * spec.n_sites)
-    res = eigensolver.ground_state(even_parity_sector(build_hamiltonian(bare)),
-                                   tol=tol, seed=seed, gap_tol=1e-8 * spec.coupling)
+    unit = ChainSpec(spec.n_sites, 1.0, spec.boundary)
+    res = eigensolver.ground_state(even_parity_sector(build_hamiltonian(unit)),
+                                   tol=tol, seed=seed)
     odd = np.bitwise_count(np.arange(res.state.size)) % 2 == 1
     # site N-1 is the leading bit: its clear half, then its set half
     res.state = np.concatenate([np.where(odd, 0.0, res.state), np.where(odd, res.state, 0.0)])
-    res.energy = res.energy + float(np.sum(spec.epsilon))
+    res.energy = spec.coupling * res.energy + float(np.sum(spec.epsilon))
+    res.residual = spec.coupling * res.residual
     return res
 
 
@@ -236,8 +239,9 @@ def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "perio
                      seed: int = 0) -> tuple[ChainSpec, eigensolver.EigenResult]:
     """Build the chain, solve for its ground state, and tune the offsets.
 
-    Returns the calibrated spec together with the ground-state result; the
-    reported energy is the (near-zero) expectation of the calibrated H.
+    Returns the calibrated spec together with the ground-state result, whose
+    residual is below tol * J; the reported energy is the (near-zero)
+    expectation of the calibrated H.
     """
     spec = ChainSpec(n_sites, coupling, boundary, None, site_a, site_b)
     res = solve_ground(spec, tol=tol, seed=seed)

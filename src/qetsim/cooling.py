@@ -197,22 +197,21 @@ def _min_local_channel(ensemble: MixedEnsemble, site: int, hamiltonian: Hermitia
     return tuple(bounds), tuple(totals.tolist()), gap, LocalChannel(kraus_sets)
 
 
-def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, seed: int = 0,
-                      tol: float = 1e-10, ground=None, restarts: int = 1,
-                      max_evals: int = 500) -> CoolingResult:
+def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, ground, seed: int = 0,
+                      restarts: int = 1, max_evals: int = 500) -> CoolingResult:
     """Minimize the post-measurement energy over the sender's local channels.
 
     The protocol stops after step (i); each measurement outcome is cooled by
     its own channel, solved exactly through the dual of its Choi SDP from t = 0
     and `restarts` - 1 starts drawn from `seed`, each for at most `max_evals`
-    Newton steps; `per_restart` holds each start's total bound.  `ground`
-    takes the same forms as in `protocol.run_protocol`; a shared
-    PreparedGround measures once for both.  Raises RuntimeError if the
-    duality gap exceeds 1e-9 J.
+    Newton steps; `per_restart` holds each start's total bound.  `ground` is
+    the calibrated chain's solved ground state, in the forms
+    `protocol.run_protocol` takes; a shared PreparedGround measures once for
+    both.  Raises RuntimeError if the duality gap exceeds 1e-9 J.
     """
     if restarts < 1 or max_evals < 1:
         raise ValueError("restarts and max_evals must be at least 1")
-    prepared = _resolve_ground(spec, ground, tol, seed)
+    prepared = _resolve_ground(spec, ground)
     ensemble, e_a, _ = prepared.measurement(spec, setup.axis_a)
 
     rng = np.random.default_rng(seed)

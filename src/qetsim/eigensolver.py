@@ -1,14 +1,14 @@
-"""Ground-state computation for Pauli-sum operators, plus state-vector utilities.
+"""Ground-state computation for Pauli-sum operators.
 
 The solver is ARPACK's implicitly restarted Lanczos (`scipy.sparse.linalg.eigsh`)
 on a matrix-free `LinearOperator`, which keeps a fixed, small set of state
-vectors.  A dense eigensolve is both a small-system fallback and an
-independent oracle for tests.  States are plain numpy vectors of length
-2**n_sites in the basis described in :mod:`qetsim.pauli`.
+vectors.  States are plain numpy vectors of length 2**n_sites in the basis
+described in :mod:`qetsim.pauli`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,6 +16,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .pauli import HermitianOperator
+
+MAX_APPLIES = 2000
 
 
 @dataclass
@@ -42,18 +44,6 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     return vec / nrm
 
 
-def basis_state(n_sites: int, index: int = 0) -> np.ndarray:
-    vec = np.zeros(1 << n_sites, dtype=np.complex128)
-    vec[index] = 1.0
-    return vec
-
-
-def random_state(n_sites: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(1 << n_sites) + 1j * rng.standard_normal(1 << n_sites)
-    return normalize(vec)
-
-
 def fix_phase(vec: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude real and positive."""
     k = int(np.argmax(np.abs(vec)))
@@ -63,65 +53,28 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def expectation(state: np.ndarray, op: HermitianOperator, imag_tol: float = 1e-12) -> float:
-    """Re <state|O|state> for a normalized state."""
-    nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state is not normalized (norm {nrm:.3e})")
-    return op.expectation(state, imag_tol=imag_tol)
-
-
-def energy_variance(state: np.ndarray, op: HermitianOperator) -> float:
-    """<O^2> - <O>^2, an eigenstate witness (zero for exact eigenstates)."""
-    hv = op.apply(state)
-    return float(np.real(np.vdot(hv, hv)) - np.real(np.vdot(state, hv)) ** 2)
-
-
-def ground_state(op: HermitianOperator, tol: float = 1e-10, max_iter: int = 2000,
-                 seed: int = 0, method: str = "auto", gap_tol: float = 1e-8) -> EigenResult:
-    """Lowest eigenpair of a Hermitian Pauli-sum operator.
-
-    method: "lanczos" (ARPACK), "dense", or "auto" (Lanczos, falling back to a
-    dense eigensolve for n_sites <= 10 if Lanczos fails to converge); a 1-site
-    operator is always solved densely.  `max_iter` caps the operator
-    applications, which `iterations` counts.  The start vector is seeded, so
-    runs are reproducible.  A gap below `gap_tol` sets `degenerate` and warns.
-    """
-    if method not in ("auto", "lanczos", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "dense" and op.dim > 2:
-        try:
-            return _arpack_ground(op, tol, max_iter, seed, gap_tol)
-        except EigensolverError:
-            if method == "lanczos" or op.n_sites > 10:
-                raise
-    vals, vecs = np.linalg.eigh(op.dense())
-    gap = float(vals[1] - vals[0]) if len(vals) > 1 else np.inf
-    return _finish(op, float(vals[0]), vecs[:, 0], gap, gap_tol, iterations=0)
-
-
-def _finish(op: HermitianOperator, energy: float, vec: np.ndarray, gap: float,
-            gap_tol: float, iterations: int) -> EigenResult:
-    state = fix_phase(normalize(np.ascontiguousarray(vec)))
-    residual = float(np.linalg.norm(op.apply(state) - energy * state))
-    if gap < gap_tol:
-        warnings.warn(f"near-degenerate ground space (gap {gap:.2e})")
-    return EigenResult(energy, state, residual, iterations, degenerate=gap < gap_tol)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # einsum, not BLAS: numpy's OpenBLAS threads would wake and contend with scipy's
     return float(np.einsum("i,i", a.conj(), b).real)
 
 
-def _arpack_ground(op: HermitianOperator, tol: float, max_iter: int, seed: int,
-                   gap_tol: float) -> EigenResult:
-    """The two lowest eigenpairs from `eigsh`; the second gives the gap.
+def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0,
+                 gap_tol: float = 1e-8) -> EigenResult:
+    """Lowest eigenpair of a Hermitian Pauli-sum operator on at least 2 sites.
 
-    ARPACK's tolerance is relative to |lambda| <= one_norm, so it is scaled to
-    an absolute residual below `tol`.  The matvec enforces `max_iter`, raising
-    the lowest Rayleigh quotient seen (a variational bound) as the best pair.
+    ARPACK computes the two lowest pairs from a seeded start vector, so runs
+    are reproducible; the second gives the gap, and a gap below `gap_tol`
+    sets `degenerate` and warns.  `tol` bounds the absolute residual
+    ||op v - E v||: ARPACK's own tolerance is relative to |E| <= one_norm, so
+    it gets tol / one_norm.  `iterations` counts the operator applications.
+    After MAX_APPLIES of them, or when the residual ends at or above `tol`,
+    EigensolverError carries the best pair seen (the lowest Rayleigh
+    quotient, a variational bound).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if op.n_sites < 2:
+        raise ValueError("the two lowest eigenpairs need an operator on at least 2 sites")
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(op.dim)
     if not op.is_real:
@@ -132,7 +85,7 @@ def _arpack_ground(op: HermitianOperator, tol: float, max_iter: int, seed: int,
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal applies, best
-        if applies == max_iter:
+        if applies == MAX_APPLIES:
             best.iterations = applies
             raise EigensolverError(f"Lanczos did not converge in {applies} operator "
                                    f"applications (best residual {best.residual:.3e})", best)
@@ -146,12 +99,17 @@ def _arpack_ground(op: HermitianOperator, tol: float, max_iter: int, seed: int,
         return y
 
     lin = LinearOperator((op.dim, op.dim), matvec=matvec, dtype=start.dtype)
-    # without `rng`, any random vector ARPACK asks for would come from OS entropy
-    vals, vecs = eigsh(lin, k=2, which="SA", v0=start, tol=tol / max(1.0, op.one_norm),
-                       maxiter=max_iter, rng=rng)
+    # without `rng`, any random vector ARPACK asks for would come from OS entropy;
+    # an operator with no terms has one_norm 0 and every vector as an eigenvector
+    vals, vecs = eigsh(lin, k=2, which="SA", v0=start, tol=tol / (op.one_norm or 1.0),
+                       maxiter=MAX_APPLIES, rng=rng)
     lo = int(np.argmin(vals))
-    result = _finish(op, float(vals[lo]), vecs[:, lo], float(abs(vals[1] - vals[0])),
-                     gap_tol, iterations=applies + 1)
-    if result.residual >= tol:
-        raise EigensolverError(f"ARPACK stopped at residual {result.residual:.3e}", result)
+    energy, gap = float(vals[lo]), float(abs(vals[1] - vals[0]))
+    state = fix_phase(normalize(np.ascontiguousarray(vecs[:, lo])))
+    residual = float(np.linalg.norm(op.apply(state) - energy * state))
+    if gap < gap_tol:
+        warnings.warn(f"near-degenerate ground space (gap {gap:.2e})")
+    result = EigenResult(energy, state, residual, applies + 1, degenerate=gap < gap_tol)
+    if residual >= tol:
+        raise EigensolverError(f"ARPACK stopped at residual {residual:.3e}", result)
     return result

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .chain import ChainSpec, build_hamiltonian, energy_densities, solve_ground
+from .chain import ChainSpec, build_hamiltonian, energy_densities
 from .pauli import HermitianOperator, axis_operator
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -45,7 +45,7 @@ class MeasurementSetup:
             vec = tuple(float(c) for c in getattr(self, name))
             if len(vec) != 3:
                 raise ValueError(f"{name} must be a 3-vector")
-            if abs(math.sqrt(sum(c * c for c in vec)) - 1.0) > 1e-12:
+            if not abs(math.sqrt(sum(c * c for c in vec)) - 1.0) <= 1e-12:   # NaN fails too
                 raise ValueError(f"{name} must be unit length")
             object.__setattr__(self, name, vec)
 
@@ -243,12 +243,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _resolve_ground(spec: ChainSpec, ground, tol: float, seed: int) -> PreparedGround:
-    """`ground` as a PreparedGround: None (solved here), a state, an EigenResult, or one prepared."""
+def _resolve_ground(spec: ChainSpec, ground) -> PreparedGround:
+    """`ground` as a PreparedGround: a state, an EigenResult, or one already prepared."""
     if isinstance(ground, PreparedGround):
         return ground
-    if ground is None:
-        ground = solve_ground(spec, tol=tol, seed=seed)
     if isinstance(ground, eigensolver.EigenResult):
         ground = ground.state
     return PreparedGround(spec, ground)
@@ -269,17 +267,17 @@ def closed_form_applies(sigma_a: HermitianOperator, sigma_b: HermitianOperator,
     return not sigma_a.commutator(hamiltonian.commutator(sigma_b)).terms
 
 
-def run_protocol(spec: ChainSpec, setup: MeasurementSetup, theta: float | None = None,
-                 ground=None, tol: float = 1e-10, seed: int = 0) -> ProtocolResult:
+def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
+                 theta: float | None = None) -> ProtocolResult:
     """Full measurement -> communication -> feedback pipeline with energy bookkeeping.
 
-    `theta` overrides the optimal feedback angle (the reported theta_star is
-    always the optimum).  `ground` may carry a precomputed ground state to
-    avoid re-solving: a state, an EigenResult, or a PreparedGround shared
-    across calls.  Per-site <T_n> profiles are recorded for the ground
-    state, after the measurement, and after the feedback.
+    `ground` is the calibrated chain's solved ground state: a state, an
+    EigenResult, or a PreparedGround shared across calls.  `theta` overrides
+    the optimal feedback angle (the reported theta_star is always the
+    optimum).  Per-site <T_n> profiles are recorded for the ground state,
+    after the measurement, and after the feedback.
     """
-    prepared = _resolve_ground(spec, ground, tol, seed)
+    prepared = _resolve_ground(spec, ground)
     hamiltonian = prepared.hamiltonian
     sigma_b = axis_operator(setup.axis_b, spec.site_b, spec.n_sites)
 
@@ -381,15 +379,15 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     return xi_mat, eta_mat
 
 
-def axis_sweep(spec: ChainSpec, ground=None, tol: float = 1e-10,
-               seed: int = 0) -> AxisSweepResult:
+def axis_sweep(spec: ChainSpec, ground) -> AxisSweepResult:
     """E_B over the nine cardinal axis pairs {x,y,z} x {x,y,z}, and the best of them.
 
     Parity and reality of the ground state make Xi diagonal and leave only
     N[y,x] = -N[x,y] nonzero, so no tilted pair beats the best cardinal one
-    while Xi[x,x] <= Xi[y,y] and Xi[z,z] > 0 (see the README).
+    while Xi[x,x] <= Xi[y,y] and Xi[z,z] > 0 (see the README).  `ground`
+    takes the same forms as in `run_protocol`.
     """
-    xi_mat, eta_mat = _resolve_ground(spec, ground, tol, seed).tensors(spec)
+    xi_mat, eta_mat = _resolve_ground(spec, ground).tensors(spec)
     points = []
     for p, label_a in enumerate("xyz"):
         for q, label_b in enumerate("xyz"):

@@ -9,6 +9,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import dense_ground
 
 from qetsim import analytics, chain, cooling, eigensolver, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian, local_density_spectrum
@@ -234,9 +235,8 @@ def test_criterion_9_oracle_suites(chains):
     for n_sites in (8, 10):
         spec, _ = chains(n_sites)
         op = build_hamiltonian(spec)
-        lan = eigensolver.ground_state(op, method="lanczos", tol=1e-11)
-        den = eigensolver.ground_state(op, method="dense")
-        worst_energy = max(worst_energy, abs(lan.energy - den.energy))
+        lan = eigensolver.ground_state(op, tol=1e-11)
+        worst_energy = max(worst_energy, abs(lan.energy - dense_ground(op)[0]))
     lanczos_ok = worst_energy < 1e-10
 
     # the certified lower bound lies below random channel sampling

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import basis_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from qetsim.chain import (
     even_parity_sector,
     local_density_spectrum,
     local_observables,
+    solve_ground,
 )
 from qetsim.pauli import HermitianOperator, PauliString, from_sites, single_site
 from qetsim.protocol import _density_profile
@@ -188,6 +190,16 @@ def test_calibrated_chain_matches_the_full_space_solve(n_sites, boundary):
     assert np.linalg.eigvalsh(full[np.ix_(odd, odd)])[0] - vals[0] >= 0.1 * j
 
 
+@pytest.mark.parametrize("n_sites", range(3, 13))
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+def test_solve_ground_is_scale_free_in_the_coupling(n_sites, boundary):
+    # the tolerance is relative to J, so every coupling runs J = 1's iteration
+    unit = solve_ground(ChainSpec(n_sites, 1.0, boundary))
+    for coupling in (1e-13, 1e-7, 1e6):
+        res = solve_ground(ChainSpec(n_sites, coupling, boundary))
+        assert res.residual < 10 * 1e-10 * coupling
+        assert res.iterations == unit.iterations
+
 def operator_densities(spec, state):
     return np.array([build_energy_density(spec, n).expectation(state)
                      for n in range(spec.n_sites)])
@@ -302,7 +314,7 @@ def test_correlation_factorizes_for_product_state():
     # the J -> 0 ground state is the all-up product state; factorization is
     # exact for any product state and disjoint supports
     spec = ChainSpec(8)
-    product = eigensolver.basis_state(8, 0)
+    product = basis_state(8, 0)
     t3 = build_energy_density(spec, 3)
     for letter in "XZ":
         o_m = HermitianOperator.from_strings(8, [single_site(8, 6, letter)])

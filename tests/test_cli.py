@@ -137,7 +137,7 @@ class SolverCalled(Exception):
 
 @pytest.mark.parametrize("argv, message", [
     (("--sizes", "16", "--distances", "1,9"), "distance 9 invalid for 16 sites"),
-    (("--sizes", "8,18", "--distances", "1"), "--large"),
+    (("--sizes", "8,21", "--distances", "1"), "out of range"),
     (("--sizes", "8,2", "--distances", "1"), "at least 3 sites"),
 ])
 def test_sweep_validates_every_size_and_distance_before_solving(capsys, monkeypatch, argv, message):
@@ -333,16 +333,61 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown key" in err
 
 
-def test_large_guard(capsys):
-    code, _, err = run_cli(capsys, "ground", "--sites", "18")
-    assert code == 1
-    assert "--large" in err
+def test_large_guard(capsys, monkeypatch):
+    # sizes above the 20-site cap are rejected before any solve, with no flag to pass
+    def fail(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
+    code, out, err = run_cli(capsys, "ground", "--sites", "21")
+    assert code == 1 and out == ""
+    assert "out of range" in err
+    with pytest.raises(SystemExit):
+        main(["ground", "--sites", "18", "--large"])
+    assert "--large" in capsys.readouterr().err
 
 
 def test_invalid_axis_rejected(capsys):
     code, _, err = run_cli(capsys, "teleport", "--axis-a", "diag")
     assert code == 1
     assert "axis" in err
+
+
+@pytest.mark.parametrize("flag", ["--axis-a", "--axis-b"])
+@pytest.mark.parametrize("axis", ["nan,0,0", "inf,1,0", "0,-inf,0"])
+def test_non_finite_axis_rejected(capsys, flag, axis):
+    # the later flag wins, so each case sets one axis to the bad triple
+    code, out, err = run_cli(capsys, "teleport", "--sites", "8", "--axis-a", "y",
+                             "--axis-b", "x", flag, axis)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+def test_tolerance_must_be_positive_and_finite(capsys, tol):
+    code, out, err = run_cli(capsys, "ground", "--sites", "8", f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "positive and finite" in err
+
+
+@pytest.mark.parametrize("n_sites", ["10", "12"])
+def test_ground_calibrates_at_a_large_coupling(capsys, n_sites):
+    # the solver's tolerance and the residual check are both relative to J
+    code, out, _ = run_cli(capsys, "ground", "--sites", n_sites, "--j", "1e6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["checks"]["calibrated"] is True
+    assert doc["residual"] < 10 * 1e-10 * 1e6
+
+
+def test_teleport_at_a_large_coupling_matches_unit_coupling(capsys):
+    docs = {}
+    for j in ("1", "1e6"):
+        code, out, _ = run_cli(capsys, "teleport", "--sites", "12", "--j", j, "--axis-a", "y",
+                               "--axis-b", "x", "--site-b", "3")
+        assert code == 0
+        docs[float(j)] = json.loads(out)
+    assert docs[1e6]["e_b"] / 1e6 == pytest.approx(docs[1.0]["e_b"], rel=1e-10)
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -1,18 +1,14 @@
-"""Eigensolver: ARPACK Lanczos against the dense oracle, plus state utilities."""
+"""Eigensolver: ARPACK Lanczos against the dense oracle."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from conftest import basis_state, dense_ground
 
 from qetsim import chain, eigensolver
-from qetsim.eigensolver import (
-    EigensolverError,
-    basis_state,
-    energy_variance,
-    expectation,
-    ground_state,
-)
+from qetsim.eigensolver import EigensolverError, ground_state
 from qetsim.pauli import HermitianOperator, PauliString, single_site
 
 
@@ -23,7 +19,7 @@ def field_only(n_sites: int, j: float = 1.0) -> HermitianOperator:
 
 def test_diagonal_field_ground_state():
     op = field_only(6)
-    res = ground_state(op, method="lanczos")
+    res = ground_state(op)
     assert res.energy == pytest.approx(-6.0, abs=1e-10)
     overlap = abs(np.vdot(res.state, basis_state(6, 0)))
     assert overlap > 1.0 - 1e-9
@@ -32,10 +28,10 @@ def test_diagonal_field_ground_state():
 def test_lanczos_matches_dense_on_critical_chain(chains):
     spec, _ = chains(8)
     op = chain.build_hamiltonian(spec)
-    lan = ground_state(op, method="lanczos", tol=1e-11)
-    den = ground_state(op, method="dense")
-    assert abs(lan.energy - den.energy) < 1e-10
-    assert abs(np.vdot(lan.state, den.state)) > 1.0 - 1e-9
+    lan = ground_state(op, tol=1e-11)
+    energy, state = dense_ground(op)
+    assert abs(lan.energy - energy) < 1e-10
+    assert abs(np.vdot(lan.state, state)) > 1.0 - 1e-9
     assert lan.residual < 1e-10
 
 
@@ -50,9 +46,8 @@ def test_lanczos_matches_dense_on_random_operators():
         with warnings.catch_warnings():
             # a random draw may legitimately be degenerate; that is not under test
             warnings.simplefilter("ignore", UserWarning)
-            lan = ground_state(op, method="lanczos", seed=trial)
-            den = ground_state(op, method="dense")
-        assert abs(lan.energy - den.energy) < 1e-10
+            lan = ground_state(op, seed=trial)
+        assert abs(lan.energy - dense_ground(op)[0]) < 1e-10
 
 
 def test_ground_state_energy_zero_after_calibration(chains):
@@ -63,14 +58,15 @@ def test_ground_state_energy_zero_after_calibration(chains):
 
 def test_energy_variance_witness(chains):
     spec, res = chains(8)
-    op = chain.build_hamiltonian(spec)
-    assert energy_variance(res.state, op) < (1e-9) ** 2
+    hv = chain.build_hamiltonian(spec).apply(res.state)
+    variance = np.vdot(hv, hv).real - np.vdot(res.state, hv).real ** 2   # <H^2> - <H>^2
+    assert variance < (1e-9) ** 2
 
 
 def test_deterministic_for_fixed_seed():
     op = field_only(5)
-    a = ground_state(op, seed=3, method="lanczos")
-    b = ground_state(op, seed=3, method="lanczos")
+    a = ground_state(op, seed=3)
+    b = ground_state(op, seed=3)
     assert a.energy == b.energy
     assert np.array_equal(a.state, b.state)
     assert a.iterations == b.iterations
@@ -88,7 +84,7 @@ def test_degenerate_ground_space_flagged():
     # -X_0 on three qubits: each eigenvalue is 4-fold degenerate
     op = HermitianOperator.from_strings(3, [single_site(3, 0, "X", -1.0)])
     with pytest.warns(UserWarning, match="degenerate"):
-        res = ground_state(op, method="lanczos")
+        res = ground_state(op)
     assert res.degenerate
     assert res.energy == pytest.approx(-1.0, abs=1e-10)
 
@@ -98,30 +94,47 @@ def test_exact_degeneracy_flagged_at_twelve_qubits():
     # Krylov space cannot span; ARPACK's k=2 still sees the zero gap
     op = HermitianOperator.from_strings(12, [single_site(12, 0, "X", -1.0)])
     with pytest.warns(UserWarning, match="degenerate"):
-        res = ground_state(op, method="lanczos")
+        res = ground_state(op)
     with pytest.warns(UserWarning, match="degenerate"):
-        again = ground_state(op, method="lanczos")
+        again = ground_state(op)
     # reproducible even where the solve depends on how ARPACK restarts a closed space
     assert np.array_equal(res.state, again.state)
     assert res.degenerate
-    assert res.iterations > 0           # sparse path
+    assert res.iterations > 0
     assert res.energy == pytest.approx(-1.0, abs=1e-10)
     assert res.residual < 1e-10
 
 
-def test_single_site_operator_solves_by_default():
+def test_single_site_operator_is_rejected():
+    # ARPACK's two lowest pairs need a dimension of at least 4
     op = HermitianOperator.from_strings(1, [single_site(1, 0, "X", -0.5)])
-    for method in ("auto", "lanczos"):
-        res = ground_state(op, method=method)
-        assert res.energy == pytest.approx(-0.5, abs=1e-14)
-        assert res.residual < 1e-14
-        assert not res.degenerate
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        ground_state(op)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ground_state(field_only(4), tol=tol)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e6])
+def test_absolute_tolerance_scales_with_the_operator(scale):
+    # ARPACK's tolerance is tol / one_norm, so scaling the operator and tol
+    # together runs the unscaled iteration, also where one_norm is below 1
+    def sector(j):
+        return chain.even_parity_sector(chain.build_hamiltonian(chain.ChainSpec(10, j)))
+
+    unit = ground_state(sector(1.0))
+    res = ground_state(sector(scale), tol=1e-10 * scale)
+    assert res.residual < 1e-10 * scale
+    assert res.iterations == unit.iterations
 
 
 def test_seeded_chain_solves_are_bit_identical():
     op = chain.build_hamiltonian(chain.ChainSpec(12))
-    a = ground_state(op, seed=5, method="lanczos")
-    b = ground_state(op, seed=5, method="lanczos")
+    a = ground_state(op, seed=5)
+    b = ground_state(op, seed=5)
     assert a.iterations > 0
     assert np.array_equal(a.state, b.state)
     assert a.energy == b.energy
@@ -139,52 +152,22 @@ def test_iterations_count_operator_applications(monkeypatch):
         return original(self, vec)
 
     monkeypatch.setattr(HermitianOperator, "apply", counting)
-    res = ground_state(op, method="lanczos")
+    res = ground_state(op)
     assert res.residual < 1e-10
     assert res.iterations == len(calls) > 0
     calls.clear()
+    monkeypatch.setattr(eigensolver, "MAX_APPLIES", 7)
     with pytest.raises(EigensolverError) as excinfo:
-        ground_state(op, method="lanczos", max_iter=7)
+        ground_state(op)
     assert excinfo.value.best.iterations == len(calls) == 7
 
 
-def test_nonconvergence_raises_with_best_so_far():
+def test_nonconvergence_raises_with_best_so_far(monkeypatch):
     spec = chain.ChainSpec(8)
     op = chain.build_hamiltonian(spec)
+    monkeypatch.setattr(eigensolver, "MAX_APPLIES", 3)
     with pytest.raises(EigensolverError) as excinfo:
-        ground_state(op, method="lanczos", max_iter=3)
+        ground_state(op)
     best = excinfo.value.best
     assert best.iterations == 3
     assert np.isfinite(best.residual)
-
-
-def test_auto_falls_back_to_dense_for_small_systems():
-    spec = chain.ChainSpec(6)
-    op = chain.build_hamiltonian(spec)
-    res = ground_state(op, method="auto", max_iter=3)
-    assert res.iterations == 0          # dense path
-    assert res.residual < 1e-10
-
-
-def test_expectation_identity_and_eigenstate():
-    ident = HermitianOperator.identity(4, 2.5)
-    v = eigensolver.random_state(4, seed=1)
-    assert expectation(v, ident) == pytest.approx(2.5, abs=1e-12)
-    z0 = HermitianOperator.from_strings(4, [single_site(4, 0, "Z", -1.0)])
-    assert expectation(basis_state(4, 0), z0) == pytest.approx(-1.0, abs=1e-14)
-
-
-def test_expectation_rejects_unnormalized_state():
-    op = HermitianOperator.identity(3)
-    with pytest.raises(ValueError, match="normalized"):
-        expectation(np.ones(8), op)
-
-
-def test_apply_wrapper_checks_dimensions():
-    # The state utilities that apply an operator reject a state of the wrong length.
-    op = HermitianOperator.identity(3)
-    bad = np.full(4, 0.5)
-    with pytest.raises(ValueError, match="shape"):
-        expectation(bad, op)
-    with pytest.raises(ValueError, match="shape"):
-        energy_variance(bad, op)

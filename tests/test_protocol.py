@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import basis_state
 
 from qetsim import chain, eigensolver, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian
@@ -54,9 +55,9 @@ def test_projectors_spectral_decomposition():
 
 def test_projectors_z_axis_diagonal():
     p0, _ = projectors((0, 0, 1), 0, 3)
-    v = eigensolver.basis_state(3, 0)       # bit 0 clear: sz = +1
+    v = basis_state(3, 0)       # bit 0 clear: sz = +1
     assert np.max(np.abs(p0.apply(v) - v)) < 1e-14
-    w = eigensolver.basis_state(3, 1)       # bit 0 set: sz = -1
+    w = basis_state(3, 1)       # bit 0 set: sz = -1
     assert np.max(np.abs(p0.apply(w))) < 1e-14
 
 
@@ -79,7 +80,7 @@ def test_measure_commuting_axis_costs_nothing():
     # field-only Hamiltonian: measuring sz on its product ground state is free
     n = 6
     h = HermitianOperator.from_strings(n, [single_site(n, k, "Z", -1.0) for k in range(n)])
-    ground = eigensolver.basis_state(n, 0)
+    ground = basis_state(n, 0)
     p0, p1 = projectors((0, 0, 1), 2, n)
     ensemble, e_a = measure(ground, p0, p1, h)
     # the deposited energy is e_a relative to the pre-measurement energy <H> = -n
@@ -113,7 +114,7 @@ def test_xi_nonnegative_everywhere(chains):
 def test_eta_vanishes_for_product_ground_state():
     n = 6
     h = HermitianOperator.from_strings(n, [single_site(n, k, "Z", -1.0) for k in range(n)])
-    ground = eigensolver.basis_state(n, 0)
+    ground = basis_state(n, 0)
     _, eta_mat = correlation_tensors(chain.ChainSpec(n, site_b=3), ground, hamiltonian=h)
     assert np.max(np.abs(eta_mat)) < 1e-12
 
@@ -399,21 +400,6 @@ def test_selection_rules_with_the_receiver_at_an_open_edge(chains, n_sites, site
         assert teleported_energy(max(float(b_vec @ xi_mat @ b_vec), 0.0), eta) <= cardinal
 
 
-def test_run_protocol_solves_its_own_ground_state(chains):
-    # with ground=None the bare chain is solved; the offsets only shift H by
-    # a multiple of I, so every reported number matches the calibrated ground
-    spec, res = chains(10)
-    spec = spec.with_sites(0, 2)
-    setup = MeasurementSetup.cardinal("y", "x")
-    solved = run_protocol(spec, setup)
-    given = run_protocol(spec, setup, ground=res)
-    tol = 1e-12 * spec.coupling
-    for name in ("e_a", "xi", "eta", "e_b", "trace_energy"):
-        assert getattr(solved, name) == pytest.approx(getattr(given, name), abs=tol)
-    for stage in protocol.PROFILE_STAGES:
-        assert solved.profiles[stage] == pytest.approx(given.profiles[stage], abs=tol)
-
-
 def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains):
     spec, res = chains(8)
     prepared = protocol.PreparedGround(spec, res.state)
@@ -474,10 +460,15 @@ def test_measurement_setup_validation():
         MeasurementSetup((1.0, 1.0, 0.0), (1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="3-vector"):
         MeasurementSetup((1.0, 0.0), (1.0, 0.0, 0.0))
+    for bad in ((math.nan, 0.0, 0.0), (math.inf, 1.0, 0.0), (math.nan, math.nan, math.nan)):
+        with pytest.raises(ValueError, match="unit"):
+            MeasurementSetup(bad, (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="unit"):
+            MeasurementSetup((1.0, 0.0, 0.0), bad)
 
 
 def test_mixed_ensemble_validation():
-    state = eigensolver.basis_state(2, 0)
+    state = basis_state(2, 0)
     with pytest.raises(ValueError, match="sum"):
         MixedEnsemble((protocol.Branch(0.5, state, 0),))
     with pytest.raises(ValueError, match="normalized"):
