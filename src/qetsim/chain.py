@@ -169,18 +169,29 @@ def solve_ground(spec: ChainSpec, tol: float = 1e-10,
     second even level within 1e-8 J.  The offsets shift H by a multiple of
     I, so they do not change the state: the solve drops them, since ARPACK
     reaches the bare chain's ground state in fewer applies than it needs at
-    the calibrated chain's zero eigenvalue, and the reported energy adds
-    their sum back.  The bare H is J times its J = 1 form, so the solve runs
-    at J = 1 and scales the energy and residual by J: the residual ends below
-    tol * J, and the state and apply count do not depend on J.
+    the calibrated chain's zero eigenvalue, and the reported energy
+    subtracts their sum, as H does.  The bare H is J times its J = 1 form,
+    so the solve runs at J = 1 and scales the energy and residual by J: the
+    residual ends below tol * J, and the state and apply count do not depend
+    on J.  On failure the EigensolverError's `best` is lifted and scaled the
+    same way.
     """
     unit = ChainSpec(spec.n_sites, 1.0, spec.boundary)
-    res = eigensolver.ground_state(even_parity_sector(build_hamiltonian(unit)),
-                                   tol=tol, seed=seed)
+    try:
+        res = eigensolver.ground_state(even_parity_sector(build_hamiltonian(unit)),
+                                       tol=tol, seed=seed)
+    except eigensolver.EigensolverError as exc:
+        _lift_and_scale(spec, exc.best)
+        raise
+    return _lift_and_scale(spec, res)
+
+
+def _lift_and_scale(spec: ChainSpec, res: eigensolver.EigenResult) -> eigensolver.EigenResult:
+    """Turn a unit-J even-sector result into `spec`'s, in place."""
     odd = np.bitwise_count(np.arange(res.state.size)) % 2 == 1
     # site N-1 is the leading bit: its clear half, then its set half
     res.state = np.concatenate([np.where(odd, 0.0, res.state), np.where(odd, res.state, 0.0)])
-    res.energy = spec.coupling * res.energy + float(np.sum(spec.epsilon))
+    res.energy = spec.coupling * res.energy - float(np.sum(spec.epsilon))
     res.residual = spec.coupling * res.residual
     return res
 

@@ -18,6 +18,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .pauli import HermitianOperator
 
 MAX_APPLIES = 2000
+GAP_TOL = 1e-8
 
 
 @dataclass
@@ -30,11 +31,18 @@ class EigenResult:
 
 
 class EigensolverError(RuntimeError):
-    """Raised on non-convergence; carries the best eigenpair found so far."""
+    """Raised on non-convergence; carries the best eigenpair found so far.
 
-    def __init__(self, message: str, best: EigenResult):
-        super().__init__(message)
+    The message reads the residual from `best` when printed, so a caller that
+    rescales `best` also rescales the message.
+    """
+
+    def __init__(self, reason: str, best: EigenResult):
+        super().__init__(reason)
         self.best = best
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (best residual {self.best.residual:.3e})"
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
@@ -58,12 +66,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a.conj(), b).real)
 
 
-def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0,
-                 gap_tol: float = 1e-8) -> EigenResult:
+def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0) -> EigenResult:
     """Lowest eigenpair of a Hermitian Pauli-sum operator on at least 2 sites.
 
     ARPACK computes the two lowest pairs from a seeded start vector, so runs
-    are reproducible; the second gives the gap, and a gap below `gap_tol`
+    are reproducible; the second gives the gap, and a gap below GAP_TOL
     sets `degenerate` and warns.  `tol` bounds the absolute residual
     ||op v - E v||: ARPACK's own tolerance is relative to |E| <= one_norm, so
     it gets tol / one_norm.  `iterations` counts the operator applications.
@@ -87,8 +94,8 @@ def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0,
         nonlocal applies, best
         if applies == MAX_APPLIES:
             best.iterations = applies
-            raise EigensolverError(f"Lanczos did not converge in {applies} operator "
-                                   f"applications (best residual {best.residual:.3e})", best)
+            raise EigensolverError(f"Lanczos did not converge in {applies} "
+                                   "operator applications", best)
         y = op.apply(x)
         applies += 1
         sq = _dot(x, x)
@@ -107,9 +114,9 @@ def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0,
     energy, gap = float(vals[lo]), float(abs(vals[1] - vals[0]))
     state = fix_phase(normalize(np.ascontiguousarray(vecs[:, lo])))
     residual = float(np.linalg.norm(op.apply(state) - energy * state))
-    if gap < gap_tol:
+    if gap < GAP_TOL:
         warnings.warn(f"near-degenerate ground space (gap {gap:.2e})")
-    result = EigenResult(energy, state, residual, applies + 1, degenerate=gap < gap_tol)
+    result = EigenResult(energy, state, residual, applies + 1, degenerate=gap < GAP_TOL)
     if residual >= tol:
-        raise EigensolverError(f"ARPACK stopped at residual {residual:.3e}", result)
+        raise EigensolverError("ARPACK stopped short of the tolerance", result)
     return result

@@ -200,6 +200,34 @@ def test_solve_ground_is_scale_free_in_the_coupling(n_sites, boundary):
         assert res.residual < 10 * 1e-10 * coupling
         assert res.iterations == unit.iterations
 
+
+def test_solve_ground_energy_includes_the_offsets():
+    # H carries -eps_n per site, and the solve drops the offsets and adds them back
+    spec = ChainSpec(8, 2.5, "open", epsilon=tuple(0.25 * n for n in range(8)))
+    res = solve_ground(spec)
+    assert res.energy == pytest.approx(build_hamiltonian(spec).expectation(res.state), rel=1e-12)
+
+
+def test_failed_solve_reports_its_best_pair_in_units_of_the_coupling(monkeypatch):
+    # the best-so-far pair of a failed solve is lifted to 2^N and scaled by J,
+    # like a converged one, and the error message quotes the scaled residual
+    monkeypatch.setattr(eigensolver, "MAX_APPLIES", 3)
+    eps = tuple(0.25 * n for n in range(10))
+    failures = {}
+    for coupling in (1.0, 1e6):
+        with pytest.raises(eigensolver.EigensolverError) as excinfo:
+            solve_ground(ChainSpec(10, coupling, epsilon=eps))
+        failures[coupling] = excinfo.value
+    unit, best = failures[1.0].best, failures[1e6].best
+    assert best.iterations == 3
+    assert best.state.size == 1 << 10
+    assert np.array_equal(best.state, unit.state)
+    assert best.residual == pytest.approx(1e6 * unit.residual, rel=1e-12)
+    spec = ChainSpec(10, 1e6, epsilon=eps)
+    assert best.energy == pytest.approx(build_hamiltonian(spec).expectation(best.state), rel=1e-10)
+    assert f"best residual {best.residual:.3e}" in str(failures[1e6])
+
+
 def operator_densities(spec, state):
     return np.array([build_energy_density(spec, n).expectation(state)
                      for n in range(spec.n_sites)])
