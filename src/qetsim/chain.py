@@ -262,14 +262,14 @@ def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "perio
     return spec, res
 
 
-def local_density_spectrum(spec: ChainSpec, n: int, degeneracy_tol: float = 1e-9) -> LocalSpectrum:
-    """Dense eigendecomposition of T_n restricted to its 2- or 3-site support."""
+def local_density_spectrum(spec: ChainSpec, n: int) -> LocalSpectrum:
+    """Dense eigendecomposition of T_n on its 2- or 3-site support; levels within 1e-9 J merge."""
     support = density_support(spec, n)
     vals = np.linalg.eigvalsh(build_energy_density(spec, n).dense(sites=support))
     eigenvalues = []
     multiplicities = []
     for v in vals:
-        if eigenvalues and abs(v - eigenvalues[-1]) < degeneracy_tol * max(1.0, spec.coupling):
+        if eigenvalues and abs(v - eigenvalues[-1]) < 1e-9 * spec.coupling:
             multiplicities[-1] += 1
         else:
             eigenvalues.append(float(v))

@@ -115,10 +115,6 @@ class OutcomeObjective:
         gram = units.conj() @ np.array([hamiltonian.apply(u) for u in units]).T
         self.gram = weight * 0.5 * (gram + gram.conj().T)
 
-    def from_isometry(self, isometry: np.ndarray) -> float:
-        vecs = isometry.reshape(ENV_DIM, 4)   # row-major vec of each Kraus block
-        return float(np.real(np.einsum("ap,pq,aq->", vecs.conj(), self.gram, vecs)))
-
     def __call__(self, t: np.ndarray) -> float:
         """Dual objective 2 lambda_min(C - I_2 (x) t.sigma): a lower bound for every t."""
         slack = self.gram - np.tensordot(t, _DUAL_BASIS[1:], axes=1)

@@ -164,8 +164,8 @@ class HermitianOperator:
             raise ValueError("term length does not match n_sites")
 
     @classmethod
-    def from_strings(cls, n_sites: int, strings, drop_tol: float | None = None,
-                     imag_tol: float = 1e-12) -> "HermitianOperator":
+    def from_strings(cls, n_sites: int, strings,
+                     drop_tol: float | None = None) -> "HermitianOperator":
         """Canonicalize: merge identical patterns, require real sums, drop tiny terms."""
         acc: dict[str, complex] = {}
         for s in strings:
@@ -180,7 +180,7 @@ class HermitianOperator:
             c = acc[letters]
             if abs(c) <= drop_tol:
                 continue
-            if abs(c.imag) > imag_tol * max(1.0, abs(c.real)):
+            if abs(c.imag) > 1e-12 * abs(c):
                 raise ValueError(f"non-real coefficient {c} for pattern {letters!r}")
             terms.append(PauliString(c.real, letters))
         return cls(n_sites, tuple(terms))
@@ -279,10 +279,10 @@ class HermitianOperator:
             out_nd += work_nd[flip]
         return out
 
-    def expectation(self, vec: np.ndarray, imag_tol: float = 1e-12) -> float:
-        """Re <vec|O|vec>; complains if a Hermitian operator produced an imaginary part."""
+    def expectation(self, vec: np.ndarray) -> float:
+        """Re <vec|O|vec>; complains of an imaginary part above 1e-12 ||O||_1 (non-Hermitian)."""
         val = np.vdot(vec, self.apply(vec))
-        if abs(val.imag) > imag_tol * max(1.0, self.one_norm):
+        if abs(val.imag) > 1e-12 * self.one_norm:
             raise ValueError(f"expectation has imaginary part {val.imag:g}; operator is not Hermitian")
         return float(val.real)
 

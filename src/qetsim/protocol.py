@@ -30,9 +30,6 @@ from .pauli import HermitianOperator, axis_operator
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
-PROFILE_STAGES = ("ground", "post_measurement", "post_feedback")
-
-
 @dataclass(frozen=True)
 class MeasurementSetup:
     """Bloch directions of the measured and feedback Pauli components."""
@@ -174,19 +171,22 @@ def _density_profile(spec: ChainSpec, states) -> tuple[float, ...]:
     return tuple(float(t) for t in profile)
 
 
-def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) -> None:
-    worst = float(np.max(np.abs(energy_densities(spec, ground))))
+def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """The ground profile <T_n>; raises ValueError unless every |<T_n>| <= tol J."""
+    densities = energy_densities(spec, ground)
+    worst = float(np.max(np.abs(densities)))
     if not worst <= tol * spec.coupling:    # a NaN density fails too
         raise ValueError(
             f"spec is not calibrated: max |<T_n>| = {worst:.3e}; "
             "run chain.calibrated_chain or chain.calibrate_epsilon first")
+    return densities
 
 
 class PreparedGround:
     """A calibrated chain's ground state with the work every receiver shares done once.
 
-    Construction runs `check_calibration` and keeps the calibrated H, H|g>
-    and the ground profile.  The correlation tensors are memoized per
+    Construction runs `check_calibration` and keeps the ground profile it
+    returns, the calibrated H and H|g>.  The correlation tensors are memoized per
     (site_a, site_b) and the sender's measurement (ensemble, E_A and the
     post-measurement profile) per (site_a, axis_a), so a sweep over
     receivers checks and measures once.  Every use names a spec, which must
@@ -196,11 +196,10 @@ class PreparedGround:
 
     def __init__(self, spec: ChainSpec, state: np.ndarray):
         self.state = np.asarray(state)
-        check_calibration(spec, self.state)
+        self.ground_profile = tuple(float(t) for t in check_calibration(spec, self.state))
         self.spec = spec
         self.hamiltonian = build_hamiltonian(spec)
         self.h_ground = _read_only(self.hamiltonian.apply(self.state))
-        self.ground_profile = _density_profile(spec, [(1.0, self.state)])
         self._tensors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._measurements: dict[tuple, tuple[MixedEnsemble, float, tuple[float, ...]]] = {}
 
@@ -335,14 +334,13 @@ class AxisSweepResult:
 
 def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
                         hamiltonian: HermitianOperator | None = None,
-                        imag_tol: float = 1e-10, h_ground: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        h_ground: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """3x3 tensors reducing (xi, eta) at any axes to bilinear forms.
 
     xi(b) = b . Xi b with Xi[q,q'] = Re <g|sigma^q_B H sigma^q'_B|g>, and
     eta(a, b) = a . N b with N[p,q] = Re i <g|sigma^p_A [H, sigma^q_B]|g>.
 
-    An imaginary residue above imag_tol * ||H||_1 (the sum of |coefficients|)
+    An imaginary residue above 1e-10 ||H||_1 (the sum of |coefficients|)
     raises ValueError when it signals an operator bug: on a diagonal entry of
     Xi, which is an expectation of a Hermitian operator, and on an entry of N
     whose axes pass `closed_form_applies`, which makes i sigma^p_A
@@ -359,7 +357,7 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     hg = h.apply(ground) if h_ground is None else h_ground
     b_hg = [s.apply(hg) for s in sigma_b]
 
-    limit = imag_tol * h.one_norm
+    limit = 1e-10 * h.one_norm
     xi_mat = np.empty((3, 3))
     eta_mat = np.empty((3, 3))
     for q in range(3):

@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +333,71 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "teleport", "--config", str(cfg))
     assert code == 1
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("ground", [("sites", "6"), ("bc", "open"), ("format", "csv")]),
+    ("teleport", [("sites", "6"), ("axis_a", "y"), ("axis-b", "x"), ("theta", "0.5"),
+                  ("j", "2")]),
+    ("sweep", [("sizes", "6"), ("distances", "2,1"), ("axis-a", "y"), ("tol", "1e-11")]),
+    ("analytic", [("n_min", "2"), ("n-max", "6"), ("j", "0.5")]),
+    ("cool", [("sites", "6"), ("axis-a", "y"), ("axis_b", "x"), ("seed", "3")]),
+])
+def test_config_file_matches_the_same_flags(tmp_path, capsys, command, settings):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings))
+    flags = [arg for key, value in settings for arg in (f"--{key.replace('_', '-')}", value)]
+    code, from_flags, _ = run_cli(capsys, command, *flags)
+    assert code == 0
+    assert run_cli(capsys, command, "--config", str(cfg)) == (0, from_flags, "")
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("ground", "theta = 0.5", "unknown key 'theta'"),     # another command's flag
+    ("analytic", "n-ma = 3", "unknown key 'n_ma'"),       # no abbreviations
+    ("ground", "config = other.cfg", "unknown key 'config'"),
+    ("ground", "fmt = csv", "unknown key 'fmt'"),         # the flag is --format
+])
+def test_config_key_must_be_a_flag_of_the_command(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert f"bad.cfg:2: {message}" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("ground", "--sites", "6"), "format = xml"),
+    (("ground", "--sites", "6"), "sites = six"),
+    (("ground", "--sites", "6", "--form", "csv"), None),
+])
+def test_invalid_values_and_abbreviations_exit_like_argparse(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        argv += ("--config", str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_accepts_a_negative_axis_triple(tmp_path, capsys):
+    cfg = tmp_path / "axis.cfg"
+    cfg.write_text("axis-a = -1,0,0\naxis-b = x\n")
+    code, out, _ = run_cli(capsys, "teleport", "--sites", "6", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["params"]["axis_a_used"] == [-1.0, 0.0, 0.0]
+    assert run_cli(capsys, "teleport", "--sites", "6", "--axis-a=-1,0,0") == (0, out, "")
+
+
+def test_readme_lists_the_shared_flags(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Shared flags: `([^`]*)`", readme).group(1)
+    with pytest.raises(SystemExit):
+        main(["ground", "--help"])
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert set(re.findall(r"--[a-z][a-z-]*", listed)) | {"--help"} == options
 
 
 def test_large_guard(capsys, monkeypatch):

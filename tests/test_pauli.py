@@ -238,6 +238,15 @@ def test_non_real_combined_coefficient_rejected():
         HermitianOperator.from_strings(2, [PauliString(1.0j, "XI")])
 
 
+def test_non_real_checks_are_relative_to_the_scale():
+    # at 1e-13 an imaginary part as large as the real one is no rounding residue
+    with pytest.raises(ValueError, match="non-real"):
+        HermitianOperator.from_strings(2, [PauliString(1e-13 + 1e-13j, "XI")])
+    not_hermitian = HermitianOperator(1, (PauliString(1e-13j, "X"),))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        not_hermitian.expectation(np.ones(2) / np.sqrt(2))
+
+
 def test_y_strings_are_hermitian():
     op = HermitianOperator.from_strings(3, [PauliString(0.5, "YYI"), PauliString(-1.5, "IYZ")])
     mat = op.dense()
