@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eigensolver
-from .pauli import HermitianOperator, PauliString, from_sites, split_by_support
+from .pauli import HermitianOperator, PauliString, from_sites, inner, norm, split_by_support
 
 BOUNDARIES = ("periodic", "open")
 
@@ -199,26 +199,30 @@ def _lift_and_scale(spec: ChainSpec, res: eigensolver.EigenResult) -> eigensolve
 def local_observables(spec: ChainSpec, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-site z[n] = <sz_n> and xx[n] = <sx_n sx_{n+1 mod N}>, read from one state.
 
-    Viewing the state as an array of shape (2,)*N puts site n on axis N-1-n,
-    and bit n of the flat index.  <sz_n> is the weight of |psi|^2 with bit n
-    clear minus the weight with it set; summing out each bit once it is read
-    makes all N marginals cost two passes over |psi|^2.  sx_n sx_m flips two
-    axes.  On an open chain xx[N-1] = 0, since the last site has no bond to
-    the first.
+    <sz_n> is the weight of |psi|^2 with bit n of the index clear minus the
+    weight with it set; summing out each bit once it is read makes all N
+    marginals cost two passes over |psi|^2.  sx_n sx_m flips bits n and m, so
+    with psi_st the amplitudes whose bits (m, n) are (s, t),
+    <sx_n sx_m> = 2 Re(<psi_00|psi_11> + <psi_01|psi_10>): two inner products
+    of quarter-length strided views, with no flipped copy of the state.  On
+    an open chain xx[N-1] = 0, since the last site has no bond to the first.
     """
     n_sites = spec.n_sites
-    psi = np.asarray(state).reshape((2,) * n_sites)
-    marginal = np.abs(psi.reshape(-1)) ** 2
+    psi = np.asarray(state).reshape(-1)
+    marginal = np.abs(psi) ** 2
     z = np.empty(n_sites)
     xx = np.zeros(n_sites)
     for n in range(n_sites):
         clear, set_ = marginal[0::2], marginal[1::2]
         z[n] = clear.sum() - set_.sum()
         marginal = clear + set_
-    bonds = n_sites if spec.boundary == "periodic" else n_sites - 1
-    for n in range(bonds):
-        axes = (n_sites - 1 - n, n_sites - 1 - (n + 1) % n_sites)
-        xx[n] = np.vdot(psi, np.flip(psi, axes)).real
+    # bond (n, n+1) as axes (higher bits, bit n+1, bit n, lower bits); the closing
+    # bond (N-1, 0) as (middle bits, bit N-1, bit 0, nothing)
+    bonds = [psi.reshape(-1, 2, 2, 1 << n) for n in range(n_sites - 1)]
+    if spec.boundary == "periodic":
+        bonds.append(psi.reshape(2, -1, 2, 1).swapaxes(0, 1))
+    for n, v in enumerate(bonds):
+        xx[n] = 2.0 * (inner(v[:, 0, 0], v[:, 1, 1]) + inner(v[:, 0, 1], v[:, 1, 0])).real
     return z, xx
 
 
@@ -239,7 +243,7 @@ def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
     `ground` must be the normalized ground state of the chain Hamiltonian;
     the offsets are pure identity shifts, so they do not change it.
     """
-    nrm = np.linalg.norm(ground)
+    nrm = norm(ground)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"ground state is not normalized (norm {nrm:.3e})")
     return energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
@@ -287,7 +291,7 @@ def density_eigenbasis_weights(spec: ChainSpec, n: int, state: np.ndarray):
     mat = build_energy_density(spec, n).dense(sites=support)
     vals, vecs = np.linalg.eigh(mat)
     blocks = split_by_support(state, support, spec.n_sites)
-    coeffs = vecs.conj().T @ blocks
+    coeffs = np.einsum("ka,ke->ae", vecs.conj(), blocks)
     weights = np.sum(np.abs(coeffs) ** 2, axis=1)
     return vals, weights
 
@@ -303,8 +307,8 @@ def correlation_check(ground: np.ndarray, t_n: HermitianOperator,
         raise ValueError(f"supports overlap: {t_n.support} and {o_m.support}")
     tv = t_n.apply(ground)
     ov = o_m.apply(ground)
-    lhs = np.vdot(tv, ov)
-    if abs(lhs.imag) > 1e-10 * max(1.0, t_n.one_norm * o_m.one_norm):
+    lhs = inner(tv, ov)
+    if abs(lhs.imag) > 1e-10 * t_n.one_norm * o_m.one_norm:
         raise ValueError(f"two-point function has imaginary part {lhs.imag:g}")
-    rhs = float(np.real(np.vdot(ground, tv)) * np.real(np.vdot(ground, ov)))
+    rhs = float(inner(ground, tv).real * inner(ground, ov).real)
     return CorrelationCheck(float(lhs.real), rhs, abs(float(lhs.real) - rhs))

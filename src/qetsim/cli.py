@@ -23,15 +23,25 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import analytics, chain, cooling, eigensolver, protocol
 
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error messages start with `origin`, such as `path:line: `."""
+
+    def __init__(self, *args, origin: str = "", **kwargs):
+        super().__init__(*args, **kwargs)
+        self.origin = origin
+
+    def error(self, message):
+        super().error(self.origin + message)
 
 
 def _parse_axis(text: str):
@@ -42,11 +52,11 @@ def _parse_axis(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError(f"axis must be x, y, z, best, or three comma-separated components: {text!r}")
-    vec = np.array([float(p) for p in parts])
-    nrm = float(np.linalg.norm(vec))
-    if not 0.0 < nrm < np.inf:
+    vec = [float(p) for p in parts]
+    nrm = math.hypot(*vec)
+    if not 0.0 < nrm < math.inf:
         raise CliError(f"axis vector must be nonzero and finite: {text!r}")
-    return tuple(float(c) for c in vec / nrm)
+    return tuple(c / nrm for c in vec)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -100,17 +110,23 @@ def _config_flags(path: str) -> list[tuple[str, int, str]]:
     return flags
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a --config file's lines go in as flags before argv's own, which win."""
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's lines go in as flags before argv's own, which win.
+
+    Each config line is first parsed alone, by a parser whose errors start
+    with `path:line: `, so an unknown key or a bad value names its line.
+    """
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
         return args
     flags = _config_flags(args.config)
-    args, unknown = parser.parse_known_args([argv[0], *(f for f, _, _ in flags), *argv[1:]])
     for flag, line_no, key in flags:
-        if flag in unknown:
-            raise CliError(f"{args.config}:{line_no}: unknown key {key!r}")
-    return args
+        origin = f"{args.config}:{line_no}: "
+        _, unknown = build_parser(origin).parse_known_args([argv[0], flag])
+        if unknown:
+            raise CliError(f"{origin}unknown key {key!r}")
+    return parser.parse_args([argv[0], *(f for f, _, _ in flags), *argv[1:]])
 
 
 def _check_sites(args: argparse.Namespace) -> None:
@@ -333,15 +349,18 @@ def cmd_cool(args: argparse.Namespace) -> int:
     return 0 if (bound_ok and feasible_ok) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for flags and --config keys alike; no command's flag may be abbreviated."""
-    parser = argparse.ArgumentParser(
-        prog="qetsim",
+def build_parser(origin: str = "") -> argparse.ArgumentParser:
+    """One parser for flags and --config keys alike; no command's flag may be abbreviated.
+
+    Every error message it prints starts with `origin`.
+    """
+    parser = _Parser(
+        prog="qetsim", origin=origin,
         description="Energy teleportation on critical Ising chains: simulate and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False, origin=origin)
         _add_common(p)
         p.set_defaults(func=func)
         return p
@@ -362,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(build_parser(), argv)
+        args = _parse(argv)
         return args.func(args)
     except eigensolver.EigensolverError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .pauli import HermitianOperator, apply_single_qubit
+from .pauli import HermitianOperator, apply_single_qubit, inner, norm
 from .protocol import Branch, MeasurementSetup, MixedEnsemble, _resolve_ground
 
 ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
@@ -85,7 +85,7 @@ def apply_channel(ensemble: MixedEnsemble, channel: LocalChannel, site: int) -> 
             raise ValueError(f"channel has no Kraus set for outcome {b.outcome}")
         for m in channel.kraus_sets[b.outcome]:
             vec = apply_single_qubit(m, b.state, site, n_sites)
-            nrm2 = float(np.real(np.vdot(vec, vec)))
+            nrm2 = float(inner(vec, vec).real)
             w = b.weight * nrm2
             if w < 1e-14:
                 continue
@@ -112,7 +112,9 @@ class OutcomeObjective:
         # unit p = k*2 + l is |k><l| at the site applied to the state
         units = np.array([apply_single_qubit(e.reshape(2, 2), state, site, hamiltonian.n_sites)
                           for e in np.eye(4, dtype=np.complex128)])
-        gram = units.conj() @ np.array([hamiltonian.apply(u) for u in units]).T
+        h_units = np.array([hamiltonian.apply(u) for u in units])
+        # einsum, not a threaded zgemm (see qetsim.pauli on BLAS)
+        gram = np.einsum("pi,qi->pq", units.conj(), h_units)
         self.gram = weight * 0.5 * (gram + gram.conj().T)
 
     def __call__(self, t: np.ndarray) -> float:
@@ -160,7 +162,7 @@ def _solve_choi_sdp(objective: OutcomeObjective, t: np.ndarray, max_evals: int
     x = np.linalg.lstsq(system, target, rcond=None)[0]
     choi = kernel @ x.reshape(kernel.shape[1], -1) @ kernel.conj().T
     weights, vecs = np.linalg.eigh(0.5 * (choi + choi.conj().T))
-    if np.linalg.norm(system @ x - target) > 1e-10 or weights[0] < -1e-12:
+    if norm(system @ x - target) > 1e-10 or weights[0] < -1e-12:
         raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
                            "did not reach the optimum")
     kraus = tuple((vecs * np.sqrt(np.clip(weights, 0.0, None))).T.reshape(-1, 2, 2))

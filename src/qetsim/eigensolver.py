@@ -3,7 +3,9 @@
 The solver is ARPACK's implicitly restarted Lanczos (`scipy.sparse.linalg.eigsh`)
 on a matrix-free `LinearOperator`, which keeps a fixed, small set of state
 vectors.  States are plain numpy vectors of length 2**n_sites in the basis
-described in :mod:`qetsim.pauli`.
+described in :mod:`qetsim.pauli`.  The matvec and the final residual reduce
+states with `pauli.inner` and `pauli.norm`, never BLAS, so numpy's OpenBLAS
+threads stay asleep while scipy's run ARPACK.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .pauli import HermitianOperator
+from .pauli import HermitianOperator, inner, norm
 
 MAX_APPLIES = 2000
 GAP_TOL = 1e-8
@@ -46,7 +48,7 @@ class EigensolverError(RuntimeError):
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(vec)
+    nrm = norm(vec)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return vec / nrm
@@ -59,11 +61,6 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     if pivot == 0.0:
         return vec
     return vec * (abs(pivot) / pivot)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # einsum, not BLAS: numpy's OpenBLAS threads would wake and contend with scipy's
-    return float(np.einsum("i,i", a.conj(), b).real)
 
 
 def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0) -> EigenResult:
@@ -98,11 +95,11 @@ def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0) -> Ei
                                    "operator applications", best)
         y = op.apply(x)
         applies += 1
-        sq = _dot(x, x)
-        theta = _dot(x, y) / sq
+        sq = float(inner(x, x).real)
+        theta = float(inner(x, y).real) / sq
         if theta < best.energy:
             r = y - theta * x
-            best = EigenResult(theta, fix_phase(x / np.sqrt(sq)), np.sqrt(_dot(r, r) / sq), 0)
+            best = EigenResult(theta, fix_phase(x / np.sqrt(sq)), norm(r) / np.sqrt(sq), 0)
         return y
 
     lin = LinearOperator((op.dim, op.dim), matvec=matvec, dtype=start.dtype)
@@ -113,7 +110,7 @@ def ground_state(op: HermitianOperator, tol: float = 1e-10, seed: int = 0) -> Ei
     lo = int(np.argmin(vals))
     energy, gap = float(vals[lo]), float(abs(vals[1] - vals[0]))
     state = fix_phase(normalize(np.ascontiguousarray(vecs[:, lo])))
-    residual = float(np.linalg.norm(op.apply(state) - energy * state))
+    residual = norm(op.apply(state) - energy * state)
     if gap < GAP_TOL:
         warnings.warn(f"near-degenerate ground space (gap {gap:.2e})")
     result = EigenResult(energy, state, residual, applies + 1, degenerate=gap < GAP_TOL)

@@ -22,15 +22,42 @@ coefficient: each adds its flipped `vec` into one accumulator, and each
 distinct coefficient scales that accumulator once.  For the Ising chain, whose
 N bond groups all carry -J, that is N + 3 array passes instead of 2N + 2.
 No index arrays are built.
+
+Every reduction over a state, an inner product or a norm, goes through
+`inner` (or `norm`, built on it), never numpy's `vdot`, `inner` or
+`linalg.norm`, nor a state-sized `@`.  numpy and scipy each bundle their own
+OpenBLAS; a BLAS call on a state wakes numpy's thread pool, which then spins
+against the pool that scipy's ARPACK uses.  `inner` is an einsum, which runs
+its own loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 LETTERS = "IXYZ"
+
+
+def inner(a: np.ndarray, b: np.ndarray):
+    """<a|b> of two arrays of one shape, summed by einsum's own loops rather than BLAS.
+
+    einsum sums over every axis in place, so a strided view is read as it
+    lies, without the copy that raveling it would make.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"inner product of arrays of shapes {a.shape} and {b.shape}")
+    axes = list(range(a.ndim))
+    # ndarray.conj returns a real array itself, where np.conj would copy it
+    return np.einsum(a.conj(), axes, b, axes, [])
+
+
+def norm(a: np.ndarray) -> float:
+    """||a|| = sqrt(Re <a|a>), without BLAS (see `inner`)."""
+    return math.sqrt(float(inner(a, a).real))
 
 
 def _letter_products() -> dict[tuple[str, str], tuple[complex, str]]:
@@ -281,7 +308,7 @@ class HermitianOperator:
 
     def expectation(self, vec: np.ndarray) -> float:
         """Re <vec|O|vec>; complains of an imaginary part above 1e-12 ||O||_1 (non-Hermitian)."""
-        val = np.vdot(vec, self.apply(vec))
+        val = inner(vec, self.apply(vec))
         if abs(val.imag) > 1e-12 * self.one_norm:
             raise ValueError(f"expectation has imaginary part {val.imag:g}; operator is not Hermitian")
         return float(val.real)

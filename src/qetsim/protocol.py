@@ -26,7 +26,7 @@ import numpy as np
 
 from . import eigensolver
 from .chain import ChainSpec, build_hamiltonian, energy_densities
-from .pauli import HermitianOperator, axis_operator
+from .pauli import HermitianOperator, axis_operator, inner, norm
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
@@ -71,7 +71,7 @@ class MixedEnsemble:
         for b in self.branches:
             if b.weight < 0.0:
                 raise ValueError("negative branch weight")
-            if b.weight > 0.0 and abs(np.linalg.norm(b.state) - 1.0) > 1e-8:
+            if b.weight > 0.0 and abs(norm(b.state) - 1.0) > 1e-8:
                 raise ValueError("branch state is not normalized")
 
     def energy(self, op: HermitianOperator) -> float:
@@ -111,7 +111,7 @@ def measure(ground: np.ndarray, p_0: HermitianOperator, p_1: HermitianOperator,
     total = 0.0
     for outcome, proj in enumerate((p_0, p_1)):
         vec = proj.apply(ground)
-        weight = float(np.real(np.vdot(vec, vec)))
+        weight = float(inner(vec, vec).real)
         if weight < 1e-14:
             branches.append(Branch(0.0, np.zeros_like(vec), outcome))
             continue
@@ -362,13 +362,13 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     eta_mat = np.empty((3, 3))
     for q in range(3):
         for qp in range(3):
-            val = np.vdot(b_vecs[q], h_b_vecs[qp])
+            val = inner(b_vecs[q], h_b_vecs[qp])
             if q == qp and abs(val.imag) > limit:
                 raise ValueError(f"imaginary residue {val.imag:g} in xi tensor")
             xi_mat[q, qp] = val.real
     for p in range(3):
         for q in range(3):
-            val = 1j * (np.vdot(a_vecs[p], h_b_vecs[q]) - np.vdot(a_vecs[p], b_hg[q]))
+            val = 1j * (inner(a_vecs[p], h_b_vecs[q]) - inner(a_vecs[p], b_hg[q]))
             if abs(val.imag) > limit and closed_form_applies(sigma_a[p], sigma_b[q], h):
                 raise ValueError(f"imaginary residue {val.imag:g} in eta tensor")
             eta_mat[p, q] = val.real

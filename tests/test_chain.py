@@ -327,17 +327,33 @@ def test_ground_state_in_density_eigenbasis(chains):
     assert vals[0] < 0.0 and weights[0] > 0.0        # negative-density states populated
 
 
-def test_correlation_gap_positive_for_entangled_ground_state(chains):
-    spec, res = chains(10)
-    t3 = build_energy_density(spec, 3)
+def test_correlation_gap_positive_for_entangled_ground_state():
     # sz is even under the chain's spin-flip symmetry, so its two-point
     # function with T_n survives; sx is odd and vanishes identically
     o_z = HermitianOperator.from_strings(10, [single_site(10, 7, "Z")])
-    assert correlation_check(res.state, t3, o_z).gap > 1e-6
     o_xx = HermitianOperator.from_strings(10, [from_sites(10, 1.0, {6: "X", 7: "X"})])
-    assert correlation_check(res.state, t3, o_xx).gap > 1e-6
     o_x = HermitianOperator.from_strings(10, [single_site(10, 7, "X")])
-    assert correlation_check(res.state, t3, o_x).gap < 1e-10
+    for coupling in (1.0, 1e-13, 1e6):
+        spec, res = calibrated_chain(10, coupling=coupling)
+        t3 = build_energy_density(spec, 3)
+        # a global phase makes every two-point function complex in rounding; the
+        # imaginary-part limit scales with the operators, so no J trips it
+        state = res.state * np.exp(0.3j)
+        assert correlation_check(state, t3, o_z).gap > 1e-6 * coupling
+        assert correlation_check(state, t3, o_xx).gap > 1e-6 * coupling
+        assert correlation_check(state, t3, o_x).gap < 1e-10 * coupling
+
+
+@pytest.mark.parametrize("coupling", [1.0, 1e-13, 1e6])
+def test_correlation_check_rejects_an_imaginary_part_at_any_coupling(coupling, monkeypatch):
+    spec, res = calibrated_chain(10, coupling=coupling)
+    t3 = build_energy_density(spec, 3)
+    o_z = HermitianOperator.from_strings(10, [single_site(10, 7, "Z")])
+    exact = chain.inner
+    # an imaginary part of 1e-3 of the two-point function, as a non-Hermitian product would give
+    monkeypatch.setattr(chain, "inner", lambda a, b: exact(a, b) * (1.0 + 1e-3j))
+    with pytest.raises(ValueError, match="imaginary part"):
+        correlation_check(res.state, t3, o_z)
 
 
 def test_correlation_factorizes_for_product_state():

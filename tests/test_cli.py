@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qetsim import chain, cooling, eigensolver, protocol
+from qetsim import chain, cli, cooling, eigensolver, protocol
 from qetsim.cli import main
 from qetsim.pauli import HermitianOperator
 
@@ -380,6 +380,35 @@ def test_invalid_values_and_abbreviations_exit_like_argparse(tmp_path, capsys, a
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sites = six", "argument --sites: invalid int value: 'six'"),
+    ("format = xml", "argument --format: invalid choice: 'xml'"),
+])
+def test_invalid_config_value_names_its_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\nbc = open\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ground", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"qetsim ground: error: {cfg}:3: {message}" in capsys.readouterr().err
+    # the same value as a flag is argparse's message alone
+    flag, value = (part.strip() for part in line.split("="))
+    with pytest.raises(SystemExit) as exc:
+        main(["ground", f"--{flag}", value])
+    assert exc.value.code == 2
+    assert f"qetsim ground: error: {message}" in capsys.readouterr().err
+
+
+def test_a_run_without_config_parses_once(monkeypatch, capsys):
+    calls = []
+    parse_known_args = cli._Parser.parse_known_args
+    monkeypatch.setattr(cli._Parser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog) or
+                        parse_known_args(self, *a, **k))
+    assert run_cli(capsys, "analytic", "--n-max", "3")[0] == 0
+    assert calls == ["qetsim", "qetsim analytic"]      # the command line, then its command
 
 
 def test_config_accepts_a_negative_axis_triple(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Pauli string and operator machinery against independent kron-built matrices."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from qetsim.pauli import (
     apply_single_qubit,
     axis_operator,
     from_sites,
+    inner,
+    norm,
     single_site,
     split_by_support,
 )
@@ -317,3 +321,54 @@ def test_apply_rejects_wrong_dimension():
 def test_invalid_letter_rejected():
     with pytest.raises(ValueError, match="invalid"):
         PauliString(1.0, "XQZ")
+
+
+@pytest.mark.parametrize("n_sites", range(4, 17))
+def test_inner_and_norm_match_blas(n_sites):
+    rng = np.random.default_rng(n_sites)
+    dim = 1 << n_sites
+    real_a, real_b = rng.standard_normal(dim), rng.standard_normal(dim)
+    cplx_a = real_a + 1j * rng.standard_normal(dim)
+    cplx_b = real_b + 1j * rng.standard_normal(dim)
+    # a state's (2,)*N view against its flip on two axes, and the strided
+    # quarter-length blocks of one bond that local_observables reads
+    psi = cplx_a.reshape((2,) * n_sites)
+    flipped = np.flip(psi, (0, n_sites - 1))
+    bond = cplx_a.reshape(-1, 2, 2, 1 << (n_sites // 2))
+    cases = [(real_a, real_b), (cplx_a, cplx_b), (real_a, cplx_b), (cplx_a, real_b),
+             (psi, flipped), (bond[:, 0, 1], bond[:, 1, 0])]
+    for a, b in cases:
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(inner(a, b) - np.vdot(a, b)) <= 1e-14 * scale
+    for a in (real_a, cplx_a, psi):
+        assert norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-14, abs=0.0)
+    assert isinstance(norm(real_a), float)
+    assert isinstance(inner(real_a, real_b), np.floating)
+
+
+def test_inner_rejects_vectors_of_different_sizes():
+    with pytest.raises(ValueError, match=r"shapes \(4,\) and \(8,\)"):
+        inner(np.ones(4), np.ones(8))
+    with pytest.raises(ValueError):
+        inner(np.ones(1), np.ones(8))       # einsum alone would broadcast a length-1 vector
+    with pytest.raises(ValueError):
+        inner(np.ones(4), np.ones((2, 2)))  # a state and a reshaped copy are not paired
+
+
+def test_no_blas_reductions_in_the_package():
+    """State reductions in qetsim go through `pauli.inner`, never numpy's BLAS.
+
+    numpy and scipy each bundle their own OpenBLAS with its own thread pool.
+    ARPACK runs in scipy's pool; a state-sized `np.vdot`, `np.inner` or
+    `np.linalg.norm` wakes numpy's pool as well, and the two pools' threads
+    spin against each other on a small machine, which costs CPU time and
+    wall time alike.  The results agree either way to rounding, so no
+    functional test can see such a call come back; this one reads the source.
+    """
+    package = Path(__file__).parents[1] / "src" / "qetsim"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for name in ("np.vdot", "np.inner", "np.linalg.norm"):
+            assert name not in text, f"{path.name} calls {name}; use qetsim.pauli.inner or norm"
