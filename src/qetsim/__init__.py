@@ -2,13 +2,12 @@
 
 from .analytics import delta, eb_closed_form, residual_energy_analytic
 from .chain import ChainSpec, build_energy_density, build_hamiltonian, calibrated_chain
-from .cooling import CoolingResult, LocalChannel, minimize_residual, random_channel
+from .cooling import CoolingResult, LocalChannel, minimize_residual
 from .eigensolver import EigenResult, ground_state
 from .pauli import HermitianOperator, PauliString
 from .protocol import (
     AxisSweepResult,
     MeasurementSetup,
-    MixedEnsemble,
     ProtocolResult,
     axis_sweep,
     run_protocol,
@@ -22,7 +21,6 @@ __all__ = [
     "HermitianOperator",
     "LocalChannel",
     "MeasurementSetup",
-    "MixedEnsemble",
     "PauliString",
     "ProtocolResult",
     "axis_sweep",
@@ -33,7 +31,6 @@ __all__ = [
     "eb_closed_form",
     "ground_state",
     "minimize_residual",
-    "random_channel",
     "residual_energy_analytic",
     "run_protocol",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import eigensolver
-from .pauli import HermitianOperator, PauliString, from_sites, inner, norm, split_by_support
+from .pauli import HermitianOperator, PauliString, from_sites, inner, norm
 
 BOUNDARIES = ("periodic", "open")
 
@@ -91,15 +91,6 @@ class LocalSpectrum:
     @property
     def minimum(self) -> float:
         return self.eigenvalues[0]
-
-
-@dataclass(frozen=True)
-class CorrelationCheck:
-    """Two-point function versus its factorized form, Eq.-style entanglement witness."""
-
-    lhs: float          # <g| T_n O_m |g>
-    rhs: float          # <g| T_n |g> <g| O_m |g>
-    gap: float          # |lhs - rhs|
 
 
 def density_support(spec: ChainSpec, n: int) -> tuple[int, ...]:
@@ -279,36 +270,3 @@ def local_density_spectrum(spec: ChainSpec, n: int) -> LocalSpectrum:
             eigenvalues.append(float(v))
             multiplicities.append(1)
     return LocalSpectrum(n, tuple(eigenvalues), tuple(multiplicities))
-
-
-def density_eigenbasis_weights(spec: ChainSpec, n: int, state: np.ndarray):
-    """Expand a state in the eigenbasis of T_n: (eigenvalues, weights).
-
-    The weights are the total probability carried by each local eigenvector
-    (summed over the environment), so sum(w) = 1 and sum(e * w) = <T_n>.
-    """
-    support = density_support(spec, n)
-    mat = build_energy_density(spec, n).dense(sites=support)
-    vals, vecs = np.linalg.eigh(mat)
-    blocks = split_by_support(state, support, spec.n_sites)
-    coeffs = np.einsum("ka,ke->ae", vecs.conj(), blocks)
-    weights = np.sum(np.abs(coeffs) ** 2, axis=1)
-    return vals, weights
-
-
-def correlation_check(ground: np.ndarray, t_n: HermitianOperator,
-                      o_m: HermitianOperator) -> CorrelationCheck:
-    """Test the factorization <T_n O_m> = <T_n><O_m> (fails iff entangled).
-
-    Only meaningful for disjoint supports, where T_n O_m is Hermitian and
-    the two-point function is real.
-    """
-    if set(t_n.support) & set(o_m.support):
-        raise ValueError(f"supports overlap: {t_n.support} and {o_m.support}")
-    tv = t_n.apply(ground)
-    ov = o_m.apply(ground)
-    lhs = inner(tv, ov)
-    if abs(lhs.imag) > 1e-10 * t_n.one_norm * o_m.one_norm:
-        raise ValueError(f"two-point function has imaginary part {lhs.imag:g}")
-    rhs = float(inner(ground, tv).real * inner(ground, ov).real)
-    return CorrelationCheck(float(lhs.real), rhs, abs(float(lhs.real) - rhs))

@@ -81,7 +81,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="measured Pauli component: x|y|z|best|ax,ay,az (default %(default)s)")
     parser.add_argument("--axis-b", default="x",
                         help="feedback component, same forms (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the ground solve's ARPACK start vector, the only random "
+                             "input (default %(default)s)")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="eigensolver residual tolerance in units of J (default %(default)s)")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",

@@ -1,15 +1,16 @@
 """Minimum residual energy over the sender's local quantum channels.
 
 After step (i) the sender holds outcome mu and may apply any trace-preserving
-local channel {M(alpha, mu)} to the sender's qubit to pull the deposit back out.
+local channel {M(alpha, mu)} to the sender's qubit to pull the deposit back out;
+outcome mu left the unnormalized state P|g> of its projector P.
 Nonnegativity of the total energy forbids full recovery: the minimum of
 Tr[rho_c H] over channels is the residual energy E_r, above the teleported E_B.
 
 Tr[rho_c H] is linear in the channel's Choi matrix J = sum_alpha m_alpha m_alpha^dag,
 where m_alpha = vec(M_alpha) has index k*2 + l (k the output, l the input):
 
-    sum_alpha <M_alpha psi| H |M_alpha psi> = Tr[C J],
-    C[(i,j),(k,l)] = w <psi| (|j><i| at A) H (|k><l| at A) |psi>,
+    sum_alpha <g|P M_alpha^dag H M_alpha P|g> = Tr[C J],
+    C[(i,j),(k,l)] = <g|P (|j><i| at A) H (|k><l| at A) P|g>,
 
 so each outcome's minimum is the SDP min Tr[C J] over J >= 0 with
 Tr_out J = I_2.  Its dual (Watrous, The Theory of Quantum Information, 2018,
@@ -27,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
-from .pauli import HermitianOperator, apply_single_qubit, inner, norm
-from .protocol import Branch, MeasurementSetup, MixedEnsemble, _resolve_ground
-
-ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
+from .chain import ChainSpec, density_support
+from .pauli import norm
+from .protocol import MeasurementSetup, PreparedGround, _resolve_ground, _trace
 
 
 @dataclass
@@ -52,52 +51,6 @@ class LocalChannel:
             worst = max(worst, float(np.max(np.abs(acc - np.eye(2)))))
         return worst
 
-    @classmethod
-    def identity(cls, outcomes=(0, 1)) -> "LocalChannel":
-        return cls({mu: (np.eye(2, dtype=np.complex128),) for mu in outcomes})
-
-
-def random_channel(seed: int, outcomes=(0, 1)) -> LocalChannel:
-    """Haar-style random channel: an independent Ginibre-QR isometry per outcome."""
-    rng = np.random.default_rng(seed)
-    kraus_sets = {}
-    for mu in outcomes:
-        g = rng.standard_normal((2 * ENV_DIM, 2)) + 1j * rng.standard_normal((2 * ENV_DIM, 2))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r)
-        kraus_sets[mu] = tuple((q * (np.abs(diag) / diag)).reshape(ENV_DIM, 2, 2))
-    return LocalChannel(kraus_sets)
-
-
-def apply_channel(ensemble: MixedEnsemble, channel: LocalChannel, site: int) -> MixedEnsemble:
-    """Expand each branch through its outcome's Kraus set.
-
-    A branch (w, psi, mu) becomes one branch per Kraus operator, weighted by
-    w ||M psi||^2; completeness keeps the total weight at 1.  Branches below
-    1e-14 are pruned.
-    """
-    n_sites = int(math.log2(len(ensemble.branches[0].state)))
-    branches = []
-    for b in ensemble.branches:
-        if b.weight == 0.0:
-            continue
-        if b.outcome not in channel.kraus_sets:
-            raise ValueError(f"channel has no Kraus set for outcome {b.outcome}")
-        for m in channel.kraus_sets[b.outcome]:
-            vec = apply_single_qubit(m, b.state, site, n_sites)
-            nrm2 = float(inner(vec, vec).real)
-            w = b.weight * nrm2
-            if w < 1e-14:
-                continue
-            branches.append(Branch(w, vec / math.sqrt(nrm2), b.outcome))
-    return MixedEnsemble(tuple(branches))
-
-
-def channel_energy(ensemble: MixedEnsemble, channel: LocalChannel, site: int,
-                   hamiltonian: HermitianOperator) -> float:
-    """Tr[rho_c H] by direct branch expansion (the slow, independent route)."""
-    return apply_channel(ensemble, channel, site).energy(hamiltonian)
-
 
 # I_2 (x) sigma for sigma = 1, x, y, z: S = C - I_2 (x) Y = C - y.basis for Y = y0 I + t.sigma
 _DUAL_BASIS = np.stack([np.kron(np.eye(2), s) for s in (
@@ -105,22 +58,46 @@ _DUAL_BASIS = np.stack([np.kron(np.eye(2), s) for s in (
 
 
 class OutcomeObjective:
-    """Per-outcome cooling objective w <psi| M^dag H M |psi> as a 4x4 Gram form."""
+    """One outcome's cooling objective Tr[C J] over Choi matrices J, for its 4x4 Gram form C."""
 
-    def __init__(self, weight: float, state: np.ndarray, site: int,
-                 hamiltonian: HermitianOperator):
-        # unit p = k*2 + l is |k><l| at the site applied to the state
-        units = np.array([apply_single_qubit(e.reshape(2, 2), state, site, hamiltonian.n_sites)
-                          for e in np.eye(4, dtype=np.complex128)])
-        h_units = np.array([hamiltonian.apply(u) for u in units])
-        # einsum, not a threaded zgemm (see qetsim.pauli on BLAS)
-        gram = np.einsum("pi,qi->pq", units.conj(), h_units)
-        self.gram = weight * 0.5 * (gram + gram.conj().T)
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
 
     def __call__(self, t: np.ndarray) -> float:
         """Dual objective 2 lambda_min(C - I_2 (x) t.sigma): a lower bound for every t."""
         slack = self.gram - np.tensordot(t, _DUAL_BASIS[1:], axes=1)
         return 2.0 * float(np.linalg.eigvalsh(slack)[0])
+
+
+def outcome_objectives(prepared: PreparedGround, spec: ChainSpec, axis_a
+                       ) -> dict[int, OutcomeObjective]:
+    """The objective of each outcome of measuring axis_a at spec.site_a, from rho on supp T_A.
+
+    With P the outcome's projector and E_p = |k><l| at A (p = k*2 + l),
+    C[p,q] = <g|P E_p^dag H E_q P|g>.  Only H_A, the terms of H at A, fails
+    to commute with E_q P, and H|g> = E_0|g> turns the rest into E_0 - H_A:
+    C[p,q] = <g|P E_p^dag [H_A, E_q P]|g> + E_0 <g|P E_p^dag E_q P|g>, wrong
+    by at most ||P E_p^dag E_q P|| ||(H - E_0) g||.  An outcome of weight
+    below 1e-14 gets no objective and no channel.
+    """
+    kraus, _, _ = prepared.measurement(spec, axis_a)
+    sites = density_support(spec, spec.site_a)
+    rho = prepared.reduced(sites)
+    h_a = prepared.hamiltonian.acting_on(spec.site_a).dense(sites)
+    shifted = h_a - sum(prepared.ground_profile) * np.eye(len(rho))       # H_A - E_0
+    position = sites.index(spec.site_a)
+    high, low = len(rho) >> (position + 1), 1 << position
+    objectives = {}
+    for outcome, op in enumerate(kraus):
+        p = op.dense(sites)
+        if _trace(rho, p).real < 1e-14:
+            continue
+        units = np.array([np.kron(np.eye(high), np.kron(e.reshape(2, 2), np.eye(low))) @ p
+                          for e in np.eye(4)])                              # E_q P
+        moved = np.array([h_a @ u @ rho - u @ shifted @ rho for u in units])
+        gram = np.einsum("pcb,qcb->pq", units.conj(), moved)     # Tr(units[p]^dag moved[q])
+        objectives[outcome] = OutcomeObjective(0.5 * (gram + gram.conj().T))
+    return objectives
 
 
 def _solve_choi_sdp(objective: OutcomeObjective, t: np.ndarray, max_evals: int
@@ -179,19 +156,17 @@ class CoolingResult:
     per_restart: tuple[float, ...]   # summed bound of each dual start
 
 
-def _min_local_channel(ensemble: MixedEnsemble, site: int, hamiltonian: HermitianOperator,
+def _min_local_channel(objectives: dict[int, OutcomeObjective],
                        starts: np.ndarray = np.zeros((1, 3)), max_evals: int = 500
                        ) -> tuple[tuple[float, ...], tuple[float, ...], float, LocalChannel]:
     """Per-outcome bounds (best over the rows t of `starts`), per-start totals, gap, channel."""
     bounds, totals, gap, kraus_sets = [], np.zeros(len(starts)), 0.0, {}
-    for b in ensemble.branches:
-        if b.weight > 0.0:
-            objective = OutcomeObjective(b.weight, b.state, site, hamiltonian)
-            runs = [_solve_choi_sdp(objective, t, max_evals) for t in starts]
-            totals += [run[0] for run in runs]
-            bound, primal, kraus_sets[b.outcome] = max(runs, key=lambda run: run[0])
-            bounds.append(bound)
-            gap += primal - bound
+    for outcome, objective in objectives.items():
+        runs = [_solve_choi_sdp(objective, t, max_evals) for t in starts]
+        totals += [run[0] for run in runs]
+        bound, primal, kraus_sets[outcome] = max(runs, key=lambda run: run[0])
+        bounds.append(bound)
+        gap += primal - bound
     return tuple(bounds), tuple(totals.tolist()), gap, LocalChannel(kraus_sets)
 
 
@@ -210,12 +185,12 @@ def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, ground, seed: in
     if restarts < 1 or max_evals < 1:
         raise ValueError("restarts and max_evals must be at least 1")
     prepared = _resolve_ground(spec, ground)
-    ensemble, e_a, _ = prepared.measurement(spec, setup.axis_a)
+    _, e_a, _ = prepared.measurement(spec, setup.axis_a)
 
     rng = np.random.default_rng(seed)
     starts = spec.coupling * np.vstack([np.zeros(3), rng.standard_normal((restarts - 1, 3))])
     per_outcome, per_restart, gap, channel = _min_local_channel(
-        ensemble, spec.site_a, prepared.hamiltonian, starts, max_evals)
+        outcome_objectives(prepared, spec, setup.axis_a), starts, max_evals)
     if gap > 1e-9 * spec.coupling:
         raise RuntimeError(f"cooling duality gap {gap:.3e} exceeds 1e-9 J")
     return CoolingResult(sum(per_outcome), channel, e_a, per_outcome, gap, per_restart)

@@ -221,13 +221,6 @@ class HermitianOperator:
         return 1 << self.n_sites
 
     @property
-    def support(self) -> tuple[int, ...]:
-        sites = set()
-        for t in self.terms:
-            sites.update(t.support)
-        return tuple(sorted(sites))
-
-    @property
     def is_real(self) -> bool:
         """True when the matrix is real (no odd-Y strings); lets solvers work in float64."""
         return all(_phase(t).imag == 0.0 for t in self.terms)
@@ -235,6 +228,11 @@ class HermitianOperator:
     @property
     def one_norm(self) -> float:
         return float(sum(abs(t.coefficient) for t in self.terms))
+
+    def acting_on(self, site: int) -> "HermitianOperator":
+        """The terms with a letter at `site`: the only part that can fail to commute there."""
+        terms = tuple(t for t in self.terms if t.letters[site] != "I")
+        return HermitianOperator(self.n_sites, terms)
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         if other.n_sites != self.n_sites:
@@ -306,13 +304,6 @@ class HermitianOperator:
             out_nd += work_nd[flip]
         return out
 
-    def expectation(self, vec: np.ndarray) -> float:
-        """Re <vec|O|vec>; complains of an imaginary part above 1e-12 ||O||_1 (non-Hermitian)."""
-        val = inner(vec, self.apply(vec))
-        if abs(val.imag) > 1e-12 * self.one_norm:
-            raise ValueError(f"expectation has imaginary part {val.imag:g}; operator is not Hermitian")
-        return float(val.real)
-
     def dense(self, sites: tuple[int, ...] | None = None) -> np.ndarray:
         """Dense matrix, optionally restricted to a sorted tuple of support sites.
 
@@ -346,23 +337,6 @@ def axis_operator(axis, site: int, n_sites: int) -> HermitianOperator:
     strings = [single_site(n_sites, site, letter, a)
                for letter, a in zip("XYZ", (ax, ay, az)) if a != 0.0]
     return HermitianOperator.from_strings(n_sites, strings, drop_tol=0.0)
-
-
-def apply_single_qubit(mat: np.ndarray, vec: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Apply an arbitrary 2x2 matrix to one site of a state vector."""
-    mat = np.asarray(mat)
-    if mat.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    dim = 1 << n_sites
-    vec = np.asarray(vec)
-    if vec.shape != (dim,):
-        raise ValueError(f"state has shape {vec.shape}, expected ({dim},)")
-    # index = hi * 2^(site+1) + b * 2^site + lo
-    v3 = vec.reshape(1 << (n_sites - 1 - site), 2, 1 << site)
-    out = np.einsum("ab,xby->xay", mat, v3)
-    return out.reshape(dim)
 
 
 def split_by_support(vec: np.ndarray, sites: tuple[int, ...], n_sites: int) -> np.ndarray:

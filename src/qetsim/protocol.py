@@ -2,9 +2,9 @@
 
 Step (i): the sender projectively measures one Pauli component sigma_A of
 its qubit, depositing energy E_A into the chain.  Step (ii): the outcome mu
-travels to the receiver classically (implicit here: the post-measurement
-state is stored as outcome-labelled branches).  Step (iii): the receiver
-applies V_B(mu) = cos(theta) I + i (-1)^mu sin(theta) sigma_B, choosing
+travels to the receiver classically (implicit here: each outcome keeps its
+own projector).  Step (iii): the receiver applies
+V_B(mu) = cos(theta) I + i (-1)^mu sin(theta) sigma_B, choosing
 
     cos(2 theta) = xi / sqrt(xi^2 + eta^2),  sin(2 theta) = -eta / sqrt(xi^2 + eta^2)
 
@@ -12,8 +12,12 @@ with xi = <g|sigma_B H sigma_B|g> and eta = i <g|sigma_A [H, sigma_B]|g>,
 which extracts E_B = (sqrt(xi^2 + eta^2) - xi) / 2 from the chain.  No time
 evolution is applied between steps (the short-time regime is hard-coded).
 
-Mixed states never appear as dense density matrices: a measurement produces
-two weighted pure branches and every later stage maps branches to branches.
+Every number is a trace Tr(rho_S O) over the ground state's reduced density
+matrix on a few sites S.  The measurement acts at A and the feedback at B,
+so a density T_m whose support misses both commutes with every projector and
+rotation and keeps its ground value exactly: the intermediate sites are not
+excited.  The others, E_A, xi and eta involve only the sites within two of A
+or B, so no state of 2^N amplitudes is formed after the ground state.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver
-from .chain import ChainSpec, build_hamiltonian, energy_densities
-from .pauli import HermitianOperator, axis_operator, inner, norm
+from .chain import (ChainSpec, build_energy_density, build_hamiltonian, density_support,
+                    energy_densities)
+from .pauli import HermitianOperator, axis_operator, split_by_support
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+MAX_REDUCED_SITES = 6
 
 @dataclass(frozen=True)
 class MeasurementSetup:
@@ -52,33 +58,6 @@ class MeasurementSetup:
 
 
 @dataclass(frozen=True)
-class Branch:
-    weight: float
-    state: np.ndarray
-    outcome: int
-
-
-@dataclass(frozen=True)
-class MixedEnsemble:
-    """Mixed state as weighted, normalized, outcome-labelled pure branches."""
-
-    branches: tuple[Branch, ...]
-
-    def __post_init__(self):
-        total = sum(b.weight for b in self.branches)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"branch weights sum to {total!r}, not 1")
-        for b in self.branches:
-            if b.weight < 0.0:
-                raise ValueError("negative branch weight")
-            if b.weight > 0.0 and abs(norm(b.state) - 1.0) > 1e-8:
-                raise ValueError("branch state is not normalized")
-
-    def energy(self, op: HermitianOperator) -> float:
-        return sum(b.weight * op.expectation(b.state) for b in self.branches if b.weight > 0.0)
-
-
-@dataclass(frozen=True)
 class ProtocolResult:
     e_a: float
     xi: float
@@ -98,31 +77,29 @@ def projectors(axis, site: int, n_sites: int) -> tuple[HermitianOperator, Hermit
     return half + 0.5 * sigma, half + (-0.5) * sigma
 
 
-def measure(ground: np.ndarray, p_0: HermitianOperator, p_1: HermitianOperator,
-            hamiltonian: HermitianOperator) -> tuple[MixedEnsemble, float]:
-    """Project the ground state, returning the outcome ensemble and E_A.
+def measure(prepared: "PreparedGround", site: int, axis
+            ) -> tuple[tuple[HermitianOperator, HermitianOperator], float, tuple[float, ...]]:
+    """Measure axis.sigma at `site`: the projectors P_mu, E_A and the post-measurement profile.
 
-    E_A = sum_mu <g|P_mu H P_mu|g> is the energy the measurement deposits;
-    it is positive whenever the measured component fails to commute with H.
-    A branch of weight below 1e-14 is kept with weight exactly zero.
+    Outcome mu leaves P_mu|g>.  A density T_m whose support misses the site
+    commutes with both projectors and keeps its ground value; the others are
+    read from rho on the sites within two of it.  E_A comes from the same
+    rho by a second route: sum_mu P_mu H P_mu = H + sigma [H, sigma] / 2, so
+    E_A = <H> + <sigma [H, sigma]> / 2, with <H> the ground profile's sum.
     """
-    branches = []
-    e_a = 0.0
-    total = 0.0
-    for outcome, proj in enumerate((p_0, p_1)):
-        vec = proj.apply(ground)
-        weight = float(inner(vec, vec).real)
-        if weight < 1e-14:
-            branches.append(Branch(0.0, np.zeros_like(vec), outcome))
-            continue
-        state = vec / math.sqrt(weight)
-        branches.append(Branch(weight, state, outcome))
-        e_a += weight * hamiltonian.expectation(state)
-        total += weight
-    # projective completeness leaves total = 1 up to roundoff; rescale exactly
-    branches = [Branch(b.weight / total if b.weight else 0.0, b.state, b.outcome)
-                for b in branches]
-    return MixedEnsemble(tuple(branches)), e_a
+    spec = prepared.spec
+    kraus = projectors(axis, site, spec.n_sites)
+    touched = density_support(spec, site)          # the T_m with a term at the site
+    sites = _sites(*(density_support(spec, m) for m in touched))
+    post = sum(_outcome_blocks(prepared, kraus, sites))
+    profile = list(prepared.ground_profile)
+    for m in touched:
+        profile[m] = float(_trace(post, build_energy_density(spec, m).dense(sites)).real)
+    sigma = axis_operator(axis, site, spec.n_sites)
+    bracket = prepared.hamiltonian.acting_on(site).commutator(sigma)     # i[H, sigma]
+    # <sigma [H, sigma]> = Im <sigma i[H, sigma]>
+    deposit = _trace(prepared.reduced(sites), sigma.dense(sites) @ bracket.dense(sites)).imag
+    return kraus, sum(prepared.ground_profile) + 0.5 * float(deposit), tuple(profile)
 
 
 def optimal_theta(xi: float, eta: float) -> float:
@@ -137,11 +114,6 @@ def optimal_theta(xi: float, eta: float) -> float:
     return 0.5 * math.atan2(-eta, xi)
 
 
-def eq9_energy(e_a: float, xi: float, eta: float, theta: float) -> float:
-    """Closed form for Tr[rho H] after feedback at angle theta."""
-    return e_a + (eta / 2.0) * math.sin(2.0 * theta) + (xi / 2.0) * (1.0 - math.cos(2.0 * theta))
-
-
 def teleported_energy(xi: float, eta: float) -> float:
     """E_B = (sqrt(xi^2 + eta^2) - xi) / 2, written to survive eta -> 0."""
     if xi < 0.0:
@@ -149,26 +121,18 @@ def teleported_energy(xi: float, eta: float) -> float:
     return 0.5 * eta * eta / (math.hypot(xi, eta) + xi) if (xi or eta) else 0.0
 
 
-def apply_feedback(ensemble: MixedEnsemble, sigma_b: HermitianOperator,
-                   theta: float) -> MixedEnsemble:
-    """Rotate each branch by its outcome-conditioned unitary V_B(mu)."""
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    branches = []
-    for b in ensemble.branches:
-        if b.weight == 0.0:
-            branches.append(b)
-            continue
-        phase = 1j * (-1.0) ** b.outcome * sin_t
-        branches.append(Branch(b.weight, cos_t * b.state + phase * sigma_b.apply(b.state),
-                               b.outcome))
-    return MixedEnsemble(tuple(branches))
+def apply_feedback(blocks, sigma_b: np.ndarray, theta: float) -> tuple[np.ndarray, ...]:
+    """Rotate outcome mu's block rho_mu to V_B(mu) rho_mu V_B(mu)^dag.
 
-
-def _density_profile(spec: ChainSpec, states) -> tuple[float, ...]:
-    """Per-site <T_n> averaged over weighted states [(weight, state), ...]."""
-    profile = sum(w * energy_densities(spec, s) for w, s in states if w > 0.0)
-    return tuple(float(t) for t in profile)
+    `blocks` holds each outcome's unnormalized state P_mu rho P_mu on a few
+    sites, and `sigma_b` is sigma_B as a dense matrix on the same sites.
+    """
+    rotated = []
+    for mu, block in enumerate(blocks):
+        v = (math.cos(theta) * np.eye(len(block))
+             + 1j * (-1.0) ** mu * math.sin(theta) * sigma_b)
+        rotated.append(v @ block @ v.conj().T)
+    return tuple(rotated)
 
 
 def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -183,15 +147,16 @@ def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) ->
 
 
 class PreparedGround:
-    """A calibrated chain's ground state with the work every receiver shares done once.
+    """A calibrated chain's ground state, read through its reduced density matrices.
 
     Construction runs `check_calibration` and keeps the ground profile it
-    returns, the calibrated H and H|g>.  The correlation tensors are memoized per
-    (site_a, site_b) and the sender's measurement (ensemble, E_A and the
-    post-measurement profile) per (site_a, axis_a), so a sweep over
-    receivers checks and measures once.  Every use names a spec, which must
-    describe the same chain (N, J, boundary and offsets); its protocol sites
-    are free.  Memoized arrays are read-only, since every caller shares them.
+    returns and the calibrated H.  `reduced` is memoized per site set, the
+    correlation tensors per (site_a, site_b) and the sender's measurement
+    (projectors, E_A and the post-measurement profile) per (site_a, axis_a),
+    so a sweep over receivers checks and measures once.  Every use names a
+    spec, which must describe the same chain (N, J, boundary and offsets);
+    its protocol sites are free.  Memoized arrays are read-only, since every
+    caller shares them.
     """
 
     def __init__(self, spec: ChainSpec, state: np.ndarray):
@@ -199,9 +164,9 @@ class PreparedGround:
         self.ground_profile = tuple(float(t) for t in check_calibration(spec, self.state))
         self.spec = spec
         self.hamiltonian = build_hamiltonian(spec)
-        self.h_ground = _read_only(self.hamiltonian.apply(self.state))
+        self._reduced: dict[tuple[int, ...], np.ndarray] = {}
         self._tensors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._measurements: dict[tuple, tuple[MixedEnsemble, float, tuple[float, ...]]] = {}
+        self._measurements: dict[tuple, tuple[tuple, float, tuple[float, ...]]] = {}
 
     def _require(self, spec: ChainSpec) -> None:
         """Raise ValueError unless `spec` differs from the prepared one only in its sites."""
@@ -209,28 +174,56 @@ class PreparedGround:
             raise ValueError("spec describes a different chain (N, J, boundary or offsets) "
                              "than the prepared ground state")
 
+    def reduced(self, sites) -> np.ndarray:
+        """rho_S = Tr_(not S) |g><g| on at most MAX_REDUCED_SITES sites.
+
+        Its basis is little-endian over the sorted sites, as in
+        `HermitianOperator.dense(sites)`.  With g split into a (2^k, 2^(N-k))
+        array by `split_by_support`, rho[a, b] = sum_e g[a, e] g[b, e]^*.
+        """
+        key = _sites(sites)
+        if len(key) > MAX_REDUCED_SITES:
+            raise ValueError(f"{len(key)} sites exceed the {MAX_REDUCED_SITES} a reduced "
+                             "density matrix may span")
+        if key not in self._reduced:
+            amps = split_by_support(self.state, key, self.spec.n_sites)
+            self._reduced[key] = _read_only(np.einsum("ae,be->ab", amps, amps.conj()))
+        return self._reduced[key]
+
     def tensors(self, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
         """`correlation_tensors` at spec's sites, computed once per (site_a, site_b)."""
         self._require(spec)
         key = (spec.site_a, spec.site_b)
         if key not in self._tensors:
-            self._tensors[key] = tuple(_read_only(m) for m in correlation_tensors(
-                spec, self.state, self.hamiltonian, h_ground=self.h_ground))
+            self._tensors[key] = tuple(_read_only(m) for m in correlation_tensors(spec, self))
         return self._tensors[key]
 
     def measurement(self, spec: ChainSpec, axis_a
-                    ) -> tuple[MixedEnsemble, float, tuple[float, ...]]:
-        """(ensemble, E_A, post-measurement profile) of measuring axis_a at spec.site_a."""
+                    ) -> tuple[tuple[HermitianOperator, HermitianOperator], float,
+                               tuple[float, ...]]:
+        """`measure` of axis_a at spec.site_a: (projectors, E_A, post-measurement profile)."""
         self._require(spec)
         key = (spec.site_a, tuple(float(c) for c in axis_a))
         if key not in self._measurements:
-            ensemble, e_a = measure(self.state, *projectors(axis_a, spec.site_a, spec.n_sites),
-                                    self.hamiltonian)
-            for b in ensemble.branches:
-                _read_only(b.state)
-            profile = _density_profile(spec, [(b.weight, b.state) for b in ensemble.branches])
-            self._measurements[key] = (ensemble, e_a, profile)
+            self._measurements[key] = measure(self, spec.site_a, axis_a)
         return self._measurements[key]
+
+
+def _sites(*groups) -> tuple[int, ...]:
+    """The sorted union of site groups: the key and basis order of a reduced density matrix."""
+    return tuple(sorted(set().union(*groups)))
+
+
+def _trace(a: np.ndarray, b: np.ndarray):
+    """Tr(a b) of two small square matrices."""
+    return np.einsum("ab,ba->", a, b)
+
+
+def _outcome_blocks(prepared: PreparedGround, kraus, sites: tuple[int, ...]
+                    ) -> tuple[np.ndarray, ...]:
+    """Each outcome's unnormalized state P_mu rho P_mu on `sites`, which hold the measured site."""
+    rho = prepared.reduced(sites)
+    return tuple(p @ rho @ p for p in (op.dense(sites) for op in kraus))
 
 
 def _chain_of(spec: ChainSpec) -> tuple:
@@ -245,6 +238,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _resolve_ground(spec: ChainSpec, ground) -> PreparedGround:
     """`ground` as a PreparedGround: a state, an EigenResult, or one already prepared."""
     if isinstance(ground, PreparedGround):
+        ground._require(spec)
         return ground
     if isinstance(ground, eigensolver.EigenResult):
         ground = ground.state
@@ -274,13 +268,16 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     EigenResult, or a PreparedGround shared across calls.  `theta` overrides
     the optimal feedback angle (the reported theta_star is always the
     optimum).  Per-site <T_n> profiles are recorded for the ground state,
-    after the measurement, and after the feedback.
+    after the measurement, and after the feedback.  The feedback moves only
+    the densities with a term at B; each is read from rho on its support and
+    A.  The trace energy takes a second route, E_A plus the change of the
+    terms of H at B, and the bookkeeping check compares the E_B it gives
+    with the closed form.
     """
     prepared = _resolve_ground(spec, ground)
-    hamiltonian = prepared.hamiltonian
     sigma_b = axis_operator(setup.axis_b, spec.site_b, spec.n_sites)
 
-    ensemble, e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
+    kraus, e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
     profiles = {"ground": prepared.ground_profile, "post_measurement": post_measurement}
 
     xi_mat, eta_mat = prepared.tensors(spec)
@@ -293,17 +290,26 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
         theta_star = optimal_theta(xi, eta)
     theta_used = theta_star if theta is None else float(theta)
 
-    ensemble = apply_feedback(ensemble, sigma_b, theta_used)
-    profiles["post_feedback"] = _density_profile(
-        spec, [(b.weight, b.state) for b in ensemble.branches])
-    trace_energy = ensemble.energy(hamiltonian)
+    post_feedback = list(post_measurement)
+    shift = 0.0
+    for m in density_support(spec, spec.site_b):
+        sites = _sites({spec.site_a}, density_support(spec, m))
+        before = _outcome_blocks(prepared, kraus, sites)
+        after = apply_feedback(before, sigma_b.dense(sites), theta_used)
+        density = build_energy_density(spec, m).dense(sites)
+        post_feedback[m] = float(sum(_trace(block, density) for block in after).real)
+        if m == spec.site_b:            # supp T_B holds every term of H at B
+            h_b = prepared.hamiltonian.acting_on(spec.site_b).dense(sites)
+            shift = float(sum(_trace(new - old, h_b) for old, new in zip(before, after)).real)
+    profiles["post_feedback"] = tuple(post_feedback)
+    trace_energy = e_a + shift
     e_b = e_a - trace_energy
 
     if theta is None and teleportable:
         closed = teleported_energy(xi, eta)
         if abs(e_b - closed) > 1e-8 * spec.coupling:
             sigma_a = axis_operator(setup.axis_a, spec.site_a, spec.n_sites)
-            if closed_form_applies(sigma_a, sigma_b, hamiltonian):
+            if closed_form_applies(sigma_a, sigma_b, prepared.hamiltonian):
                 raise RuntimeError(
                     f"energy bookkeeping violated: simulated E_B {e_b:.12g} vs "
                     f"closed form {closed:.12g}")
@@ -332,49 +338,32 @@ class AxisSweepResult:
     best_e_b: float
 
 
-def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
-                        hamiltonian: HermitianOperator | None = None,
-                        h_ground: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray]:
     """3x3 tensors reducing (xi, eta) at any axes to bilinear forms.
 
-    xi(b) = b . Xi b with Xi[q,q'] = Re <g|sigma^q_B H sigma^q'_B|g>, and
-    eta(a, b) = a . N b with N[p,q] = Re i <g|sigma^p_A [H, sigma^q_B]|g>.
+    xi(b) = b . Xi b and eta(a, b) = a . N b, where Xi is the symmetric part
+    of <g|sigma^q_B H sigma^q'_B|g> and N[p,q] = Re i <g|sigma^p_A [H, sigma^q_B]|g>.
+    Since sigma^q sigma^q' + sigma^q' sigma^q = 2 delta_qq',
 
-    An imaginary residue above 1e-10 ||H||_1 (the sum of |coefficients|)
-    raises ValueError when it signals an operator bug: on a diagonal entry of
-    Xi, which is an expectation of a Hermitian operator, and on an entry of N
-    whose axes pass `closed_form_applies`, which makes i sigma^p_A
-    [H, sigma^q_B] Hermitian.  Otherwise the residue is a contact term of
-    adjacent parties and only the real part is kept.  `h_ground` may carry
-    H|g> when the caller already holds it.
+        Xi[q,q'] = (<sigma^q_B [H, sigma^q'_B]> + <sigma^q'_B [H, sigma^q_B]>) / 2 + <H> delta_qq'
+
+    for any state.  [H, sigma_B] holds only the terms of H at B, so both
+    tensors are traces over rho on A and supp T_B, with <H> the ground
+    profile's sum.  `ground` takes the same forms as in `run_protocol`.
     """
-    h = build_hamiltonian(spec) if hamiltonian is None else hamiltonian
+    prepared = _resolve_ground(spec, ground)
+    sites = _sites({spec.site_a}, density_support(spec, spec.site_b))
+    rho = prepared.reduced(sites)
+    h_b = prepared.hamiltonian.acting_on(spec.site_b)
     sigma_a = [axis_operator(AXES[p], spec.site_a, spec.n_sites) for p in "xyz"]
     sigma_b = [axis_operator(AXES[q], spec.site_b, spec.n_sites) for q in "xyz"]
-    a_vecs = [s.apply(ground) for s in sigma_a]
-    b_vecs = [s.apply(ground) for s in sigma_b]
-    h_b_vecs = [h.apply(v) for v in b_vecs]
-    hg = h.apply(ground) if h_ground is None else h_ground
-    b_hg = [s.apply(hg) for s in sigma_b]
-
-    limit = 1e-10 * h.one_norm
-    xi_mat = np.empty((3, 3))
-    eta_mat = np.empty((3, 3))
-    for q in range(3):
-        for qp in range(3):
-            val = inner(b_vecs[q], h_b_vecs[qp])
-            if q == qp and abs(val.imag) > limit:
-                raise ValueError(f"imaginary residue {val.imag:g} in xi tensor")
-            xi_mat[q, qp] = val.real
-    for p in range(3):
-        for q in range(3):
-            val = 1j * (inner(a_vecs[p], h_b_vecs[q]) - inner(a_vecs[p], b_hg[q]))
-            if abs(val.imag) > limit and closed_form_applies(sigma_a[p], sigma_b[q], h):
-                raise ValueError(f"imaginary residue {val.imag:g} in eta tensor")
-            eta_mat[p, q] = val.real
-    # symmetrize: only the symmetric part of Xi enters xi(b)
-    xi_mat = 0.5 * (xi_mat + xi_mat.T)
-    return xi_mat, eta_mat
+    brackets = [h_b.commutator(s).dense(sites) for s in sigma_b]         # i[H, sigma^q_B]
+    # with C = i[H, sigma^q_B]: <sigma [H, sigma^q_B]> = Im <sigma C> and
+    # i <sigma [H, sigma^q_B]> = Re <sigma C>
+    at_b, at_a = (np.array([[_trace(rho, s.dense(sites) @ c) for c in brackets] for s in group])
+                  for group in (sigma_b, sigma_a))
+    xi_mat = 0.5 * (at_b.imag + at_b.imag.T) + sum(prepared.ground_profile) * np.eye(3)
+    return xi_mat, at_a.real
 
 
 def axis_sweep(spec: ChainSpec, ground) -> AxisSweepResult:

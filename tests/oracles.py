@@ -1,0 +1,351 @@
+"""Branch-state oracles: the full 2^N route that the package's reduced-density reads replace.
+
+A mixed state here is a weighted list of outcome-labelled pure branches,
+each a state of 2^N amplitudes pushed through every stage with
+`HermitianOperator.apply`.  Nothing in `qetsim` calls this module; the tests
+compare the package against it.  `branch_protocol` (on a memoizing
+`BranchGround`) and `branch_gram` are the whole protocol and the cooling Gram
+form on that route, and `correlation_check` and `density_eigenbasis_weights`
+are the entanglement witnesses of the chain's ground state.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from qetsim.chain import (
+    ChainSpec,
+    build_energy_density,
+    build_hamiltonian,
+    density_support,
+    energy_densities,
+)
+from qetsim.cooling import LocalChannel
+from qetsim.pauli import HermitianOperator, axis_operator, inner, norm, split_by_support
+from qetsim.protocol import (
+    AXES,
+    MeasurementSetup,
+    ProtocolResult,
+    closed_form_applies,
+    optimal_theta,
+    projectors,
+)
+
+ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
+
+
+def expectation(op: HermitianOperator, vec: np.ndarray) -> float:
+    """Re <vec|O|vec>; complains of an imaginary part above 1e-12 ||O||_1 (non-Hermitian)."""
+    val = inner(vec, op.apply(vec))
+    if abs(val.imag) > 1e-12 * op.one_norm:
+        raise ValueError(f"expectation has imaginary part {val.imag:g}; operator is not Hermitian")
+    return float(val.real)
+
+
+def apply_single_qubit(mat: np.ndarray, vec: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """Apply an arbitrary 2x2 matrix to one site of a state vector."""
+    mat = np.asarray(mat)
+    if mat.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    if not 0 <= site < n_sites:
+        raise ValueError(f"site {site} out of range for {n_sites} sites")
+    dim = 1 << n_sites
+    vec = np.asarray(vec)
+    if vec.shape != (dim,):
+        raise ValueError(f"state has shape {vec.shape}, expected ({dim},)")
+    # index = hi * 2^(site+1) + b * 2^site + lo
+    v3 = vec.reshape(1 << (n_sites - 1 - site), 2, 1 << site)
+    out = np.einsum("ab,xby->xay", mat, v3)
+    return out.reshape(dim)
+
+
+@dataclass(frozen=True)
+class Branch:
+    weight: float
+    state: np.ndarray
+    outcome: int
+
+
+@dataclass(frozen=True)
+class MixedEnsemble:
+    """Mixed state as weighted, normalized, outcome-labelled pure branches."""
+
+    branches: tuple[Branch, ...]
+
+    def __post_init__(self):
+        total = sum(b.weight for b in self.branches)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"branch weights sum to {total!r}, not 1")
+        for b in self.branches:
+            if b.weight < 0.0:
+                raise ValueError("negative branch weight")
+            if b.weight > 0.0 and abs(norm(b.state) - 1.0) > 1e-8:
+                raise ValueError("branch state is not normalized")
+
+    def energy(self, op: HermitianOperator) -> float:
+        return sum(b.weight * expectation(op, b.state) for b in self.branches if b.weight > 0.0)
+
+
+def measure(ground: np.ndarray, p_0: HermitianOperator, p_1: HermitianOperator,
+            hamiltonian: HermitianOperator) -> tuple[MixedEnsemble, float]:
+    """Project the ground state, returning the outcome ensemble and E_A.
+
+    E_A = sum_mu <g|P_mu H P_mu|g> is the energy the measurement deposits;
+    it is positive whenever the measured component fails to commute with H.
+    A branch of weight below 1e-14 is kept with weight exactly zero.
+    """
+    branches = []
+    e_a = 0.0
+    total = 0.0
+    for outcome, proj in enumerate((p_0, p_1)):
+        vec = proj.apply(ground)
+        weight = float(inner(vec, vec).real)
+        if weight < 1e-14:
+            branches.append(Branch(0.0, np.zeros_like(vec), outcome))
+            continue
+        state = vec / math.sqrt(weight)
+        branches.append(Branch(weight, state, outcome))
+        e_a += weight * expectation(hamiltonian, state)
+        total += weight
+    # projective completeness leaves total = 1 up to roundoff; rescale exactly
+    branches = [Branch(b.weight / total if b.weight else 0.0, b.state, b.outcome)
+                for b in branches]
+    return MixedEnsemble(tuple(branches)), e_a
+
+
+def eq9_energy(e_a: float, xi: float, eta: float, theta: float) -> float:
+    """Closed form for Tr[rho H] after feedback at angle theta."""
+    return e_a + (eta / 2.0) * math.sin(2.0 * theta) + (xi / 2.0) * (1.0 - math.cos(2.0 * theta))
+
+
+def apply_feedback(ensemble: MixedEnsemble, sigma_b: HermitianOperator,
+                   theta: float) -> MixedEnsemble:
+    """Rotate each branch by its outcome-conditioned unitary V_B(mu)."""
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    branches = []
+    for b in ensemble.branches:
+        if b.weight == 0.0:
+            branches.append(b)
+            continue
+        phase = 1j * (-1.0) ** b.outcome * sin_t
+        branches.append(Branch(b.weight, cos_t * b.state + phase * sigma_b.apply(b.state),
+                               b.outcome))
+    return MixedEnsemble(tuple(branches))
+
+
+def density_profile(spec: ChainSpec, states) -> tuple[float, ...]:
+    """Per-site <T_n> averaged over weighted states [(weight, state), ...]."""
+    profile = sum(w * energy_densities(spec, s) for w, s in states if w > 0.0)
+    return tuple(float(t) for t in profile)
+
+
+def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
+                        hamiltonian: HermitianOperator | None = None,
+                        h_ground: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 tensors reducing (xi, eta) at any axes to bilinear forms.
+
+    xi(b) = b . Xi b with Xi[q,q'] = Re <g|sigma^q_B H sigma^q'_B|g>, and
+    eta(a, b) = a . N b with N[p,q] = Re i <g|sigma^p_A [H, sigma^q_B]|g>.
+
+    An imaginary residue above 1e-10 ||H||_1 (the sum of |coefficients|)
+    raises ValueError when it signals an operator bug: on a diagonal entry of
+    Xi, which is an expectation of a Hermitian operator, and on an entry of N
+    whose axes pass `closed_form_applies`, which makes i sigma^p_A
+    [H, sigma^q_B] Hermitian.  Otherwise the residue is a contact term of
+    adjacent parties and only the real part is kept.  `h_ground` may carry
+    H|g> when the caller already holds it.
+    """
+    h = build_hamiltonian(spec) if hamiltonian is None else hamiltonian
+    sigma_a = [axis_operator(AXES[p], spec.site_a, spec.n_sites) for p in "xyz"]
+    sigma_b = [axis_operator(AXES[q], spec.site_b, spec.n_sites) for q in "xyz"]
+    a_vecs = [s.apply(ground) for s in sigma_a]
+    b_vecs = [s.apply(ground) for s in sigma_b]
+    h_b_vecs = [h.apply(v) for v in b_vecs]
+    hg = h.apply(ground) if h_ground is None else h_ground
+    b_hg = [s.apply(hg) for s in sigma_b]
+
+    limit = 1e-10 * h.one_norm
+    xi_mat = np.empty((3, 3))
+    eta_mat = np.empty((3, 3))
+    for q in range(3):
+        for qp in range(3):
+            val = inner(b_vecs[q], h_b_vecs[qp])
+            if q == qp and abs(val.imag) > limit:
+                raise ValueError(f"imaginary residue {val.imag:g} in xi tensor")
+            xi_mat[q, qp] = val.real
+    for p in range(3):
+        for q in range(3):
+            val = 1j * (inner(a_vecs[p], h_b_vecs[q]) - inner(a_vecs[p], b_hg[q]))
+            if abs(val.imag) > limit and closed_form_applies(sigma_a[p], sigma_b[q], h):
+                raise ValueError(f"imaginary residue {val.imag:g} in eta tensor")
+            eta_mat[p, q] = val.real
+    # symmetrize: only the symmetric part of Xi enters xi(b)
+    xi_mat = 0.5 * (xi_mat + xi_mat.T)
+    return xi_mat, eta_mat
+
+
+class BranchGround:
+    """A ground state with H, H|g>, and the branch route's tensors and measurements memoized.
+
+    The tensors are memoized per (site_a, site_b) and the measurement
+    (ensemble, E_A and post-measurement profile) per (site_a, axis_a), so a
+    sweep over receivers and axis pairs measures each sender axis once.
+    """
+
+    def __init__(self, spec: ChainSpec, state: np.ndarray):
+        self.spec = spec
+        self.state = np.asarray(state)
+        self.ground_profile = density_profile(spec, [(1.0, self.state)])
+        self.hamiltonian = build_hamiltonian(spec)
+        self.h_ground = self.hamiltonian.apply(self.state)
+        self._tensors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._measurements: dict[tuple, tuple[MixedEnsemble, float, tuple[float, ...]]] = {}
+
+    def tensors(self, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+        key = (spec.site_a, spec.site_b)
+        if key not in self._tensors:
+            self._tensors[key] = correlation_tensors(spec, self.state, self.hamiltonian,
+                                                     h_ground=self.h_ground)
+        return self._tensors[key]
+
+    def measurement(self, spec: ChainSpec, axis_a
+                    ) -> tuple[MixedEnsemble, float, tuple[float, ...]]:
+        key = (spec.site_a, tuple(float(c) for c in axis_a))
+        if key not in self._measurements:
+            ensemble, e_a = measure(self.state, *projectors(axis_a, spec.site_a, spec.n_sites),
+                                    self.hamiltonian)
+            profile = density_profile(spec, [(b.weight, b.state) for b in ensemble.branches])
+            self._measurements[key] = (ensemble, e_a, profile)
+        return self._measurements[key]
+
+
+def branch_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
+                    theta: float | None = None) -> ProtocolResult:
+    """`protocol.run_protocol` on branch states, without its checks and warnings.
+
+    `ground` is a state or a BranchGround of `spec`'s chain.
+    """
+    if not isinstance(ground, BranchGround):
+        ground = BranchGround(spec, ground)
+    ensemble, e_a, post_measurement = ground.measurement(spec, setup.axis_a)
+    profiles = {"ground": ground.ground_profile, "post_measurement": post_measurement}
+    xi_mat, eta_mat = ground.tensors(spec)
+    a_vec, b_vec = np.asarray(setup.axis_a), np.asarray(setup.axis_b)
+    xi = float(b_vec @ xi_mat @ b_vec)
+    eta = float(a_vec @ eta_mat @ b_vec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        theta_star = optimal_theta(xi, eta)
+    theta_used = theta_star if theta is None else float(theta)
+    sigma_b = axis_operator(setup.axis_b, spec.site_b, spec.n_sites)
+    ensemble = apply_feedback(ensemble, sigma_b, theta_used)
+    profiles["post_feedback"] = density_profile(
+        spec, [(b.weight, b.state) for b in ensemble.branches])
+    trace_energy = ensemble.energy(ground.hamiltonian)
+    return ProtocolResult(e_a, xi, eta, theta_star, e_a - trace_energy, trace_energy,
+                          theta_used, math.hypot(xi, eta) > 1e-14 * spec.coupling, profiles)
+
+
+def branch_gram(weight: float, state: np.ndarray, site: int,
+                hamiltonian: HermitianOperator) -> np.ndarray:
+    """Per-outcome cooling Gram form w <psi| E_p^dag H E_q |psi>, hermitized, from 2^N units."""
+    # unit p = k*2 + l is |k><l| at the site applied to the state
+    units = np.array([apply_single_qubit(e.reshape(2, 2), state, site, hamiltonian.n_sites)
+                      for e in np.eye(4, dtype=np.complex128)])
+    h_units = np.array([hamiltonian.apply(u) for u in units])
+    gram = np.einsum("pi,qi->pq", units.conj(), h_units)
+    return weight * 0.5 * (gram + gram.conj().T)
+
+
+def identity_channel(outcomes=(0, 1)) -> LocalChannel:
+    return LocalChannel({mu: (np.eye(2, dtype=np.complex128),) for mu in outcomes})
+
+
+def random_channel(seed: int, outcomes=(0, 1)) -> LocalChannel:
+    """Haar-style random channel: an independent Ginibre-QR isometry per outcome."""
+    rng = np.random.default_rng(seed)
+    kraus_sets = {}
+    for mu in outcomes:
+        g = rng.standard_normal((2 * ENV_DIM, 2)) + 1j * rng.standard_normal((2 * ENV_DIM, 2))
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        kraus_sets[mu] = tuple((q * (np.abs(diag) / diag)).reshape(ENV_DIM, 2, 2))
+    return LocalChannel(kraus_sets)
+
+
+def apply_channel(ensemble: MixedEnsemble, channel: LocalChannel, site: int) -> MixedEnsemble:
+    """Expand each branch through its outcome's Kraus set.
+
+    A branch (w, psi, mu) becomes one branch per Kraus operator, weighted by
+    w ||M psi||^2; completeness keeps the total weight at 1.  Branches below
+    1e-14 are pruned.
+    """
+    n_sites = int(math.log2(len(ensemble.branches[0].state)))
+    branches = []
+    for b in ensemble.branches:
+        if b.weight == 0.0:
+            continue
+        if b.outcome not in channel.kraus_sets:
+            raise ValueError(f"channel has no Kraus set for outcome {b.outcome}")
+        for m in channel.kraus_sets[b.outcome]:
+            vec = apply_single_qubit(m, b.state, site, n_sites)
+            nrm2 = float(inner(vec, vec).real)
+            w = b.weight * nrm2
+            if w < 1e-14:
+                continue
+            branches.append(Branch(w, vec / math.sqrt(nrm2), b.outcome))
+    return MixedEnsemble(tuple(branches))
+
+
+def channel_energy(ensemble: MixedEnsemble, channel: LocalChannel, site: int,
+                   hamiltonian: HermitianOperator) -> float:
+    """Tr[rho_c H] by direct branch expansion (the slow, independent route)."""
+    return apply_channel(ensemble, channel, site).energy(hamiltonian)
+
+
+@dataclass(frozen=True)
+class CorrelationCheck:
+    """Two-point function versus its factorized form, Eq.-style entanglement witness."""
+
+    lhs: float          # <g| T_n O_m |g>
+    rhs: float          # <g| T_n |g> <g| O_m |g>
+    gap: float          # |lhs - rhs|
+
+
+def density_eigenbasis_weights(spec: ChainSpec, n: int, state: np.ndarray):
+    """Expand a state in the eigenbasis of T_n: (eigenvalues, weights).
+
+    The weights are the total probability carried by each local eigenvector
+    (summed over the environment), so sum(w) = 1 and sum(e * w) = <T_n>.
+    """
+    support = density_support(spec, n)
+    mat = build_energy_density(spec, n).dense(sites=support)
+    vals, vecs = np.linalg.eigh(mat)
+    blocks = split_by_support(state, support, spec.n_sites)
+    coeffs = np.einsum("ka,ke->ae", vecs.conj(), blocks)
+    weights = np.sum(np.abs(coeffs) ** 2, axis=1)
+    return vals, weights
+
+
+def correlation_check(ground: np.ndarray, t_n: HermitianOperator,
+                      o_m: HermitianOperator) -> CorrelationCheck:
+    """Test the factorization <T_n O_m> = <T_n><O_m> (fails iff entangled).
+
+    Only meaningful for disjoint supports, where T_n O_m is Hermitian and
+    the two-point function is real.
+    """
+    supports = [sorted({s for t in op.terms for s in t.support}) for op in (t_n, o_m)]
+    if set(supports[0]) & set(supports[1]):
+        raise ValueError(f"supports overlap: {supports[0]} and {supports[1]}")
+    tv = t_n.apply(ground)
+    ov = o_m.apply(ground)
+    lhs = inner(tv, ov)
+    if abs(lhs.imag) > 1e-10 * t_n.one_norm * o_m.one_norm:
+        raise ValueError(f"two-point function has imaginary part {lhs.imag:g}")
+    rhs = float(inner(ground, tv).real * inner(ground, ov).real)
+    return CorrelationCheck(float(lhs.real), rhs, abs(float(lhs.real) - rhs))

@@ -4,10 +4,12 @@ import math
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from conftest import basis_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import correlation_check, density_eigenbasis_weights, density_profile, expectation
 
 from qetsim import chain, eigensolver
 from qetsim.chain import (
@@ -16,8 +18,6 @@ from qetsim.chain import (
     build_hamiltonian,
     calibrate_epsilon,
     calibrated_chain,
-    correlation_check,
-    density_eigenbasis_weights,
     energy_densities,
     even_parity_sector,
     local_density_spectrum,
@@ -25,7 +25,6 @@ from qetsim.chain import (
     solve_ground,
 )
 from qetsim.pauli import HermitianOperator, PauliString, from_sites, single_site
-from qetsim.protocol import _density_profile
 
 
 def term_map(op):
@@ -91,7 +90,7 @@ def test_hamiltonian_n3_hand_expansion():
 def test_calibration_zeroes_every_density(chains):
     spec, res = chains(10)
     for n in range(spec.n_sites):
-        assert abs(build_energy_density(spec, n).expectation(res.state)) < 1e-10
+        assert abs(expectation(build_energy_density(spec, n), res.state)) < 1e-10
 
 
 def test_calibration_uniform_on_periodic_chain(chains):
@@ -104,7 +103,7 @@ def test_calibrated_ground_energy_vanishes(chains):
     for n_sites in (8, 10):
         spec, res = chains(n_sites)
         assert abs(res.energy) < 1e-9
-        assert abs(build_hamiltonian(spec).expectation(res.state)) < 1e-12
+        assert abs(expectation(build_hamiltonian(spec), res.state)) < 1e-12
 
 
 def test_degeneracy_flag_is_relative_to_the_coupling():
@@ -131,7 +130,7 @@ def test_open_chain_offsets_vary_near_edges():
     eps = np.array(spec.epsilon)
     assert abs(eps[0] - eps[4]) > 1e-3
     for n in range(8):
-        assert abs(build_energy_density(spec, n).expectation(res.state)) < 1e-10
+        assert abs(expectation(build_energy_density(spec, n), res.state)) < 1e-10
 
 
 def even_parity_indices(n_sites):
@@ -205,7 +204,7 @@ def test_solve_ground_energy_includes_the_offsets():
     # H carries -eps_n per site, and the solve drops the offsets and adds them back
     spec = ChainSpec(8, 2.5, "open", epsilon=tuple(0.25 * n for n in range(8)))
     res = solve_ground(spec)
-    assert res.energy == pytest.approx(build_hamiltonian(spec).expectation(res.state), rel=1e-12)
+    assert res.energy == pytest.approx(expectation(build_hamiltonian(spec), res.state), rel=1e-12)
 
 
 def test_failed_solve_reports_its_best_pair_in_units_of_the_coupling(monkeypatch):
@@ -224,12 +223,12 @@ def test_failed_solve_reports_its_best_pair_in_units_of_the_coupling(monkeypatch
     assert np.array_equal(best.state, unit.state)
     assert best.residual == pytest.approx(1e6 * unit.residual, rel=1e-12)
     spec = ChainSpec(10, 1e6, epsilon=eps)
-    assert best.energy == pytest.approx(build_hamiltonian(spec).expectation(best.state), rel=1e-10)
+    assert best.energy == pytest.approx(expectation(build_hamiltonian(spec), best.state), rel=1e-10)
     assert f"best residual {best.residual:.3e}" in str(failures[1e6])
 
 
 def operator_densities(spec, state):
-    return np.array([build_energy_density(spec, n).expectation(state)
+    return np.array([expectation(build_energy_density(spec, n), state)
                      for n in range(spec.n_sites)])
 
 
@@ -256,7 +255,7 @@ def test_local_observables_match_operator_densities(n_sites, boundary, coupling,
                          - operator_densities(spec, first))) <= tol
     ensemble = [(weight, first), (1.0 - weight, second)]
     expected = sum(w * operator_densities(spec, s) for w, s in ensemble if w > 0.0)
-    assert np.max(np.abs(np.array(_density_profile(spec, ensemble)) - expected)) <= tol
+    assert np.max(np.abs(np.array(density_profile(spec, ensemble)) - expected)) <= tol
 
 
 def test_local_observables_of_a_product_state():
@@ -349,9 +348,9 @@ def test_correlation_check_rejects_an_imaginary_part_at_any_coupling(coupling, m
     spec, res = calibrated_chain(10, coupling=coupling)
     t3 = build_energy_density(spec, 3)
     o_z = HermitianOperator.from_strings(10, [single_site(10, 7, "Z")])
-    exact = chain.inner
+    exact = oracles.inner
     # an imaginary part of 1e-3 of the two-point function, as a non-Hermitian product would give
-    monkeypatch.setattr(chain, "inner", lambda a, b: exact(a, b) * (1.0 + 1e-3j))
+    monkeypatch.setattr(oracles, "inner", lambda a, b: exact(a, b) * (1.0 + 1e-3j))
     with pytest.raises(ValueError, match="imaginary part"):
         correlation_check(res.state, t3, o_z)
 

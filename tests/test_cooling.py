@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import apply_channel, channel_energy, identity_channel, measure, random_channel
+
 from qetsim import chain, cooling, protocol
 from qetsim.chain import build_hamiltonian
-from qetsim.cooling import (
-    LocalChannel,
-    apply_channel,
-    channel_energy,
-    minimize_residual,
-    random_channel,
-)
-from qetsim.protocol import MeasurementSetup, measure, projectors
+from qetsim.cooling import LocalChannel, minimize_residual
+from qetsim.protocol import MeasurementSetup, projectors
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +33,9 @@ def test_incomplete_kraus_set_rejected():
 
 def test_identity_channel_leaves_ensemble_alone(measured_chain):
     spec, _, h, ensemble, e_a = measured_chain
-    out = apply_channel(ensemble, LocalChannel.identity(), spec.site_a)
+    out = apply_channel(ensemble, identity_channel(), spec.site_a)
     assert len(out.branches) == len([b for b in ensemble.branches if b.weight > 0.0])
-    assert channel_energy(ensemble, LocalChannel.identity(), spec.site_a, h) == pytest.approx(
+    assert channel_energy(ensemble, identity_channel(), spec.site_a, h) == pytest.approx(
         e_a, abs=1e-10)
 
 
@@ -78,28 +74,30 @@ def gram_energy(objective, kraus) -> float:
     return float(np.real(np.einsum("ap,pq,aq->", vecs.conj(), objective.gram, vecs)))
 
 
+def y_objectives(spec, res):
+    """The package's objectives for the y measurement, read from rho on supp T_A."""
+    return cooling.outcome_objectives(protocol.PreparedGround(spec, res.state), spec,
+                                      protocol.AXES["y"])
+
+
 def test_gram_objective_matches_direct_route(measured_chain):
-    spec, _, h, ensemble, _ = measured_chain
-    branches = [b for b in ensemble.branches if b.weight > 0.0]
-    objectives = [cooling.OutcomeObjective(b.weight, b.state, spec.site_a, h)
-                  for b in branches]
+    spec, res, h, ensemble, _ = measured_chain
+    objectives = y_objectives(spec, res)
+    assert sorted(objectives) == [b.outcome for b in ensemble.branches if b.weight > 0.0]
     for seed in range(5):
         channel = random_channel(seed)
-        fast = sum(gram_energy(obj, channel.kraus_sets[b.outcome])
-                   for obj, b in zip(objectives, branches))
+        fast = sum(gram_energy(obj, channel.kraus_sets[mu]) for mu, obj in objectives.items())
         slow = channel_energy(ensemble, channel, spec.site_a, h)
         assert fast == pytest.approx(slow, abs=1e-10)
 
 
 def test_gram_objective_nonnegative(measured_chain):
-    spec, _, h, ensemble, _ = measured_chain
-    branches = [b for b in ensemble.branches if b.weight > 0.0]
-    objectives = [cooling.OutcomeObjective(b.weight, b.state, spec.site_a, h)
-                  for b in branches]
+    spec, res, _, _, _ = measured_chain
+    objectives = y_objectives(spec, res)
     for seed in range(100):
         channel = random_channel(seed)
-        assert all(gram_energy(obj, channel.kraus_sets[b.outcome]) > -1e-12
-                   for obj, b in zip(objectives, branches))
+        assert all(gram_energy(obj, channel.kraus_sets[mu]) > -1e-12
+                   for mu, obj in objectives.items())
 
 
 def test_minimize_residual_bounds_and_consistency(measured_chain):

@@ -1,0 +1,35 @@
+"""The package's own surface: no public name without a caller."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import qetsim
+
+SRC = Path(qetsim.__file__).resolve().parent
+
+
+def test_every_public_name_has_a_caller_or_is_exported():
+    # a name defined at the top of a module counts as used when some code in
+    # the package loads it (an import alone does not), or when __all__ exports
+    # it; anything else is dead code, and test-only code belongs under tests/
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend((module, t.id) for t in targets if isinstance(t, ast.Name))
+    loaded = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                loaded[node.attr] += 1
+    dead = [f"{module}.{name}" for module, name in defined
+            if not name.startswith("_") and not loaded[name] and name not in qetsim.__all__]
+    assert dead == []

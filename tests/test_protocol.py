@@ -7,19 +7,16 @@ import warnings
 import numpy as np
 import pytest
 from conftest import basis_state
+from oracles import Branch, MixedEnsemble, apply_feedback, eq9_energy, expectation, measure
 
 from qetsim import chain, eigensolver, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian
 from qetsim.pauli import HermitianOperator, axis_operator, single_site
 from qetsim.protocol import (
     MeasurementSetup,
-    MixedEnsemble,
-    apply_feedback,
     axis_sweep,
     closed_form_applies,
     correlation_tensors,
-    eq9_energy,
-    measure,
     optimal_theta,
     projectors,
     run_protocol,
@@ -84,7 +81,7 @@ def test_measure_commuting_axis_costs_nothing():
     p0, p1 = projectors((0, 0, 1), 2, n)
     ensemble, e_a = measure(ground, p0, p1, h)
     # the deposited energy is e_a relative to the pre-measurement energy <H> = -n
-    assert e_a - h.expectation(ground) == pytest.approx(0.0, abs=1e-12)
+    assert e_a - expectation(h, ground) == pytest.approx(0.0, abs=1e-12)
     weights = sorted(b.weight for b in ensemble.branches)
     assert weights == pytest.approx([0.0, 1.0], abs=1e-14)
 
@@ -97,7 +94,7 @@ def test_measured_energy_equals_density_profile_sum(chains):
     profile = 0.0
     for n in range(8):
         t_n = build_energy_density(spec, n)
-        profile += sum(b.weight * t_n.expectation(b.state)
+        profile += sum(b.weight * expectation(t_n, b.state)
                        for b in ensemble.branches if b.weight > 0.0)
     assert profile == pytest.approx(e_a, abs=1e-10)
 
@@ -105,17 +102,20 @@ def test_measured_energy_equals_density_profile_sum(chains):
 def test_xi_nonnegative_everywhere(chains):
     # xi(b) = b . Xi b >= 0 on every axis b, so Xi is positive semidefinite
     spec, res = chains(8)
-    xi_mat, _ = correlation_tensors(spec, res.state, build_hamiltonian(spec))
+    xi_mat, _ = correlation_tensors(spec, res.state)
     for q in range(3):
         assert xi_mat[q, q] >= -1e-12
     assert np.linalg.eigvalsh(xi_mat).min() >= -1e-12
 
 
 def test_eta_vanishes_for_product_ground_state():
+    # the chain's own H with its offsets calibrated on the all-up product state:
+    # N[p,q] factorizes into <sigma^p_A> <[H, sigma^q_B]>, and one factor vanishes
     n = 6
-    h = HermitianOperator.from_strings(n, [single_site(n, k, "Z", -1.0) for k in range(n)])
     ground = basis_state(n, 0)
-    _, eta_mat = correlation_tensors(chain.ChainSpec(n, site_b=3), ground, hamiltonian=h)
+    spec = chain.ChainSpec(n, site_b=3)
+    spec = spec.with_epsilon(chain.calibrate_epsilon(spec, ground))
+    _, eta_mat = correlation_tensors(spec, ground)
     assert np.max(np.abs(eta_mat)) < 1e-12
 
 
@@ -199,7 +199,7 @@ def test_simulation_matches_closed_form_over_theta_grid(chains):
     spec, res = chains(8)
     spec = spec.with_sites(0, 3)
     h = build_hamiltonian(spec)
-    xi_mat, eta_mat = correlation_tensors(spec, res.state, h)
+    xi_mat, eta_mat = correlation_tensors(spec, res.state)
     for a in ("x", "y"):
         for b in ("x", "y"):
             p0, p1 = projectors(protocol.AXES[a], 0, 8)
@@ -307,7 +307,7 @@ def test_axis_sweep_agrees_with_direct_xi_eta(chains):
     sweep = axis_sweep(spec, ground=res)
     h = build_hamiltonian(spec)
     g = res.state
-    xi_mat, eta_mat = correlation_tensors(spec, g, h)
+    xi_mat, eta_mat = correlation_tensors(spec, g)
 
     def direct(axis_a, axis_b):
         sig_a = axis_operator(axis_a, spec.site_a, 10)
@@ -410,10 +410,17 @@ def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains):
     assert prepared.measurement(far, y_axis) is prepared.measurement(spec, y_axis)
     other_sender = prepared.measurement(spec.with_sites(2, 3), y_axis)
     assert other_sender is not prepared.measurement(spec, y_axis)
-    ensemble, _, _ = prepared.measurement(spec, y_axis)
-    for shared in (*prepared.tensors(far), prepared.h_ground, ensemble.branches[0].state):
+    # one rho_S per site set, in whatever order it is named, shared by every reader
+    rho = prepared.reduced((4, 0, 2, 3))
+    assert rho is prepared.reduced([0, 2, 3, 4]) and rho.shape == (16, 16)
+    assert rho is not prepared.reduced((0, 2, 3))
+    run_protocol(far, MeasurementSetup.cardinal("y", "x"), ground=prepared)
+    assert prepared.reduced((0, 2, 3, 4)) is rho
+    for shared in (*prepared.tensors(far), rho):
         with pytest.raises(ValueError):
             shared[0] = 1.0
+    with pytest.raises(ValueError, match="exceed"):
+        prepared.reduced(range(7))
     eps = np.asarray(spec.epsilon)
     others = (dataclasses.replace(spec, coupling=2.0), dataclasses.replace(spec, boundary="open"),
               spec.with_epsilon(eps + 1e-3), chains(10)[0])
@@ -470,6 +477,6 @@ def test_measurement_setup_validation():
 def test_mixed_ensemble_validation():
     state = basis_state(2, 0)
     with pytest.raises(ValueError, match="sum"):
-        MixedEnsemble((protocol.Branch(0.5, state, 0),))
+        MixedEnsemble((Branch(0.5, state, 0),))
     with pytest.raises(ValueError, match="normalized"):
-        MixedEnsemble((protocol.Branch(1.0, 2.0 * state, 0),))
+        MixedEnsemble((Branch(1.0, 2.0 * state, 0),))

@@ -1,0 +1,149 @@
+"""The reduced-density route of `protocol` and `cooling` against the branch oracle.
+
+Every number the package reports is a trace over the ground state's reduced
+density matrix on a few sites.  `tests/oracles.py` keeps the route it
+replaced, which pushes outcome branches of 2^N amplitudes through every
+stage; the two must agree to 1e-12 J.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import BranchGround, branch_gram, branch_protocol, measure
+
+from qetsim import chain, cooling, protocol
+from qetsim.chain import build_energy_density, build_hamiltonian, energy_densities
+from qetsim.pauli import HermitianOperator
+from qetsim.protocol import MeasurementSetup, PreparedGround, run_protocol
+
+TOL = 1e-12      # J = 1 throughout
+FIELDS = ("e_a", "xi", "eta", "theta_star", "e_b", "trace_energy", "theta_used")
+
+
+def worst_gap(result, oracle) -> float:
+    """Largest difference over the energies, angles and all three profiles."""
+    gaps = [abs(getattr(result, f) - getattr(oracle, f)) for f in FIELDS]
+    for stage, profile in oracle.profiles.items():
+        gaps.extend(abs(a - b) for a, b in zip(result.profiles[stage], profile))
+    return max(gaps)
+
+
+def quiet_run(spec, setup, ground, theta=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # the adjacent-axes fallback
+        return run_protocol(spec, setup, ground=ground, theta=theta)
+
+
+def sender(n_sites: int, boundary: str) -> int:
+    """Site 0 on a ring; on an open chain the edge for odd N and its neighbour for even N."""
+    return 0 if boundary == "periodic" else (n_sites + 1) % 2
+
+
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+@pytest.mark.parametrize("n_sites", range(3, 17))
+def test_protocol_matches_the_branch_oracle(chains, n_sites, boundary):
+    # every separation n = 1..N/2, adjacent parties included, and all nine
+    # cardinal pairs at the optimal angle, plus y|x at a fixed one
+    spec, res = chains(n_sites, boundary)
+    prepared, oracle = PreparedGround(spec, res.state), BranchGround(spec, res.state)
+    site_a = sender(n_sites, boundary)
+    worst = 0.0
+    for n in range(1, n_sites // 2 + 1):
+        here = spec.with_sites(site_a, site_a + n)
+        runs = [(MeasurementSetup.cardinal(a, b), None) for a in "xyz" for b in "xyz"]
+        runs.append((MeasurementSetup.cardinal("y", "x"), 0.37))
+        for setup, theta in runs:
+            result = quiet_run(here, setup, prepared, theta)
+            worst = max(worst, worst_gap(result, branch_protocol(here, setup, oracle, theta)))
+    assert worst <= TOL
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 0.1).map(lambda v: tuple(c / math.hypot(*v) for c in v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.sampled_from(chain.BOUNDARIES), unit_axes, unit_axes, st.data())
+def test_tilted_axes_match_the_branch_oracle(chains, n_sites, boundary, axis_a, axis_b, data):
+    spec, res = chains(n_sites, boundary)
+    site_a = data.draw(st.integers(0, n_sites - 1))
+    site_b = data.draw(st.integers(0, n_sites - 1).filter(lambda b: b != site_a))
+    spec = spec.with_sites(site_a, site_b)
+    setup = MeasurementSetup(axis_a, axis_b)
+    assert worst_gap(quiet_run(spec, setup, res), branch_protocol(spec, setup, res.state)) <= TOL
+
+
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+@pytest.mark.parametrize("n_sites", [8, 12, 16])
+def test_cooling_matches_the_branch_oracle(chains, n_sites, boundary):
+    # the Gram forms from rho on supp T_A against 2^N unit states and H applies,
+    # and the certified minimum each gives
+    spec, res = chains(n_sites, boundary)
+    spec = spec.with_sites(sender(n_sites, boundary), sender(n_sites, boundary) + 1)
+    setup = MeasurementSetup.cardinal("y", "x")
+    cool = cooling.minimize_residual(spec, setup, ground=res)
+    objectives = cooling.outcome_objectives(PreparedGround(spec, res.state), spec, setup.axis_a)
+
+    h = build_hamiltonian(spec)
+    ensemble, e_a = measure(res.state, *protocol.projectors(setup.axis_a, spec.site_a, n_sites), h)
+    grams = {b.outcome: branch_gram(b.weight, b.state, spec.site_a, h)
+             for b in ensemble.branches if b.weight > 0.0}
+    assert sorted(objectives) == sorted(grams)
+    for mu, gram in grams.items():
+        assert np.max(np.abs(objectives[mu].gram - gram)) <= TOL
+    bounds, _, gap, _ = cooling._min_local_channel(
+        {mu: cooling.OutcomeObjective(gram) for mu, gram in grams.items()})
+    assert abs(cool.e_a - e_a) <= TOL
+    assert abs(cool.e_r_numeric - sum(bounds)) <= TOL
+    assert max(abs(a - b) for a, b in zip(cool.per_outcome, bounds)) <= TOL
+    assert abs(cool.duality_gap - gap) <= TOL
+
+
+def test_given_a_prepared_ground_no_operator_is_applied(chains, monkeypatch):
+    def refuse(self, vec):
+        raise AssertionError("HermitianOperator.apply called")
+
+    grounds = []
+    for boundary in chain.BOUNDARIES:
+        spec, res = chains(10, boundary)
+        grounds.append(PreparedGround(spec, res.state))
+    monkeypatch.setattr(HermitianOperator, "apply", refuse)
+    for prepared in grounds:
+        for site_a, site_b in ((0, 1), (2, 5), (4, 3)):
+            spec = prepared.spec.with_sites(site_a, site_b)
+            sweep = protocol.axis_sweep(spec, ground=prepared)
+            for setup in (sweep.best, MeasurementSetup((0.6, 0.0, 0.8), (0.0, 0.8, 0.6))):
+                quiet_run(spec, setup, prepared)
+                cooling.minimize_residual(spec, setup, ground=prepared, restarts=2)
+
+
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+def test_reduced_density_matrix_is_the_partial_trace(chains, boundary):
+    # against |g><g| traced down as a dense 2^N x 2^N matrix, and every <T_n>
+    # read from it against energy_densities
+    spec, res = chains(8, boundary)
+    prepared = PreparedGround(spec, res.state)
+    full = np.outer(res.state, res.state.conj()).reshape((2,) * 16)
+    for sites in ((0,), (2, 3), (7, 0, 1), (1, 3, 4, 6), (0, 2, 3, 5, 7), (0, 1, 2, 3, 4, 5)):
+        keep = sorted(sites)
+        rest = [s for s in range(8) if s not in keep]
+        # axis of site s is 7 - s for the ket and 15 - s for the bra
+        letters = list(range(16))
+        for s in rest:
+            letters[15 - s] = letters[7 - s]
+        ket = [7 - s for s in reversed(keep)]
+        out = ket + [8 + k for k in ket]
+        dim = 1 << len(keep)
+        expected = np.einsum(full, letters, [letters[k] for k in out]).reshape(dim, dim)
+        rho = prepared.reduced(sites)
+        assert np.max(np.abs(rho - expected)) <= 1e-14
+        assert abs(np.trace(rho) - 1.0) <= 1e-13
+    densities = energy_densities(spec, res.state)
+    for n in range(8):
+        sites = chain.density_support(spec, n)
+        t_n = build_energy_density(spec, n).dense(sites)
+        assert abs(np.einsum("ab,ba->", prepared.reduced(sites), t_n) - densities[n]) <= TOL
