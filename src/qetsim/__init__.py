@@ -3,7 +3,7 @@
 from .analytics import delta, eb_closed_form, residual_energy_analytic
 from .chain import ChainSpec, build_energy_density, build_hamiltonian, calibrated_chain
 from .cooling import CoolingResult, LocalChannel, minimize_residual
-from .eigensolver import EigenResult, ground_state
+from .eigensolver import EigenResult
 from .pauli import HermitianOperator, PauliString
 from .protocol import (
     AxisSweepResult,
@@ -29,7 +29,6 @@ __all__ = [
     "calibrated_chain",
     "delta",
     "eb_closed_form",
-    "ground_state",
     "minimize_residual",
     "residual_energy_analytic",
     "run_protocol",

@@ -14,11 +14,14 @@ the offsets vary near the edges, so they are kept per-site.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import eigensolver
 from .pauli import HermitianOperator, PauliString, from_sites, inner, norm
+
+if TYPE_CHECKING:
+    from .eigensolver import EigenResult
 
 BOUNDARIES = ("periodic", "open")
 
@@ -122,71 +125,6 @@ def build_hamiltonian(spec: ChainSpec) -> HermitianOperator:
     return HermitianOperator.from_strings(spec.n_sites, strings, drop_tol=1e-15 * spec.coupling)
 
 
-def even_parity_sector(op: HermitianOperator) -> HermitianOperator:
-    """`op` on the even-parity states, prod_n sz_n = +1, as a Pauli sum on sites 0..N-2.
-
-    An even-parity basis state is fixed by its first N-1 spins, and the last
-    spin carries their parity.  So sz_{N-1} acts as sz_0 ... sz_{N-2}, and a
-    flip of site N-1 only restores that parity: sx_{N-2} sx_{N-1} becomes
-    sx_{N-2}.  With each string written as its coefficient times i**n_y X^x Z^z
-    (Z acting first), this drops the last site's letter and, where that letter
-    has a Z-bit, toggles the Z-bit of every other site.  A string with an odd
-    number of flips leaves the sector and raises ValueError.
-    """
-    n_sites = op.n_sites - 1
-    strings = []
-    for term in op.terms:
-        x, z, _ = term.masks()
-        if x.bit_count() % 2:
-            raise ValueError(f"{term.letters!r} does not conserve parity")
-        if z >> n_sites & 1:
-            z ^= (1 << n_sites) - 1
-        letters = "".join("IXZY"[(x >> n & 1) + 2 * (z >> n & 1)] for n in range(n_sites))
-        phase = 1j ** (term.letters.count("Y") - letters.count("Y"))
-        strings.append(PauliString(term.coefficient * phase, letters))
-    return HermitianOperator.from_strings(n_sites, strings)
-
-
-def solve_ground(spec: ChainSpec, tol: float = 1e-10,
-                 seed: int = 0) -> eigensolver.EigenResult:
-    """The chain's ground state, solved in the even-parity sector and lifted to 2^N.
-
-    H commutes with the parity prod_n sz_n and its ground state is even (the
-    lowest odd level lies about 1.6 J/N above it on a periodic chain and
-    3 J/N on an open one), so `even_parity_sector` gives the same state from
-    half-length vectors.  The lift sets every odd-parity amplitude to exactly
-    0, which keeps the norm, the phase fix and the residual; `iterations`
-    counts applies of the (N-1)-site operator, and `degenerate` flags a
-    second even level within 1e-8 J.  The offsets shift H by a multiple of
-    I, so they do not change the state: the solve drops them, since ARPACK
-    reaches the bare chain's ground state in fewer applies than it needs at
-    the calibrated chain's zero eigenvalue, and the reported energy
-    subtracts their sum, as H does.  The bare H is J times its J = 1 form,
-    so the solve runs at J = 1 and scales the energy and residual by J: the
-    residual ends below tol * J, and the state and apply count do not depend
-    on J.  On failure the EigensolverError's `best` is lifted and scaled the
-    same way.
-    """
-    unit = ChainSpec(spec.n_sites, 1.0, spec.boundary)
-    try:
-        res = eigensolver.ground_state(even_parity_sector(build_hamiltonian(unit)),
-                                       tol=tol, seed=seed)
-    except eigensolver.EigensolverError as exc:
-        _lift_and_scale(spec, exc.best)
-        raise
-    return _lift_and_scale(spec, res)
-
-
-def _lift_and_scale(spec: ChainSpec, res: eigensolver.EigenResult) -> eigensolver.EigenResult:
-    """Turn a unit-J even-sector result into `spec`'s, in place."""
-    odd = np.bitwise_count(np.arange(res.state.size)) % 2 == 1
-    # site N-1 is the leading bit: its clear half, then its set half
-    res.state = np.concatenate([np.where(odd, 0.0, res.state), np.where(odd, res.state, 0.0)])
-    res.energy = spec.coupling * res.energy - float(np.sum(spec.epsilon))
-    res.residual = spec.coupling * res.residual
-    return res
-
-
 def local_observables(spec: ChainSpec, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-site z[n] = <sz_n> and xx[n] = <sx_n sx_{n+1 mod N}>, read from one state.
 
@@ -241,16 +179,18 @@ def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
 
 
 def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "periodic",
-                     site_a: int = 0, site_b: int = 1, tol: float = 1e-10,
-                     seed: int = 0) -> tuple[ChainSpec, eigensolver.EigenResult]:
-    """Build the chain, solve for its ground state, and tune the offsets.
+                     site_a: int = 0, site_b: int = 1,
+                     seed: int = 0) -> tuple[ChainSpec, EigenResult]:
+    """Build the chain, take its exact ground state, and tune the offsets.
 
     Returns the calibrated spec together with the ground-state result, whose
-    residual is below tol * J; the reported energy is the (near-zero)
-    expectation of the calibrated H.
+    residual is below 1e-10 J; the reported energy is the (near-zero)
+    exact E0 of the calibrated H, J E0 minus the offsets' sum.  `seed` is
+    accepted and ignored: the ground state is exact, so no number depends on it.
     """
+    from .eigensolver import ground_state     # it builds on this module's ChainSpec and H
     spec = ChainSpec(n_sites, coupling, boundary, None, site_a, site_b)
-    res = solve_ground(spec, tol=tol, seed=seed)
+    res = ground_state(spec)
     eps = calibrate_epsilon(spec, res.state)
     spec = spec.with_epsilon(eps)
     res.energy = res.energy - float(np.sum(eps))

@@ -25,10 +25,12 @@ No index arrays are built.
 
 Every reduction over a state, an inner product or a norm, goes through
 `inner` (or `norm`, built on it), never numpy's `vdot`, `inner` or
-`linalg.norm`, nor a state-sized `@`.  numpy and scipy each bundle their own
-OpenBLAS; a BLAS call on a state wakes numpy's thread pool, which then spins
-against the pool that scipy's ARPACK uses.  `inner` is an einsum, which runs
-its own loops.
+`linalg.norm`, nor a state-sized `@`.  A BLAS call on a state wakes numpy's
+OpenBLAS thread pool, whose workers keep spinning after it returns, through
+work that calls no BLAS: twenty BLAS dot products of 2**18 elements,
+interleaved with 1.8 s of elementwise numpy, cost 3.5 s of CPU time on
+2 vCPUs, against 1.8 s with einsum.  `inner` is an einsum, which runs its
+own loops.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Shared fixtures and references: calibrated chains are cached per session, and
-a dense eigensolve is the independent oracle for the ARPACK ground solve."""
+a dense eigensolve is the independent oracle for the Pfaffian ground state."""
 
 import numpy as np
 import pytest

@@ -6,7 +6,10 @@ each a state of 2^N amplitudes pushed through every stage with
 compare the package against it.  `branch_protocol` (on a memoizing
 `BranchGround`) and `branch_gram` are the whole protocol and the cooling Gram
 form on that route, and `correlation_check` and `density_eigenbasis_weights`
-are the entanglement witnesses of the chain's ground state.
+are the entanglement witnesses of the chain's ground state.  For the exact
+ground state, `even_parity_sector` gives the dense even-sector matrix
+without forming the 2^N one, and `bdg_pairing` and `pfaffian` rebuild the
+pairing matrix and its Pfaffians by the textbook routes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ from qetsim.chain import (
     energy_densities,
 )
 from qetsim.cooling import LocalChannel
-from qetsim.pauli import HermitianOperator, axis_operator, inner, norm, split_by_support
+from qetsim.eigensolver import bdg_blocks
+from qetsim.pauli import (
+    HermitianOperator,
+    PauliString,
+    axis_operator,
+    inner,
+    norm,
+    split_by_support,
+)
 from qetsim.protocol import (
     AXES,
     MeasurementSetup,
@@ -349,3 +360,61 @@ def correlation_check(ground: np.ndarray, t_n: HermitianOperator,
         raise ValueError(f"two-point function has imaginary part {lhs.imag:g}")
     rhs = float(inner(ground, tv).real * inner(ground, ov).real)
     return CorrelationCheck(float(lhs.real), rhs, abs(float(lhs.real) - rhs))
+
+
+def even_parity_sector(op: HermitianOperator) -> HermitianOperator:
+    """`op` on the even-parity states, prod_n sz_n = +1, as a Pauli sum on sites 0..N-2.
+
+    An even-parity basis state is fixed by its first N-1 spins, and the last
+    spin carries their parity.  So sz_{N-1} acts as sz_0 ... sz_{N-2}, and a
+    flip of site N-1 only restores that parity: sx_{N-2} sx_{N-1} becomes
+    sx_{N-2}.  With each string written as its coefficient times i**n_y X^x Z^z
+    (Z acting first), this drops the last site's letter and, where that letter
+    has a Z-bit, toggles the Z-bit of every other site.  A string with an odd
+    number of flips leaves the sector and raises ValueError.
+    """
+    n_sites = op.n_sites - 1
+    strings = []
+    for term in op.terms:
+        x, z, _ = term.masks()
+        if x.bit_count() % 2:
+            raise ValueError(f"{term.letters!r} does not conserve parity")
+        if z >> n_sites & 1:
+            z ^= (1 << n_sites) - 1
+        letters = "".join("IXZY"[(x >> n & 1) + 2 * (z >> n & 1)] for n in range(n_sites))
+        phase = 1j ** (term.letters.count("Y") - letters.count("Y"))
+        strings.append(PauliString(term.coefficient * phase, letters))
+    return HermitianOperator.from_strings(n_sites, strings)
+
+
+def even_parity_indices(n_sites: int) -> np.ndarray:
+    """The full-space index of each even-parity basis state, in `even_parity_sector`'s order.
+
+    The first N-1 bits are the sector index, and bit N-1 carries their parity.
+    """
+    reduced = np.arange(1 << (n_sites - 1))
+    return reduced + (np.bitwise_count(reduced).astype(np.int64) % 2 << (n_sites - 1))
+
+
+def bdg_pairing(n_sites: int, periodic: bool) -> np.ndarray:
+    """Pairing matrix G = -X^-1 Y from an `eigh` of the 2N x 2N BdG matrix.
+
+    The rows (X, Y) are its positive-energy eigenvectors.
+    """
+    a, b = bdg_blocks(n_sites, periodic)
+    vecs = np.linalg.eigh(np.block([[a, b], [-b, -a]]))[1]
+    return -np.linalg.solve(vecs[:n_sites, n_sites:].T, vecs[n_sites:, n_sites:].T)
+
+
+def pfaffian(mat: np.ndarray) -> float:
+    """Pfaffian of an antisymmetric matrix by expansion along its first row (small sizes only)."""
+    size = len(mat)
+    if size == 0:
+        return 1.0
+    if size % 2:
+        return 0.0
+    total = 0.0
+    for j in range(1, size):
+        keep = [k for k in range(1, size) if k != j]
+        total += (-1) ** (j + 1) * mat[0, j] * pfaffian(mat[np.ix_(keep, keep)])
+    return total

@@ -9,7 +9,14 @@ import pytest
 from conftest import basis_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import correlation_check, density_eigenbasis_weights, density_profile, expectation
+from oracles import (
+    correlation_check,
+    density_eigenbasis_weights,
+    density_profile,
+    even_parity_indices,
+    even_parity_sector,
+    expectation,
+)
 
 from qetsim import chain, eigensolver
 from qetsim.chain import (
@@ -19,10 +26,8 @@ from qetsim.chain import (
     calibrate_epsilon,
     calibrated_chain,
     energy_densities,
-    even_parity_sector,
     local_density_spectrum,
     local_observables,
-    solve_ground,
 )
 from qetsim.pauli import HermitianOperator, PauliString, from_sites, single_site
 
@@ -133,13 +138,6 @@ def test_open_chain_offsets_vary_near_edges():
         assert abs(expectation(build_energy_density(spec, n), res.state)) < 1e-10
 
 
-def even_parity_indices(n_sites):
-    # the full-space index of each even-parity basis state, in the sector's order:
-    # the first N-1 bits are the reduced index, and bit N-1 carries their parity
-    reduced = np.arange(1 << (n_sites - 1))
-    return reduced + (np.bitwise_count(reduced) % 2 << (n_sites - 1))
-
-
 @pytest.mark.parametrize("n_sites", range(3, 9))
 @pytest.mark.parametrize("boundary", chain.BOUNDARIES)
 @pytest.mark.parametrize("coupling", (1.0, 0.37))
@@ -192,39 +190,34 @@ def test_calibrated_chain_matches_the_full_space_solve(n_sites, boundary):
 @pytest.mark.parametrize("n_sites", range(3, 13))
 @pytest.mark.parametrize("boundary", chain.BOUNDARIES)
 def test_solve_ground_is_scale_free_in_the_coupling(n_sites, boundary):
-    # the tolerance is relative to J, so every coupling runs J = 1's iteration
-    unit = solve_ground(ChainSpec(n_sites, 1.0, boundary))
+    # the ground state is built at J = 1: every coupling gets the same state and
+    # one H application, and the energy and residual scale with J
+    unit = eigensolver.ground_state(ChainSpec(n_sites, 1.0, boundary))
     for coupling in (1e-13, 1e-7, 1e6):
-        res = solve_ground(ChainSpec(n_sites, coupling, boundary))
-        assert res.residual < 10 * 1e-10 * coupling
-        assert res.iterations == unit.iterations
+        res = eigensolver.ground_state(ChainSpec(n_sites, coupling, boundary))
+        assert np.array_equal(res.state, unit.state)
+        assert res.residual == pytest.approx(coupling * unit.residual, rel=1e-12)
+        assert res.residual < 1e-10 * coupling
+        assert res.energy == pytest.approx(coupling * unit.energy, rel=1e-12)
+        assert res.iterations == unit.iterations == 1
 
 
 def test_solve_ground_energy_includes_the_offsets():
-    # H carries -eps_n per site, and the solve drops the offsets and adds them back
+    # H carries -eps_n per site, and the exact E0 is of the bare chain, so the
+    # reported energy subtracts the offsets' sum
     spec = ChainSpec(8, 2.5, "open", epsilon=tuple(0.25 * n for n in range(8)))
-    res = solve_ground(spec)
+    res = eigensolver.ground_state(spec)
     assert res.energy == pytest.approx(expectation(build_hamiltonian(spec), res.state), rel=1e-12)
 
 
-def test_failed_solve_reports_its_best_pair_in_units_of_the_coupling(monkeypatch):
-    # the best-so-far pair of a failed solve is lifted to 2^N and scaled by J,
-    # like a converged one, and the error message quotes the scaled residual
-    monkeypatch.setattr(eigensolver, "MAX_APPLIES", 3)
-    eps = tuple(0.25 * n for n in range(10))
-    failures = {}
-    for coupling in (1.0, 1e6):
-        with pytest.raises(eigensolver.EigensolverError) as excinfo:
-            solve_ground(ChainSpec(10, coupling, epsilon=eps))
-        failures[coupling] = excinfo.value
-    unit, best = failures[1.0].best, failures[1e6].best
-    assert best.iterations == 3
-    assert best.state.size == 1 << 10
-    assert np.array_equal(best.state, unit.state)
-    assert best.residual == pytest.approx(1e6 * unit.residual, rel=1e-12)
-    spec = ChainSpec(10, 1e6, epsilon=eps)
-    assert best.energy == pytest.approx(expectation(build_hamiltonian(spec), best.state), rel=1e-10)
-    assert f"best residual {best.residual:.3e}" in str(failures[1e6])
+def test_failed_residual_check_reports_the_residual_in_units_of_the_coupling(monkeypatch):
+    # a state that misses H g = E0 g by more than the bound raises, and the
+    # message quotes the residual and the bound in units of J
+    unit = eigensolver.ground_state(ChainSpec(10)).residual
+    monkeypatch.setattr(eigensolver, "RESIDUAL_BOUND", 1e-30)
+    with pytest.raises(RuntimeError, match="misses H g = E0 g") as excinfo:
+        eigensolver.ground_state(ChainSpec(10, 1e6))
+    assert f"by {1e6 * unit:.3e} (bound 1.0e-24)" in str(excinfo.value)
 
 
 def operator_densities(spec, state):
@@ -389,11 +382,14 @@ def test_density_commutes_outside_support():
 
 
 def test_no_spectrum_below_zero_from_seeded_probes(chains):
+    # the calibrated H is nonnegative: its whole dense spectrum, and the energy
+    # of seeded random states, stay above -1e-9 J
     spec, _ = chains(8)
     op = build_hamiltonian(spec)
+    assert np.linalg.eigvalsh(op.dense())[0] > -1e-9
     for seed in (1, 2, 3):
-        res = eigensolver.ground_state(op, seed=seed)
-        assert res.energy > -1e-9
+        probe = random_state(8, np.random.default_rng(seed), complex_=True)
+        assert expectation(op, probe) > -1e-9
 
 
 def test_spec_validation():

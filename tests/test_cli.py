@@ -312,6 +312,27 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["ground", "cool"])
+def test_no_number_depends_on_the_seed(capsys, command):
+    # --seed is accepted and echoed; the ground state is exact, and `cool`
+    # does not pass it to the cooling search
+    docs = []
+    for seed in ("0", "7"):
+        code, out, _ = run_cli(capsys, command, "--sites", "8", "--axis-a", "y", "--seed", seed)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"].pop("seed") == int(seed)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
+def test_a_failed_residual_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(eigensolver, "RESIDUAL_BOUND", 1e-30)
+    code, out, err = run_cli(capsys, "ground", "--sites", "8")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "misses H g = E0 g" in err and "Traceback" not in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sites = 8\naxis-a = y\naxis-b = x\n# comment line\n")
@@ -338,7 +359,7 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     ("ground", [("sites", "6"), ("bc", "open"), ("format", "csv")]),
     ("teleport", [("sites", "6"), ("axis_a", "y"), ("axis-b", "x"), ("theta", "0.5"),
                   ("j", "2")]),
-    ("sweep", [("sizes", "6"), ("distances", "2,1"), ("axis-a", "y"), ("tol", "1e-11")]),
+    ("sweep", [("sizes", "6"), ("distances", "2,1"), ("axis-a", "y"), ("seed", "4")]),
     ("analytic", [("n_min", "2"), ("n-max", "6"), ("j", "0.5")]),
     ("cool", [("sites", "6"), ("axis-a", "y"), ("axis_b", "x"), ("seed", "3")]),
 ])
@@ -458,16 +479,9 @@ def test_non_finite_axis_rejected(capsys, flag, axis):
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
-def test_tolerance_must_be_positive_and_finite(capsys, tol):
-    code, out, err = run_cli(capsys, "ground", "--sites", "8", f"--tol={tol}")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "positive and finite" in err
-
-
 @pytest.mark.parametrize("n_sites", ["10", "12"])
 def test_ground_calibrates_at_a_large_coupling(capsys, n_sites):
-    # the solver's tolerance and the residual check are both relative to J
+    # the residual bound and the energy checks are both relative to J
     code, out, _ = run_cli(capsys, "ground", "--sites", n_sites, "--j", "1e6")
     assert code == 0
     doc = json.loads(out)

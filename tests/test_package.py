@@ -1,6 +1,9 @@
-"""The package's own surface: no public name without a caller."""
+"""The package's own surface: no public name without a caller, and numpy as its one dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -33,3 +36,12 @@ def test_every_public_name_has_a_caller_or_is_exported():
     dead = [f"{module}.{name}" for module, name in defined
             if not name.startswith("_") and not loaded[name] and name not in qetsim.__all__]
     assert dead == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what the
+    # package itself imports, whatever the test session has loaded already
+    code = "import sys, qetsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout.strip() == "[]"

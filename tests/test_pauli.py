@@ -358,12 +358,11 @@ def test_inner_rejects_vectors_of_different_sizes():
 def test_no_blas_reductions_in_the_package():
     """State reductions in qetsim go through `pauli.inner`, never numpy's BLAS.
 
-    numpy and scipy each bundle their own OpenBLAS with its own thread pool.
-    ARPACK runs in scipy's pool; a state-sized `np.vdot`, `np.inner` or
-    `np.linalg.norm` wakes numpy's pool as well, and the two pools' threads
-    spin against each other on a small machine, which costs CPU time and
-    wall time alike.  The results agree either way to rounding, so no
-    functional test can see such a call come back; this one reads the source.
+    A state-sized `np.vdot`, `np.inner` or `np.linalg.norm` wakes numpy's
+    OpenBLAS thread pool, whose workers keep spinning after the call returns,
+    which costs CPU time for no speed-up.  The results agree either way to
+    rounding, so no functional test can see such a call come back; this one
+    reads the source.
     """
     package = Path(__file__).parents[1] / "src" / "qetsim"
     sources = sorted(package.glob("*.py"))

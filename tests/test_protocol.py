@@ -269,7 +269,7 @@ def test_run_protocol_theta_override():
 
 def test_run_protocol_requires_calibration():
     spec = chain.ChainSpec(8)       # offsets left at zero
-    res = eigensolver.ground_state(chain.build_hamiltonian(spec))
+    res = eigensolver.ground_state(spec)
     with pytest.raises(ValueError, match="calibrated"):
         run_protocol(spec, MeasurementSetup(), ground=res)
 
