@@ -37,6 +37,33 @@ def test_pfaffian_state_matches_dense_on_critical_chain(n_sites, boundary):
         assert abs(res.residual - dense_residual) < 1e-13 * coupling
 
 
+def test_lanczos_matches_dense_on_critical_chain(chains):
+    # the full 2^N dense oracle of the calibrated chain, odd sector included,
+    # with the bounds the iterative solver this construction replaced was held to
+    spec, _ = chains(8)
+    op = build_hamiltonian(spec)
+    res = ground_state(spec)
+    energy, state = dense_ground(op)
+    assert abs(res.energy - energy) < 1e-10
+    assert abs(np.vdot(res.state, state)) > 1.0 - 1e-9
+    assert res.residual < 1e-10
+
+
+def test_lanczos_matches_dense_on_random_operators():
+    # seeded random chains: size, boundary, coupling and per-site offsets,
+    # each against the full-space dense ground state
+    rng = np.random.default_rng(0)
+    for trial in range(3):
+        n_sites = int(rng.integers(3, 9))
+        coupling = float(rng.uniform(0.5, 2.0))
+        spec = ChainSpec(n_sites, coupling, chain.BOUNDARIES[trial % len(chain.BOUNDARIES)],
+                         epsilon=tuple(rng.standard_normal(n_sites)))
+        res = ground_state(spec)
+        energy, state = dense_ground(build_hamiltonian(spec))
+        assert abs(res.energy - energy) < 1e-10
+        assert abs(np.vdot(res.state, state)) > 1.0 - 1e-9
+
+
 @pytest.mark.parametrize("n_sites", [3, 4, 5, 8, 13, 18, 20])
 def test_exact_energy_is_the_closed_form(n_sites):
     # E0 = -(1/2) sum_k eps_k = -2J / sin(pi/2N) on a periodic chain
@@ -149,6 +176,32 @@ def test_degenerate_ground_space_flagged(monkeypatch):
         res = ground_state(ChainSpec(8))
     assert res.degenerate
     assert res.residual < 1e-10
+
+
+def test_exact_degeneracy_flagged_at_twelve_qubits(monkeypatch):
+    # the flag reads the exact even gap eps_1 + eps_2 (~1.04 J at N = 12); with
+    # GAP_TOL above it the state, energy and residual are bit-identical to the
+    # unflagged ones, and reproducible
+    plain = ground_state(ChainSpec(12))
+    assert plain.degenerate is False
+    monkeypatch.setattr(eigensolver, "GAP_TOL", 2.0)
+    with pytest.warns(UserWarning, match="degenerate"):
+        res = ground_state(ChainSpec(12))
+    with pytest.warns(UserWarning, match="degenerate"):
+        again = ground_state(ChainSpec(12))
+    assert np.array_equal(res.state, again.state)
+    assert np.array_equal(res.state, plain.state)
+    assert res.degenerate
+    assert res.iterations > 0
+    assert res.energy == plain.energy == pytest.approx(-2.0 / math.sin(math.pi / 24), rel=1e-14)
+    assert res.residual == plain.residual < 1e-10
+
+
+def test_single_site_operator_is_rejected():
+    # the construction needs a chain with bonds; fewer than 3 sites is refused
+    for n_sites in (1, 2):
+        with pytest.raises(ValueError, match="at least 3 sites"):
+            ground_state(ChainSpec(n_sites, 0.5))
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e6])
