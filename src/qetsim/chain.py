@@ -65,13 +65,6 @@ class ChainSpec:
             return ((n - 1) % self.n_sites, (n + 1) % self.n_sites)
         return tuple(m for m in (n - 1, n + 1) if 0 <= m < self.n_sites)
 
-    def distance(self, m: int, n: int) -> int:
-        """Separation |m - n|, circular on periodic chains."""
-        d = abs(m - n)
-        if self.boundary == "periodic":
-            d = min(d, self.n_sites - d)
-        return d
-
     def with_epsilon(self, epsilon) -> "ChainSpec":
         return replace(self, epsilon=tuple(float(e) for e in epsilon))
 
@@ -86,10 +79,6 @@ class LocalSpectrum:
     site: int
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return sum(self.multiplicities)
 
     @property
     def minimum(self) -> float:

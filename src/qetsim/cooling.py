@@ -83,13 +83,13 @@ def outcome_objectives(prepared: PreparedGround, spec: ChainSpec, axis_a
     kraus, _, _ = prepared.measurement(spec, axis_a)
     sites = density_support(spec, spec.site_a)
     rho = prepared.reduced(sites)
-    h_a = prepared.hamiltonian.acting_on(spec.site_a).dense(sites)
+    h_a = prepared.dense(prepared.acting_on(spec.site_a), sites)
     shifted = h_a - sum(prepared.ground_profile) * np.eye(len(rho))       # H_A - E_0
     position = sites.index(spec.site_a)
     high, low = len(rho) >> (position + 1), 1 << position
     objectives = {}
     for outcome, op in enumerate(kraus):
-        p = op.dense(sites)
+        p = prepared.dense(op, sites)
         if _trace(rho, p).real < 1e-14:
             continue
         units = np.array([np.kron(np.eye(high), np.kron(e.reshape(2, 2), np.eye(low))) @ p

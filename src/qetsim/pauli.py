@@ -97,15 +97,20 @@ class PauliString:
 
     def masks(self) -> tuple[int, int, int]:
         """(x_mask, z_mask, n_y) for bitwise application."""
-        x = z = ny = 0
-        for n, c in enumerate(self.letters):
-            if c in "XY":
-                x |= 1 << n
-            if c in "ZY":
-                z |= 1 << n
-            if c == "Y":
-                ny += 1
-        return x, z, ny
+        return _masks(self.letters)
+
+
+def _masks(letters: str) -> tuple[int, int, int]:
+    """(x_mask, z_mask, n_y) of a letter pattern: bit n set where site n flips or signs."""
+    x = z = ny = 0
+    for n, c in enumerate(letters):
+        if c in "XY":
+            x |= 1 << n
+        if c in "ZY":
+            z |= 1 << n
+        if c == "Y":
+            ny += 1
+    return x, z, ny
 
 
 def _phase(term: PauliString) -> complex:
@@ -151,6 +156,27 @@ def _build_plan(n_sites: int, terms) -> tuple[bool, tuple, tuple]:
             diag += c * _site_signs(n_sites, z)
         diagonals.append((flip, diag.reshape(-1)))
     return is_real, tuple(diagonals), tuple((c, tuple(flips)) for c, flips in scalars.items())
+
+
+def dense_matrix(pattern, n_sites: int) -> np.ndarray:
+    """The matrix of a pattern of (coefficient, letters) terms on n_sites sites.
+
+    Each term is a signed permutation: column i holds its phase times
+    (-1)**popcount(i & z_mask) in row i ^ x_mask, so every entry is an exact
+    sum of +-phase values, added in the pattern's order by one unbuffered
+    `np.add.at`.  float64 when no term has an odd number of Y letters,
+    complex128 otherwise.
+    """
+    idx = np.arange(1 << n_sites)
+    masks = [_masks(letters) for _, letters in pattern]
+    phases = [complex(c) * (1j) ** n_y for (c, _), (_, _, n_y) in zip(pattern, masks)]
+    is_real = all(phase.imag == 0.0 for phase in phases)
+    x, z = np.array([m[:2] for m in masks], dtype=np.intp).reshape(-1, 2).T
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z[:, None]) & 1)   # bitwise_count gives uint8
+    values = np.array([p.real for p in phases] if is_real else phases)[:, None] * signs
+    mat = np.zeros((idx.size, idx.size), np.float64 if is_real else np.complex128)
+    np.add.at(mat.reshape(-1), ((idx ^ x[:, None]) << n_sites | idx).ravel(), values.ravel())
+    return mat
 
 
 def single_site(n_sites: int, site: int, letter: str, coefficient: complex = 1.0) -> PauliString:
@@ -227,10 +253,6 @@ class HermitianOperator:
         """True when the matrix is real (no odd-Y strings); lets solvers work in float64."""
         return all(_phase(t).imag == 0.0 for t in self.terms)
 
-    @property
-    def one_norm(self) -> float:
-        return float(sum(abs(t.coefficient) for t in self.terms))
-
     def acting_on(self, site: int) -> "HermitianOperator":
         """The terms with a letter at `site`: the only part that can fail to commute there."""
         terms = tuple(t for t in self.terms if t.letters[site] != "I")
@@ -306,29 +328,31 @@ class HermitianOperator:
             out_nd += work_nd[flip]
         return out
 
+    def restricted(self, sites: tuple[int, ...]) -> tuple[tuple[float, str], ...]:
+        """Each term's (coefficient, letters at `sites`): the operator's pattern on those sites.
+
+        Raises ValueError when a term acts outside `sites`.  The pattern fixes
+        the matrix on the sites, so operators at different sites that share it
+        share their matrix (see `protocol.PreparedGround.dense`).
+        """
+        pattern = []
+        for term in self.terms:
+            letters = "".join(map(term.letters.__getitem__, sites))
+            if len(letters) - letters.count("I") != self.n_sites - term.letters.count("I"):
+                raise ValueError(f"term {term.letters!r} acts outside sites {tuple(sites)}")
+            pattern.append((term.coefficient, letters))
+        return tuple(pattern)
+
     def dense(self, sites: tuple[int, ...] | None = None) -> np.ndarray:
         """Dense matrix, optionally restricted to a sorted tuple of support sites.
 
         The restricted basis is little-endian over `sites`: bit j of the
         reduced index is the spin at sites[j].  Every term must act as the
-        identity outside `sites`.
+        identity outside `sites`.  Nothing is memoized here: each call builds
+        a fresh, writable matrix from `restricted(sites)` by `dense_matrix`.
         """
-        if sites is None:
-            sites = tuple(range(self.n_sites))
-        sites = tuple(sites)
-        dim = 1 << len(sites)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        idx = np.arange(dim)
-        for term in self.terms:
-            if not set(term.support) <= set(sites):
-                raise ValueError(f"term {term.letters!r} acts outside sites {sites}")
-            restricted = PauliString(term.coefficient, "".join(term.letters[s] for s in sites))
-            x, z, _ = restricted.masks()
-            signs = np.broadcast_to(_site_signs(len(sites), z), (2,) * len(sites)).reshape(-1)
-            mat[idx ^ x, idx] += _phase(restricted) * signs
-        if self.is_real:
-            return mat.real.copy()
-        return mat
+        sites = tuple(range(self.n_sites)) if sites is None else tuple(sites)
+        return dense_matrix(self.restricted(sites), len(sites))
 
 
 def axis_operator(axis, site: int, n_sites: int) -> HermitianOperator:

@@ -31,7 +31,7 @@ import numpy as np
 from . import eigensolver
 from .chain import (ChainSpec, build_energy_density, build_hamiltonian, density_support,
                     energy_densities)
-from .pauli import HermitianOperator, axis_operator, split_by_support
+from .pauli import HermitianOperator, PauliString, axis_operator, dense_matrix, split_by_support
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 MAX_REDUCED_SITES = 6
@@ -88,17 +88,16 @@ def measure(prepared: "PreparedGround", site: int, axis
     E_A = <H> + <sigma [H, sigma]> / 2, with <H> the ground profile's sum.
     """
     spec = prepared.spec
-    kraus = projectors(axis, site, spec.n_sites)
+    kraus = prepared.projectors(axis, site)
     touched = density_support(spec, site)          # the T_m with a term at the site
     sites = _sites(*(density_support(spec, m) for m in touched))
     post = sum(_outcome_blocks(prepared, kraus, sites))
     profile = list(prepared.ground_profile)
     for m in touched:
-        profile[m] = float(_trace(post, build_energy_density(spec, m).dense(sites)).real)
-    sigma = axis_operator(axis, site, spec.n_sites)
-    bracket = prepared.hamiltonian.acting_on(site).commutator(sigma)     # i[H, sigma]
+        profile[m] = float(_trace(post, prepared.dense(prepared.density(m), sites)).real)
+    sigma = prepared.dense(prepared.sigma(axis, site), sites)
     # <sigma [H, sigma]> = Im <sigma i[H, sigma]>
-    deposit = _trace(prepared.reduced(sites), sigma.dense(sites) @ bracket.dense(sites)).imag
+    deposit = _trace(prepared.reduced(sites), sigma @ prepared.bracket(axis, site, sites)).imag
     return kraus, sum(prepared.ground_profile) + 0.5 * float(deposit), tuple(profile)
 
 
@@ -150,13 +149,20 @@ class PreparedGround:
     """A calibrated chain's ground state, read through its reduced density matrices.
 
     Construction runs `check_calibration` and keeps the ground profile it
-    returns and the calibrated H.  `reduced` is memoized per site set, the
-    correlation tensors per (site_a, site_b) and the sender's measurement
-    (projectors, E_A and the post-measurement profile) per (site_a, axis_a),
-    so a sweep over receivers checks and measures once.  Every use names a
-    spec, which must describe the same chain (N, J, boundary and offsets);
-    its protocol sites are free.  Memoized arrays are read-only, since every
-    caller shares them.
+    returns and the calibrated H; it builds nothing else.  Everything the
+    protocol reads is built on first use and memoized on this object, for as
+    long as it lives and no longer: `reduced` per site set, the correlation
+    tensors per (site_a, site_b), the sender's measurement (projectors, E_A
+    and the post-measurement profile) per (site_a, axis_a), and the few-site
+    operators: each T_m, the terms of H at a site, and axis.sigma and its
+    projectors per (axis, site).  `dense` memoizes an operator's matrix on a
+    site set by the operator's pattern there, and `bracket` the matrix of
+    i[H, sigma] by the patterns of its two factors, so receivers whose sites
+    see the same patterns share one matrix.  A sweep over receivers thus
+    checks and measures once and builds each operator and matrix once.
+    Every use names a spec, which must describe the same chain (N, J,
+    boundary and offsets); its protocol sites are free.  Memoized arrays are
+    read-only, since every caller shares them.
     """
 
     def __init__(self, spec: ChainSpec, state: np.ndarray):
@@ -164,9 +170,15 @@ class PreparedGround:
         self.ground_profile = tuple(float(t) for t in check_calibration(spec, self.state))
         self.spec = spec
         self.hamiltonian = build_hamiltonian(spec)
-        self._reduced: dict[tuple[int, ...], np.ndarray] = {}
-        self._tensors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._measurements: dict[tuple, tuple[tuple, float, tuple[float, ...]]] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _memoized(self, key: tuple, build):
+        """build() on the first call with `key`, and the same object on every later one."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def _require(self, spec: ChainSpec) -> None:
         """Raise ValueError unless `spec` differs from the prepared one only in its sites."""
@@ -185,29 +197,74 @@ class PreparedGround:
         if len(key) > MAX_REDUCED_SITES:
             raise ValueError(f"{len(key)} sites exceed the {MAX_REDUCED_SITES} a reduced "
                              "density matrix may span")
-        if key not in self._reduced:
+
+        def build():
             amps = split_by_support(self.state, key, self.spec.n_sites)
-            self._reduced[key] = _read_only(np.einsum("ae,be->ab", amps, amps.conj()))
-        return self._reduced[key]
+            return _read_only(np.einsum("ae,be->ab", amps, amps.conj()))
+
+        return self._memoized(("reduced", key), build)
 
     def tensors(self, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
         """`correlation_tensors` at spec's sites, computed once per (site_a, site_b)."""
         self._require(spec)
-        key = (spec.site_a, spec.site_b)
-        if key not in self._tensors:
-            self._tensors[key] = tuple(_read_only(m) for m in correlation_tensors(spec, self))
-        return self._tensors[key]
+        return self._memoized(("tensors", spec.site_a, spec.site_b), lambda: tuple(
+            _read_only(m) for m in correlation_tensors(spec, self)))
 
     def measurement(self, spec: ChainSpec, axis_a
                     ) -> tuple[tuple[HermitianOperator, HermitianOperator], float,
                                tuple[float, ...]]:
         """`measure` of axis_a at spec.site_a: (projectors, E_A, post-measurement profile)."""
         self._require(spec)
-        key = (spec.site_a, tuple(float(c) for c in axis_a))
-        if key not in self._measurements:
-            self._measurements[key] = measure(self, spec.site_a, axis_a)
-        return self._measurements[key]
+        return self._memoized(("measurement", spec.site_a, _axis(axis_a)),
+                              lambda: measure(self, spec.site_a, axis_a))
 
+    def density(self, m: int) -> HermitianOperator:
+        """T_m, built on first use."""
+        return self._memoized(("density", m), lambda: build_energy_density(self.spec, m))
+
+    def acting_on(self, site: int) -> HermitianOperator:
+        """The terms of H at `site`, the only part of H that can fail to commute there."""
+        return self._memoized(("acting_on", site), lambda: self.hamiltonian.acting_on(site))
+
+    def sigma(self, axis, site: int) -> HermitianOperator:
+        """axis.sigma at `site`."""
+        return self._memoized(("sigma", _axis(axis), site),
+                              lambda: axis_operator(axis, site, self.spec.n_sites))
+
+    def bracket(self, axis, site: int, sites: tuple[int, ...]) -> np.ndarray:
+        """i[H, axis.sigma] at `site` as a read-only matrix on the sorted `sites`.
+
+        Only the terms of H at the site fail to commute with sigma, and their
+        bracket is formed from the patterns of both on `sites`: on sorted sites
+        a pattern orders its terms as the full strings do, so the result is
+        bit for bit that of the full operators, and is shared by pattern.
+        """
+        h, s = (op.restricted(sites) for op in (self.acting_on(site), self.sigma(axis, site)))
+
+        def build():
+            a, b = (HermitianOperator(len(sites), tuple(PauliString(c, letters)
+                                                        for c, letters in p)) for p in (h, s))
+            return _read_only(a.commutator(b).dense())
+
+        return self._memoized(("bracket", h, s), build)
+
+    def projectors(self, axis, site: int) -> tuple[HermitianOperator, HermitianOperator]:
+        """`projectors` of axis.sigma at `site`."""
+        return self._memoized(("projectors", _axis(axis), site),
+                              lambda: projectors(axis, site, self.spec.n_sites))
+
+    def dense(self, op: HermitianOperator, sites: tuple[int, ...]) -> np.ndarray:
+        """op.dense(sites), read-only and shared by every operator with the same pattern there.
+
+        The key is `op.restricted(sites)`, the coefficients and letters on the
+        sites in order, which fixes the matrix bit for bit.  On a periodic
+        chain the receivers three or more sites from A see the same sigma_B
+        and H_B patterns on their sites, so they share those matrices; each
+        T_m has an offset of its own, equal to the others only to rounding.
+        """
+        pattern = op.restricted(sites)
+        return self._memoized(("dense", len(sites), pattern),
+                              lambda: _read_only(dense_matrix(pattern, len(sites))))
 
 def _sites(*groups) -> tuple[int, ...]:
     """The sorted union of site groups: the key and basis order of a reduced density matrix."""
@@ -223,7 +280,12 @@ def _outcome_blocks(prepared: PreparedGround, kraus, sites: tuple[int, ...]
                     ) -> tuple[np.ndarray, ...]:
     """Each outcome's unnormalized state P_mu rho P_mu on `sites`, which hold the measured site."""
     rho = prepared.reduced(sites)
-    return tuple(p @ rho @ p for p in (op.dense(sites) for op in kraus))
+    return tuple(p @ rho @ p for p in (prepared.dense(op, sites) for op in kraus))
+
+
+def _axis(axis) -> tuple[float, ...]:
+    """An axis as a key: a tuple of floats, whatever sequence it came as."""
+    return tuple(float(c) for c in axis)
 
 
 def _chain_of(spec: ChainSpec) -> tuple:
@@ -275,7 +337,7 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     with the closed form.
     """
     prepared = _resolve_ground(spec, ground)
-    sigma_b = axis_operator(setup.axis_b, spec.site_b, spec.n_sites)
+    sigma_b = prepared.sigma(setup.axis_b, spec.site_b)
 
     kraus, e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
     profiles = {"ground": prepared.ground_profile, "post_measurement": post_measurement}
@@ -295,11 +357,11 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     for m in density_support(spec, spec.site_b):
         sites = _sites({spec.site_a}, density_support(spec, m))
         before = _outcome_blocks(prepared, kraus, sites)
-        after = apply_feedback(before, sigma_b.dense(sites), theta_used)
-        density = build_energy_density(spec, m).dense(sites)
+        after = apply_feedback(before, prepared.dense(sigma_b, sites), theta_used)
+        density = prepared.dense(prepared.density(m), sites)
         post_feedback[m] = float(sum(_trace(block, density) for block in after).real)
         if m == spec.site_b:            # supp T_B holds every term of H at B
-            h_b = prepared.hamiltonian.acting_on(spec.site_b).dense(sites)
+            h_b = prepared.dense(prepared.acting_on(spec.site_b), sites)
             shift = float(sum(_trace(new - old, h_b) for old, new in zip(before, after)).real)
     profiles["post_feedback"] = tuple(post_feedback)
     trace_energy = e_a + shift
@@ -308,7 +370,7 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     if theta is None and teleportable:
         closed = teleported_energy(xi, eta)
         if abs(e_b - closed) > 1e-8 * spec.coupling:
-            sigma_a = axis_operator(setup.axis_a, spec.site_a, spec.n_sites)
+            sigma_a = prepared.sigma(setup.axis_a, spec.site_a)
             if closed_form_applies(sigma_a, sigma_b, prepared.hamiltonian):
                 raise RuntimeError(
                     f"energy bookkeeping violated: simulated E_B {e_b:.12g} vs "
@@ -354,13 +416,12 @@ def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray
     prepared = _resolve_ground(spec, ground)
     sites = _sites({spec.site_a}, density_support(spec, spec.site_b))
     rho = prepared.reduced(sites)
-    h_b = prepared.hamiltonian.acting_on(spec.site_b)
-    sigma_a = [axis_operator(AXES[p], spec.site_a, spec.n_sites) for p in "xyz"]
-    sigma_b = [axis_operator(AXES[q], spec.site_b, spec.n_sites) for q in "xyz"]
-    brackets = [h_b.commutator(s).dense(sites) for s in sigma_b]         # i[H, sigma^q_B]
+    sigma_a, sigma_b = ([prepared.dense(prepared.sigma(AXES[q], site), sites) for q in "xyz"]
+                        for site in (spec.site_a, spec.site_b))
+    brackets = [prepared.bracket(AXES[q], spec.site_b, sites) for q in "xyz"]  # i[H, sigma^q_B]
     # with C = i[H, sigma^q_B]: <sigma [H, sigma^q_B]> = Im <sigma C> and
     # i <sigma [H, sigma^q_B]> = Re <sigma C>
-    at_b, at_a = (np.array([[_trace(rho, s.dense(sites) @ c) for c in brackets] for s in group])
+    at_b, at_a = (np.array([[_trace(rho, s @ c) for c in brackets] for s in group])
                   for group in (sigma_b, sigma_a))
     xi_mat = 0.5 * (at_b.imag + at_b.imag.T) + sum(prepared.ground_profile) * np.eye(3)
     return xi_mat, at_a.real

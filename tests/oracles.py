@@ -9,7 +9,8 @@ form on that route, and `correlation_check` and `density_eigenbasis_weights`
 are the entanglement witnesses of the chain's ground state.  For the exact
 ground state, `even_parity_sector` gives the dense even-sector matrix
 without forming the 2^N one, and `bdg_pairing` and `pfaffian` rebuild the
-pairing matrix and its Pfaffians by the textbook routes.
+pairing matrix and its Pfaffians by the textbook routes.  `distance`,
+`spectrum_dim` and `one_norm` are small measures that only the tests use.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from qetsim.chain import (
     ChainSpec,
+    LocalSpectrum,
     build_energy_density,
     build_hamiltonian,
     density_support,
@@ -49,10 +51,28 @@ from qetsim.protocol import (
 ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
 
 
+def distance(spec: ChainSpec, m: int, n: int) -> int:
+    """Separation |m - n| of two sites, circular on periodic chains."""
+    d = abs(m - n)
+    if spec.boundary == "periodic":
+        d = min(d, spec.n_sites - d)
+    return d
+
+
+def spectrum_dim(spectrum: LocalSpectrum) -> int:
+    """Dimension of a local spectrum's support space: the sum of its multiplicities."""
+    return sum(spectrum.multiplicities)
+
+
+def one_norm(op: HermitianOperator) -> float:
+    """||O||_1 = sum of |coefficient| over the operator's Pauli strings."""
+    return float(sum(abs(t.coefficient) for t in op.terms))
+
+
 def expectation(op: HermitianOperator, vec: np.ndarray) -> float:
     """Re <vec|O|vec>; complains of an imaginary part above 1e-12 ||O||_1 (non-Hermitian)."""
     val = inner(vec, op.apply(vec))
-    if abs(val.imag) > 1e-12 * op.one_norm:
+    if abs(val.imag) > 1e-12 * one_norm(op):
         raise ValueError(f"expectation has imaginary part {val.imag:g}; operator is not Hermitian")
     return float(val.real)
 
@@ -180,7 +200,7 @@ def correlation_tensors(spec: ChainSpec, ground: np.ndarray,
     hg = h.apply(ground) if h_ground is None else h_ground
     b_hg = [s.apply(hg) for s in sigma_b]
 
-    limit = 1e-10 * h.one_norm
+    limit = 1e-10 * one_norm(h)
     xi_mat = np.empty((3, 3))
     eta_mat = np.empty((3, 3))
     for q in range(3):
@@ -356,7 +376,7 @@ def correlation_check(ground: np.ndarray, t_n: HermitianOperator,
     tv = t_n.apply(ground)
     ov = o_m.apply(ground)
     lhs = inner(tv, ov)
-    if abs(lhs.imag) > 1e-10 * t_n.one_norm * o_m.one_norm:
+    if abs(lhs.imag) > 1e-10 * one_norm(t_n) * one_norm(o_m):
         raise ValueError(f"two-point function has imaginary part {lhs.imag:g}")
     rhs = float(inner(ground, tv).real * inner(ground, ov).real)
     return CorrelationCheck(float(lhs.real), rhs, abs(float(lhs.real) - rhs))

@@ -14,6 +14,7 @@ from oracles import (
     apply_feedback,
     branch_protocol,
     channel_energy,
+    distance,
     eq9_energy,
     expectation,
     measure,
@@ -133,10 +134,10 @@ def test_criterion_5_causality_and_locality(chains):
     for name, result in runs.items():
         post = result.profiles["post_measurement"]
         fb = result.profiles["post_feedback"]
-        distant_ok = all(abs(post[n]) < 1e-12 for n in range(12) if spec.distance(n, 0) >= 2)
+        distant_ok = all(abs(post[n]) < 1e-12 for n in range(12) if distance(spec, n, 0) >= 2)
         local_ok = all(abs(fb[n] - post[n]) < 1e-12 for n in range(12)
-                       if spec.distance(n, 6) > 1)
-        moved = sum(fb[n] - post[n] for n in range(12) if spec.distance(n, 6) <= 1)
+                       if distance(spec, n, 6) > 1)
+        moved = sum(fb[n] - post[n] for n in range(12) if distance(spec, n, 6) <= 1)
         sink_ok = abs(moved + result.e_b) < 1e-10
         ok = ok and distant_ok and local_ok and sink_ok
         lines.append(f"{name}: distant <T_n>=0 post-measurement ({distant_ok}), feedback "

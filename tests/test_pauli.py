@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import apply_single_qubit, expectation
+from oracles import apply_single_qubit, expectation, one_norm
 
 from qetsim.pauli import (
     HermitianOperator,
@@ -18,6 +18,7 @@ from qetsim.pauli import (
     single_site,
     split_by_support,
 )
+from qetsim.protocol import PreparedGround
 
 I2 = np.eye(2)
 PAULI = {
@@ -122,7 +123,7 @@ def test_apply_matches_kron_dense_on_random_sums(case, seed):
     ref = dense_reference(op) if op.terms else np.zeros((1 << n, 1 << n))
     rng = np.random.default_rng(seed)
     for v in (rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)):
-        assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12 * max(1.0, op.one_norm)
+        assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12 * max(1.0, one_norm(op))
     # the cached plan is invisible to equality, hashing and repr
     assert op == twin
     assert (hash(op), repr(op)) == before == (hash(twin), repr(twin))
@@ -154,7 +155,7 @@ def test_apply_folds_groups_that_share_a_coefficient(case, seed):
     real_vec = rng.standard_normal(1 << n)
     for v in (real_vec, real_vec + 1j * rng.standard_normal(1 << n)):
         out = op.apply(v)
-        assert np.max(np.abs(out - ref @ v)) < 1e-12 * max(1.0, op.one_norm)
+        assert np.max(np.abs(out - ref @ v)) < 1e-12 * max(1.0, one_norm(op))
         assert out.dtype == (np.float64 if op.is_real and v.dtype == np.float64 else np.complex128)
     # every X-mask whose terms carry no Z-bit is one flip, folded under its coefficient
     plain = {}
@@ -212,7 +213,7 @@ def test_apply_is_linear():
 def test_self_adjointness_on_random_pairs():
     rng = np.random.default_rng(3)
     op = random_operator(6, 10, rng)
-    scale = op.one_norm
+    scale = one_norm(op)
     for _ in range(10):
         u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -270,6 +271,45 @@ def test_dense_rejects_terms_outside_sites():
     op = HermitianOperator.from_strings(4, [from_sites(4, 1.0, {0: "X", 2: "X"})])
     with pytest.raises(ValueError, match="outside"):
         op.dense(sites=(0, 1))
+
+
+chain_sums = st.integers(3, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.floats(-2.0, 2.0, allow_nan=False),
+                       st.text(alphabet="IXYZ", min_size=n, max_size=n)), max_size=8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_sums, st.data())
+def test_dense_on_sites_is_the_operator_rebuilt_there(chains, case, data):
+    # on a sorted site set holding every term's support, the matrix is the
+    # kron reference of the strings rebuilt on those sites alone, entry for
+    # entry, real or complex; PreparedGround's memoized copy is the same
+    # matrix, read-only, and a term outside the sites raises on both routes
+    n, terms = case
+    op = HermitianOperator.from_strings(n, [PauliString(c, letters) for c, letters in terms])
+    support = {s for t in op.terms for s in t.support}
+    sites = tuple(sorted(support | set(data.draw(st.sets(st.integers(0, n - 1))))))
+    rebuilt = HermitianOperator(len(sites), tuple(
+        PauliString(t.coefficient, "".join(t.letters[s] for s in sites)) for t in op.terms))
+    expected = dense_reference(rebuilt) if op.terms else np.zeros((1 << len(sites),) * 2)
+    mat = op.dense(sites)
+    assert mat.dtype == (np.float64 if op.is_real else np.complex128)
+    assert np.array_equal(mat, expected)
+
+    spec, res = chains(n)
+    prepared = PreparedGround(spec, res.state)
+    shared = prepared.dense(op, sites)
+    assert shared.dtype == mat.dtype and np.array_equal(shared, mat)
+    assert prepared.dense(op, sites) is shared and not shared.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0, 0] = 1.0
+    if support:
+        dropped = data.draw(st.sampled_from(sorted(support)))
+        fewer = tuple(s for s in sites if s != dropped)
+        for route in (op.dense, lambda s: prepared.dense(op, s)):
+            with pytest.raises(ValueError, match="outside"):
+                route(fewer)
 
 
 def test_apply_single_qubit_matches_kron():

@@ -8,6 +8,7 @@ stage; the two must agree to 1e-12 J.
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,6 +120,62 @@ def test_given_a_prepared_ground_no_operator_is_applied(chains, monkeypatch):
             for setup in (sweep.best, MeasurementSetup((0.6, 0.0, 0.8), (0.0, 0.8, 0.6))):
                 quiet_run(spec, setup, prepared)
                 cooling.minimize_residual(spec, setup, ground=prepared, restarts=2)
+
+
+def test_a_prepared_ground_builds_each_operator_and_matrix_once(chains, monkeypatch):
+    # a second pass over every receiver builds no operator and no matrix; the
+    # T_m outside build_hamiltonian are built at most once each; and two
+    # PreparedGrounds of one chain share no matrix, so no cache outlives its own
+    built, computed, densities, matrices = [0], [0], Counter(), {}
+    post_init, dense_matrix = HermitianOperator.__post_init__, protocol.dense_matrix
+    energy_density = protocol.build_energy_density
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    def counting_dense_matrix(pattern, n_sites):
+        computed[0] += 1
+        return dense_matrix(pattern, n_sites)
+
+    def counting_energy_density(spec, m):
+        densities[m] += 1
+        return energy_density(spec, m)
+
+    def recording(method):
+        def record(self, *args):
+            mat = method(self, *args)
+            matrices.setdefault(id(self), {})[id(mat)] = mat
+            return mat
+        return record
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counting_post_init)
+    monkeypatch.setattr(protocol, "dense_matrix", counting_dense_matrix)
+    monkeypatch.setattr(protocol, "build_energy_density", counting_energy_density)
+    for name in ("dense", "bracket"):
+        monkeypatch.setattr(PreparedGround, name, recording(getattr(PreparedGround, name)))
+
+    def one_pass(prepared):
+        for site_b in range(1, prepared.spec.n_sites):
+            spec = prepared.spec.with_sites(0, site_b)
+            quiet_run(spec, protocol.axis_sweep(spec, ground=prepared).best, prepared)
+
+    for n_sites, boundary in ((12, "periodic"), (10, "open")):
+        spec, res = chains(n_sites, boundary)
+        first, second = (PreparedGround(spec, res.state) for _ in range(2))
+        one_pass(first)
+        assert built[0] > 0 and computed[0] > 0
+        built[0] = computed[0] = 0
+        one_pass(first)
+        assert built[0] == computed[0] == 0
+        assert max(densities.values()) == 1
+        densities.clear()
+        one_pass(second)
+        assert computed[0] > 0 and max(densities.values()) == 1
+        assert not set(matrices[id(first)]) & set(matrices[id(second)])
+        assert not any(m.flags.writeable for group in matrices.values() for m in group.values())
+        densities.clear()
+        matrices.clear()
 
 
 @pytest.mark.parametrize("boundary", chain.BOUNDARIES)
