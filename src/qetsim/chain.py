@@ -159,12 +159,14 @@ def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
     """Offsets eps_n = <g|(-J sz_n - (J/2) sx_n sx_{n+-1})|g> that zero every <T_n>.
 
     `ground` must be the normalized ground state of the chain Hamiltonian;
-    the offsets are pure identity shifts, so they do not change it.
+    the offsets are pure identity shifts, so they do not change it.  On a
+    periodic chain each offset is the mean, as the densities differ by rounding.
     """
     nrm = norm(ground)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"ground state is not normalized (norm {nrm:.3e})")
-    return energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
+    eps = energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
+    return np.full(spec.n_sites, eps.mean()) if spec.boundary == "periodic" else eps
 
 
 def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "periodic",

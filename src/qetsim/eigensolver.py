@@ -48,15 +48,6 @@ class EigenResult:
     degenerate: bool = False
 
 
-def fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude real and positive."""
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if pivot == 0.0:
-        return vec
-    return vec * (abs(pivot) / pivot)
-
-
 def bdg_blocks(n_sites: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
     """The blocks A and B of the chain's BdG matrix at J = 1, in the even-parity sector."""
     a = 2.0 * np.eye(n_sites)
@@ -72,29 +63,35 @@ def bdg_blocks(n_sites: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
 def pfaffian_amplitudes(pairing: np.ndarray) -> np.ndarray:
     """Pf(G_S) for every site set S, at index sum_{n in S} 2**n; Pf of the empty set is 1.
 
-    Expanding each Pfaffian along its lowest site i gives
-    Pf(G_S) = sum_{j in S, j > i} (-1)^{#(S between i and j)} G_ij Pf(G_{S - i - j}),
-    where S - i - j has no site at or below i.  So going from i = N-1 down to
-    0, the sets whose lowest site is i, amp[1<<i :: 1<<(i+1)], are filled from
-    the sets above i, amp[:: 1<<(i+1)]; in both views bit b of the position
-    is site i+1+b.  The term of site j = i+1+k reads the view as
-    (-1, 2, 2**k), so axis 1 is site j and axis 2 the sites between, whose
-    count's parity is the sign vector's entry.  That is about N 2**N flops.
+    Expanding each Pfaffian along its highest site h gives
+    Pf(G_S) = sum_{j in S, j < h} (-1)^{#(S between j and h)} G_jh Pf(G_{S - j - h}).
+    So for h = 1 .. N-1 the sets whose highest site is h, amp[2**h : 2**(h+1)],
+    are filled from the contiguous prefix amp[:2**h]; the term of site j reads
+    both as (2**(h-1-j), 2, 2**j), axis 1 being site j.  Only even sets are
+    nonzero, so the sign is also the parity of the sites below j, on axis 2,
+    which the term walks one entry at a time while it is short.  That is one
+    multiply into a work buffer and one add per term, about N 2**N flops.
     """
     n_sites = len(pairing)
     amp = np.zeros(1 << n_sites)
     amp[0] = 1.0
-    # (-1)^popcount(m) for m < 2**(N-2), the most sites any term has between i and j
+    # (-1)^popcount(m) for m < 2**(N-2), the most sites any term has below j
     parity = np.ones(1 << max(n_sites - 2, 0))
     for k in range(n_sites - 2):
         parity[1 << k:2 << k] = -parity[:1 << k]
-    for i in range(n_sites - 1, -1, -1):
-        above = amp[::1 << (i + 1)]
-        lowest = amp[1 << i::1 << (i + 1)]
-        for k in range(n_sites - 1 - i):
-            src = above.reshape(-1, 2, 1 << k)
-            dst = lowest.reshape(-1, 2, 1 << k)
-            dst[:, 1] += src[:, 0] * (pairing[i, i + 1 + k] * parity[:1 << k])
+    work = np.empty(parity.size)
+    for h in range(1, n_sites):
+        below, highest = amp[:1 << h], amp[1 << h:2 << h]
+        for j in range(h):
+            shape = (1 << (h - 1 - j), 2, 1 << j)
+            src, dst = below.reshape(shape)[:, 0], highest.reshape(shape)[:, 1]
+            if j < 4:
+                for b in range(1 << j):
+                    dst[:, b] += np.multiply(src[:, b], pairing[j, h] * parity[b],
+                                             out=work[:shape[0]])
+            else:
+                dst += np.multiply(src, pairing[j, h] * parity[:1 << j],
+                                   out=work[:1 << (h - 1)].reshape(shape[0], -1))
     return amp
 
 
@@ -119,10 +116,11 @@ def ground_state(spec: ChainSpec) -> EigenResult:
     pairing = -np.linalg.solve(phi + psi.T, phi - psi.T)
     e0 = -0.5 * float(np.sum(eps))
     gap = float(eps[-1] + eps[-2])
-    amp = pfaffian_amplitudes(pairing)
-    state = fix_phase(amp / norm(amp))
-    unit = ChainSpec(n_sites, 1.0, spec.boundary)
-    residual = spec.coupling * norm(build_hamiltonian(unit).apply(state) - e0 * state)
+    state = pfaffian_amplitudes(pairing)
+    state /= np.copysign(norm(state), state[np.argmax(np.abs(state))])
+    h_g = build_hamiltonian(ChainSpec(n_sites, 1.0, spec.boundary)).apply(state)
+    h_g -= e0 * state
+    residual = spec.coupling * norm(h_g)
     if not residual <= RESIDUAL_BOUND * spec.coupling:
         raise RuntimeError(f"the Pfaffian ground state misses H g = E0 g by "
                            f"{residual:.3e} (bound {RESIDUAL_BOUND * spec.coupling:.1e})")

@@ -13,12 +13,14 @@ builds a matrix: X-bits permute amplitudes, Z-bits flip signs.
 An operator is applied from a plan built on its first `apply` and cached on
 the operator.  Terms that share an X-mask are one group; the group's Z-masks,
 coefficients and factors of i sum to a single diagonal over the basis (a
-scalar when no term in the group has a Z-bit).  Viewing a state as an array
-of shape (2,)*N, with site n on axis N-1-n, flipping bit n is reversing that
-axis, and the plan keeps each X-mask as a precomputed tuple of reversing
-slices.  A group with a diagonal adds `diag * vec` read through its flip: one
-multiply and one add.  Groups with a scalar diagonal are folded by
-coefficient: each adds its flipped `vec` into one accumulator, and each
+scalar when no term in the group has a Z-bit).  It is built by splitting the
+terms on their highest Z-bit, so the chain's N single-site Z terms take
+O(2**N) work, and it stops at that bit, above which it repeats.  Viewing a
+state as an array of shape (2,)*N, with site n on axis N-1-n, flipping bit n
+is reversing that axis, and the plan keeps each X-mask as a precomputed tuple
+of reversing slices.  A group with a diagonal adds `diag * vec` read through
+its flip: one multiply and one add.  Groups with a scalar diagonal are folded
+by coefficient: each adds its flipped `vec` into one accumulator, and each
 distinct coefficient scales that accumulator once.  For the Ising chain, whose
 N bond groups all carry -J, that is N + 3 array passes instead of 2N + 2.
 No index arrays are built.
@@ -118,23 +120,33 @@ def _phase(term: PauliString) -> complex:
     return complex(term.coefficient) * (1j) ** term.letters.count("Y")
 
 
-def _site_signs(n_sites: int, z_mask: int) -> np.ndarray:
-    """(-1)**popcount(index & z_mask) with each index as N bits, broadcastable to (2,)*N."""
-    signs = np.ones((1,) * n_sites)
-    for n in range(n_sites):
-        if z_mask >> n & 1:
-            shape = [1] * n_sites
-            shape[n_sites - 1 - n] = 2
-            signs = signs * np.array([1.0, -1.0]).reshape(shape)
-    return signs
+def _z_diagonal(members, dtype) -> np.ndarray:
+    """sum c (-1)**popcount(i & z) over the (c, z) members, for i < 2**t, bit t-1 the top Z-bit.
+
+    With d_lo from the terms without bit t-1 and d_hi from the others with it
+    cleared, each repeated to 2**(t-1) entries, it is [d_lo + d_hi, d_lo - d_hi].
+    """
+    top = max((z for _, z in members), default=0).bit_length()
+    if top == 0:
+        return np.array([sum(c for c, _ in members)], dtype)
+    bit = 1 << (top - 1)
+    d_lo = _z_diagonal([(c, z) for c, z in members if not z & bit], dtype)
+    d_hi = _z_diagonal([(c, z ^ bit) for c, z in members if z & bit], dtype)
+    diag = np.empty((2, bit), dtype)
+    diag.reshape(2, -1, d_lo.size)[:] = d_lo
+    rows = diag.reshape(2, -1, d_hi.size)
+    rows[0] += d_hi
+    rows[1] -= d_hi
+    return diag.reshape(-1)
 
 
 def _build_plan(n_sites: int, terms) -> tuple[bool, tuple, tuple]:
     """(is_real, ((flip, diagonal), ...), ((coefficient, (flip, ...)), ...)).
 
-    The second entry holds one pair per X-mask whose group has a Z-bit; the
-    third folds the X-masks with a scalar diagonal by that scalar.  A flip is
-    the index tuple that reverses the X-mask's axes of the (2,)*N view.
+    The second entry holds one pair per X-mask whose group has a Z-bit, its
+    diagonal from `_z_diagonal`; the third folds the X-masks with a scalar
+    diagonal by that scalar.  A flip is the index tuple that reverses the
+    X-mask's axes of the (2,)*N view.
     """
     groups: dict[int, list[tuple[complex, int]]] = {}
     for term in terms:
@@ -151,10 +163,7 @@ def _build_plan(n_sites: int, terms) -> tuple[bool, tuple, tuple]:
         if all(z == 0 for _, z in members):
             scalars.setdefault(sum(c for c, _ in members), []).append(flip)
             continue
-        diag = np.zeros((2,) * n_sites, dtype=np.float64 if is_real else np.complex128)
-        for c, z in members:
-            diag += c * _site_signs(n_sites, z)
-        diagonals.append((flip, diag.reshape(-1)))
+        diagonals.append((flip, _z_diagonal(members, np.float64 if is_real else np.complex128)))
     return is_real, tuple(diagonals), tuple((c, tuple(flips)) for c, flips in scalars.items())
 
 
@@ -324,7 +333,7 @@ class HermitianOperator:
             if k:
                 out += work
         for flip, diag in diagonals:
-            np.multiply(diag, vec, out=work)
+            np.multiply(diag, vec.reshape(-1, diag.size), out=work.reshape(-1, diag.size))
             out_nd += work_nd[flip]
         return out
 

@@ -9,7 +9,9 @@ form on that route, and `correlation_check` and `density_eigenbasis_weights`
 are the entanglement witnesses of the chain's ground state.  For the exact
 ground state, `even_parity_sector` gives the dense even-sector matrix
 without forming the 2^N one, and `bdg_pairing` and `pfaffian` rebuild the
-pairing matrix and its Pfaffians by the textbook routes.  `distance`,
+pairing matrix and its Pfaffians by the textbook routes;
+`lowest_site_amplitudes` fills every Pfaffian in the other expansion order,
+and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`,
 `spectrum_dim` and `one_norm` are small measures that only the tests use.
 """
 
@@ -438,3 +440,47 @@ def pfaffian(mat: np.ndarray) -> float:
         keep = [k for k in range(1, size) if k != j]
         total += (-1) ** (j + 1) * mat[0, j] * pfaffian(mat[np.ix_(keep, keep)])
     return total
+
+
+def lowest_site_amplitudes(pairing: np.ndarray) -> np.ndarray:
+    """Pf(G_S) for every site set S, expanding each Pfaffian along its lowest site i.
+
+    Pf(G_S) = sum_{j in S, j > i} (-1)^{#(S between i and j)} G_ij Pf(G_{S - i - j}).
+    Going from i = N-1 down to 0, the sets whose lowest site is i,
+    amp[1<<i :: 1<<(i+1)], are filled from the sets above i,
+    amp[:: 1<<(i+1)]; in both strided views bit b of the position is site
+    i+1+b, and the term of site j = i+1+k reads them as (-1, 2, 2**k).
+    """
+    n_sites = len(pairing)
+    amp = np.zeros(1 << n_sites)
+    amp[0] = 1.0
+    parity = np.ones(1 << max(n_sites - 2, 0))
+    for k in range(n_sites - 2):
+        parity[1 << k:2 << k] = -parity[:1 << k]
+    for i in range(n_sites - 1, -1, -1):
+        above = amp[::1 << (i + 1)]
+        lowest = amp[1 << i::1 << (i + 1)]
+        for k in range(n_sites - 1 - i):
+            src = above.reshape(-1, 2, 1 << k)
+            dst = lowest.reshape(-1, 2, 1 << k)
+            dst[:, 1] += src[:, 0] * (pairing[i, i + 1 + k] * parity[:1 << k])
+    return amp
+
+
+def site_signs(n_sites: int, z_mask: int) -> np.ndarray:
+    """(-1)**popcount(index & z_mask) with each index as N bits, broadcastable to (2,)*N."""
+    signs = np.ones((1,) * n_sites)
+    for n in range(n_sites):
+        if z_mask >> n & 1:
+            shape = [1] * n_sites
+            shape[n_sites - 1 - n] = 2
+            signs = signs * np.array([1.0, -1.0]).reshape(shape)
+    return signs
+
+
+def term_diagonal(n_sites: int, members) -> np.ndarray:
+    """sum c (-1)**popcount(i & z) over (c, z) members and all 2**N indices i, term by term."""
+    diag = np.zeros((2,) * n_sites, dtype=np.complex128)
+    for c, z in members:
+        diag += c * site_signs(n_sites, z)
+    return diag.reshape(-1)

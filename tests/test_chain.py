@@ -107,6 +107,18 @@ def test_calibration_uniform_on_periodic_chain(chains):
     assert np.max(np.abs(eps - eps[0])) < 1e-10
 
 
+@pytest.mark.parametrize("n_sites", range(3, 21))
+def test_periodic_offsets_are_exactly_equal(n_sites):
+    # one offset, the mean of densities that differ only by rounding, so every
+    # T_n has the same pattern; each <T_n> stays at rounding and the offsets
+    # still sum to E0 = -2J / sin(pi/2N)
+    spec, res = calibrated_chain(n_sites)
+    assert len(set(spec.epsilon)) == 1
+    assert np.max(np.abs(energy_densities(spec, res.state))) < 1e-13
+    assert math.fsum(spec.epsilon) == pytest.approx(-2.0 / math.sin(math.pi / (2 * n_sites)),
+                                                    abs=1e-13 * n_sites)
+
+
 def test_calibrated_ground_energy_vanishes(chains):
     for n_sites in (8, 10):
         spec, res = chains(n_sites)

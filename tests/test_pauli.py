@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import apply_single_qubit, expectation, one_norm
+from oracles import apply_single_qubit, expectation, one_norm, term_diagonal
 
 from qetsim.pauli import (
     HermitianOperator,
     PauliString,
+    _build_plan,
     axis_operator,
+    dense_matrix,
     from_sites,
     inner,
     norm,
@@ -168,6 +170,41 @@ def test_apply_folds_groups_that_share_a_coefficient(case, seed):
     assert len(diagonals) + len(plain) == len({t.masks()[0] for t in op.terms})
     assert sorted(len(flips) for _, flips in scalars) == sorted(
         sum(c == d for c in plain.values()) for d in set(plain.values()))
+
+
+# complex weights, multi-site Z strings and the identity among arbitrary strings
+weighted_strings = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                          allow_infinity=False),
+                       st.one_of(st.just("I" * n),
+                                 st.text(alphabet="IZ", min_size=n, max_size=n),
+                                 st.text(alphabet="IXYZ", min_size=n, max_size=n))),
+             min_size=1, max_size=10)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(weighted_strings)
+def test_plan_diagonals_are_the_dense_matrix_entries(case):
+    # X-mask x's group acts as M[i ^ x, i] = diag[i]; a diagonal of 2**t
+    # entries repeats over the higher bits, and a scalar group is constant
+    n, terms = case
+    strings = [PauliString(c, letters) for c, letters in terms]
+    mat = dense_matrix(terms, n)
+    idx = np.arange(1 << n)
+    bound = 1e-12 * max(1.0, sum(abs(c) for c, _ in terms))
+    _, diagonals, scalars = _build_plan(n, strings)
+    groups = list(diagonals) + [(flip, np.array([c])) for c, flips in scalars for flip in flips]
+    masks = []
+    for flip, diag in groups:
+        x = sum(1 << (n - 1 - axis) for axis, s in enumerate(flip) if s.step == -1)
+        masks.append(x)
+        full = np.broadcast_to(diag, ((1 << n) // diag.size, diag.size)).reshape(-1)
+        assert np.max(np.abs(full - mat[idx ^ x, idx])) <= bound
+        members = [(s.coefficient * 1j ** s.letters.count("Y"), s.masks()[1])
+                   for s in strings if s.masks()[0] == x]
+        assert np.max(np.abs(full - term_diagonal(n, members))) <= bound
+    assert sorted(masks) == sorted({s.masks()[0] for s in strings})
 
 
 pauli_sum_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*(
