@@ -30,8 +30,8 @@ GLAISHER_KINKELIN = 1.2824271291006226
 
 
 def _check_coupling(coupling: float) -> None:
-    if not coupling > 0.0:
-        raise ValueError("coupling J must be positive")
+    if not 0.0 < coupling < math.inf:         # NaN fails too
+        raise ValueError("coupling J must be positive and finite")
 
 
 def log_h(n: int) -> float:

@@ -40,8 +40,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 3:
             raise ValueError("need at least 3 sites")
-        if not self.coupling > 0.0:
-            raise ValueError("coupling J must be positive")
+        if not 0.0 < self.coupling < np.inf:     # NaN fails too
+            raise ValueError("coupling J must be positive and finite")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         eps = self.epsilon

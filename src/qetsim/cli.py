@@ -72,15 +72,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sites", type=int, default=10,
                         help="chain length N (default %(default)s)")
-    parser.add_argument("--j", type=float, default=1.0, help="coupling J > 0 (default %(default)s)")
+    parser.add_argument("--j", type=float, default=1.0,
+                        help="finite coupling J > 0 (default %(default)s)")
     parser.add_argument("--bc", choices=chain.BOUNDARIES, default="periodic",
                         help="boundary condition (default %(default)s)")
     parser.add_argument("--site-a", type=int, default=0, help="sender site (default %(default)s)")
     parser.add_argument("--site-b", type=int, default=1, help="receiver site (default %(default)s)")
     parser.add_argument("--axis-a", default="x",
-                        help="measured Pauli component: x|y|z|best|ax,ay,az (default %(default)s)")
+                        help="measured Pauli component: x|y|z|best|ax,ay,az; best on either "
+                             "axis flag picks both axes (default %(default)s)")
     parser.add_argument("--axis-b", default="x",
-                        help="feedback component, same forms (default %(default)s)")
+                        help="feedback component, same forms; best here too picks both axes "
+                             "(default %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="accepted and echoed, but no number depends on it: the ground "
                              "state is exact (default %(default)s)")

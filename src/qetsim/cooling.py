@@ -30,7 +30,7 @@ import numpy as np
 
 from .chain import ChainSpec, density_support
 from .pauli import norm
-from .protocol import MeasurementSetup, PreparedGround, _resolve_ground, _trace
+from .protocol import MeasurementSetup, PreparedGround, _projectors, _resolve_ground, _trace
 
 
 @dataclass
@@ -80,16 +80,15 @@ def outcome_objectives(prepared: PreparedGround, spec: ChainSpec, axis_a
     by at most ||P E_p^dag E_q P|| ||(H - E_0) g||.  An outcome of weight
     below 1e-14 gets no objective and no channel.
     """
-    kraus, _, _ = prepared.measurement(spec, axis_a)
     sites = density_support(spec, spec.site_a)
     rho = prepared.reduced(sites)
+    sigma = prepared.dense(prepared.sigma(axis_a, spec.site_a), sites)
     h_a = prepared.dense(prepared.acting_on(spec.site_a), sites)
     shifted = h_a - sum(prepared.ground_profile) * np.eye(len(rho))       # H_A - E_0
     position = sites.index(spec.site_a)
     high, low = len(rho) >> (position + 1), 1 << position
     objectives = {}
-    for outcome, op in enumerate(kraus):
-        p = prepared.dense(op, sites)
+    for outcome, p in enumerate(_projectors(sigma)):
         if _trace(rho, p).real < 1e-14:
             continue
         units = np.array([np.kron(np.eye(high), np.kron(e.reshape(2, 2), np.eye(low))) @ p
@@ -185,7 +184,7 @@ def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, ground, seed: in
     if restarts < 1 or max_evals < 1:
         raise ValueError("restarts and max_evals must be at least 1")
     prepared = _resolve_ground(spec, ground)
-    _, e_a, _ = prepared.measurement(spec, setup.axis_a)
+    e_a, _ = prepared.measurement(spec, setup.axis_a)
 
     rng = np.random.default_rng(seed)
     starts = spec.coupling * np.vstack([np.zeros(3), rng.standard_normal((restarts - 1, 3))])

@@ -10,10 +10,12 @@ signs); a letter Y sets both bits and contributes one factor of i, so that
 every string with a real coefficient is Hermitian.  Applying a string never
 builds a matrix: X-bits permute amplitudes, Z-bits flip signs.
 
-An operator is applied from a plan built on its first `apply` and cached on
-the operator.  Terms that share an X-mask are one group; the group's Z-masks,
-coefficients and factors of i sum to a single diagonal over the basis (a
-scalar when no term in the group has a Z-bit).  It is built by splitting the
+An operator is applied from a plan that `apply` builds on each call and does
+not keep: operators are frozen and hold only their terms, and the package
+applies each one once, to check a ground state's residual.  Terms that share
+an X-mask are one group; the group's Z-masks, coefficients and factors of i
+sum to a single diagonal over the basis (a scalar when no term in the group
+has a Z-bit).  It is built by splitting the
 terms on their highest Z-bit, so the chain's N single-site Z terms take
 O(2**N) work, and it stops at that bit, above which it repeats.  Viewing a
 state as an array of shape (2,)*N, with site n on axis N-1-n, flipping bit n
@@ -38,7 +40,7 @@ own loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,10 +94,6 @@ class PauliString:
     @property
     def n_sites(self) -> int:
         return len(self.letters)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(n for n, c in enumerate(self.letters) if c != "I")
 
     def masks(self) -> tuple[int, int, int]:
         """(x_mask, z_mask, n_y) for bitwise application."""
@@ -215,13 +213,11 @@ class HermitianOperator:
     Construct through :meth:`from_strings`, which merges identical letter
     patterns and checks that the combined coefficients are real (each Pauli
     string is itself Hermitian, so real weights are exactly the Hermiticity
-    condition).  The application plan is built on the first :meth:`apply`
-    and kept on the operator; it takes no part in equality, hashing or repr.
+    condition).
     """
 
     n_sites: int
     terms: tuple[PauliString, ...]
-    _plan: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if any(term.n_sites != self.n_sites for term in self.terms):
@@ -249,34 +245,14 @@ class HermitianOperator:
             terms.append(PauliString(c.real, letters))
         return cls(n_sites, tuple(terms))
 
-    @classmethod
-    def identity(cls, n_sites: int, coefficient: float = 1.0) -> "HermitianOperator":
-        return cls.from_strings(n_sites, [PauliString(coefficient, "I" * n_sites)], drop_tol=0.0)
-
     @property
     def dim(self) -> int:
         return 1 << self.n_sites
-
-    @property
-    def is_real(self) -> bool:
-        """True when the matrix is real (no odd-Y strings); lets solvers work in float64."""
-        return all(_phase(t).imag == 0.0 for t in self.terms)
 
     def acting_on(self, site: int) -> "HermitianOperator":
         """The terms with a letter at `site`: the only part that can fail to commute there."""
         terms = tuple(t for t in self.terms if t.letters[site] != "I")
         return HermitianOperator(self.n_sites, terms)
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if other.n_sites != self.n_sites:
-            raise ValueError("operator sizes differ")
-        return HermitianOperator.from_strings(self.n_sites, self.terms + other.terms, drop_tol=0.0)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        scaled = [PauliString(t.coefficient * scalar, t.letters) for t in self.terms]
-        return HermitianOperator.from_strings(self.n_sites, scaled, drop_tol=0.0)
-
-    __rmul__ = __mul__
 
     def commutator(self, other: "HermitianOperator") -> "HermitianOperator":
         """i[A, B] as a canonical Pauli sum, built from exact string products.
@@ -304,7 +280,7 @@ class HermitianOperator:
         return HermitianOperator.from_strings(self.n_sites, strings)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """O @ vec without forming a matrix, from the plan cached on the operator.
+        """O @ vec without forming a matrix, from a plan built by `_build_plan` on each call.
 
         Each group with a diagonal scales `vec` and adds the product into the
         output through its flip; the scalar groups of one coefficient add
@@ -315,9 +291,7 @@ class HermitianOperator:
         vec = np.asarray(vec)
         if vec.shape != (self.dim,):
             raise ValueError(f"state has shape {vec.shape}, expected ({self.dim},)")
-        if self._plan is None:
-            object.__setattr__(self, "_plan", _build_plan(self.n_sites, self.terms))
-        is_real, diagonals, scalars = self._plan
+        is_real, diagonals, scalars = _build_plan(self.n_sites, self.terms)
         dtype = np.result_type(vec.dtype, np.float64 if is_real else np.complex128)
         # the first coefficient accumulates in `out` itself, so it needs no zeroing
         out = np.empty(self.dim, dtype) if scalars else np.zeros(self.dim, dtype)

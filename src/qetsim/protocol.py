@@ -31,7 +31,7 @@ import numpy as np
 from . import eigensolver
 from .chain import (ChainSpec, build_energy_density, build_hamiltonian, density_support,
                     energy_densities)
-from .pauli import HermitianOperator, PauliString, axis_operator, dense_matrix, split_by_support
+from .pauli import HermitianOperator, axis_operator, dense_matrix, split_by_support
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 MAX_REDUCED_SITES = 6
@@ -70,35 +70,27 @@ class ProtocolResult:
     profiles: dict[str, tuple[float, ...]]
 
 
-def projectors(axis, site: int, n_sites: int) -> tuple[HermitianOperator, HermitianOperator]:
-    """Spectral projectors P_mu = (I + (-1)^mu axis.sigma) / 2 at one site."""
-    sigma = axis_operator(axis, site, n_sites)
-    half = HermitianOperator.identity(n_sites, 0.5)
-    return half + 0.5 * sigma, half + (-0.5) * sigma
+def measure(prepared: "PreparedGround", site: int, axis) -> tuple[float, tuple[float, ...]]:
+    """Measure axis.sigma at `site`: E_A and the post-measurement profile.
 
-
-def measure(prepared: "PreparedGround", site: int, axis
-            ) -> tuple[tuple[HermitianOperator, HermitianOperator], float, tuple[float, ...]]:
-    """Measure axis.sigma at `site`: the projectors P_mu, E_A and the post-measurement profile.
-
-    Outcome mu leaves P_mu|g>.  A density T_m whose support misses the site
-    commutes with both projectors and keeps its ground value; the others are
-    read from rho on the sites within two of it.  E_A comes from the same
-    rho by a second route: sum_mu P_mu H P_mu = H + sigma [H, sigma] / 2, so
+    Outcome mu leaves P_mu|g>, with P_mu = (I + (-1)^mu sigma) / 2.  A
+    density T_m whose support misses the site commutes with both projectors
+    and keeps its ground value; the others are read from rho on the sites
+    within two of it.  E_A comes from the same rho by a second route:
+    sum_mu P_mu H P_mu = H + sigma [H, sigma] / 2, so
     E_A = <H> + <sigma [H, sigma]> / 2, with <H> the ground profile's sum.
     """
     spec = prepared.spec
-    kraus = prepared.projectors(axis, site)
     touched = density_support(spec, site)          # the T_m with a term at the site
     sites = _sites(*(density_support(spec, m) for m in touched))
-    post = sum(_outcome_blocks(prepared, kraus, sites))
+    post = sum(_outcome_blocks(prepared, axis, site, sites))
     profile = list(prepared.ground_profile)
     for m in touched:
         profile[m] = float(_trace(post, prepared.dense(prepared.density(m), sites)).real)
     sigma = prepared.dense(prepared.sigma(axis, site), sites)
     # <sigma [H, sigma]> = Im <sigma i[H, sigma]>
-    deposit = _trace(prepared.reduced(sites), sigma @ prepared.bracket(axis, site, sites)).imag
-    return kraus, sum(prepared.ground_profile) + 0.5 * float(deposit), tuple(profile)
+    deposit = _trace(prepared.reduced(sites), sigma @ _bracket(prepared, axis, site, sites)).imag
+    return sum(prepared.ground_profile) + 0.5 * float(deposit), tuple(profile)
 
 
 def optimal_theta(xi: float, eta: float) -> float:
@@ -152,17 +144,17 @@ class PreparedGround:
     returns and the calibrated H; it builds nothing else.  Everything the
     protocol reads is built on first use and memoized on this object, for as
     long as it lives and no longer: `reduced` per site set, the correlation
-    tensors per (site_a, site_b), the sender's measurement (projectors, E_A
-    and the post-measurement profile) per (site_a, axis_a), and the few-site
-    operators: each T_m, the terms of H at a site, and axis.sigma and its
-    projectors per (axis, site).  `dense` memoizes an operator's matrix on a
-    site set by the operator's pattern there, and `bracket` the matrix of
-    i[H, sigma] by the patterns of its two factors, so receivers whose sites
-    see the same patterns share one matrix.  A sweep over receivers thus
-    checks and measures once and builds each operator and matrix once.
-    Every use names a spec, which must describe the same chain (N, J,
-    boundary and offsets); its protocol sites are free.  Memoized arrays are
-    read-only, since every caller shares them.
+    tensors per (site_a, site_b), the sender's measurement (E_A and the
+    post-measurement profile) per (site_a, axis_a), and the few-site Pauli
+    operators: each T_m, the terms of H at a site, and axis.sigma per
+    (axis, site).  `dense` memoizes an operator's matrix on a site set by
+    the operator's pattern there, so receivers whose sites see the same
+    patterns share one matrix.  The projectors and i[H, sigma] are formed
+    from these matrices where they are used, by a few small products.  A
+    sweep over receivers thus checks and measures once and builds each
+    operator and dense matrix once.  Every use names a spec, which must
+    describe the same chain (N, J, boundary and offsets); its protocol sites
+    are free.  Memoized arrays are read-only, since every caller shares them.
     """
 
     def __init__(self, spec: ChainSpec, state: np.ndarray):
@@ -210,10 +202,8 @@ class PreparedGround:
         return self._memoized(("tensors", spec.site_a, spec.site_b), lambda: tuple(
             _read_only(m) for m in correlation_tensors(spec, self)))
 
-    def measurement(self, spec: ChainSpec, axis_a
-                    ) -> tuple[tuple[HermitianOperator, HermitianOperator], float,
-                               tuple[float, ...]]:
-        """`measure` of axis_a at spec.site_a: (projectors, E_A, post-measurement profile)."""
+    def measurement(self, spec: ChainSpec, axis_a) -> tuple[float, tuple[float, ...]]:
+        """`measure` of axis_a at spec.site_a: (E_A, post-measurement profile)."""
         self._require(spec)
         return self._memoized(("measurement", spec.site_a, _axis(axis_a)),
                               lambda: measure(self, spec.site_a, axis_a))
@@ -230,28 +220,6 @@ class PreparedGround:
         """axis.sigma at `site`."""
         return self._memoized(("sigma", _axis(axis), site),
                               lambda: axis_operator(axis, site, self.spec.n_sites))
-
-    def bracket(self, axis, site: int, sites: tuple[int, ...]) -> np.ndarray:
-        """i[H, axis.sigma] at `site` as a read-only matrix on the sorted `sites`.
-
-        Only the terms of H at the site fail to commute with sigma, and their
-        bracket is formed from the patterns of both on `sites`: on sorted sites
-        a pattern orders its terms as the full strings do, so the result is
-        bit for bit that of the full operators, and is shared by pattern.
-        """
-        h, s = (op.restricted(sites) for op in (self.acting_on(site), self.sigma(axis, site)))
-
-        def build():
-            a, b = (HermitianOperator(len(sites), tuple(PauliString(c, letters)
-                                                        for c, letters in p)) for p in (h, s))
-            return _read_only(a.commutator(b).dense())
-
-        return self._memoized(("bracket", h, s), build)
-
-    def projectors(self, axis, site: int) -> tuple[HermitianOperator, HermitianOperator]:
-        """`projectors` of axis.sigma at `site`."""
-        return self._memoized(("projectors", _axis(axis), site),
-                              lambda: projectors(axis, site, self.spec.n_sites))
 
     def dense(self, op: HermitianOperator, sites: tuple[int, ...]) -> np.ndarray:
         """op.dense(sites), read-only and shared by every operator with the same pattern there.
@@ -276,11 +244,28 @@ def _trace(a: np.ndarray, b: np.ndarray):
     return np.einsum("ab,ba->", a, b)
 
 
-def _outcome_blocks(prepared: PreparedGround, kraus, sites: tuple[int, ...]
+def _projectors(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral projectors P_mu = (I + (-1)^mu sigma) / 2 of a Pauli component's matrix."""
+    eye = np.eye(len(sigma))
+    return 0.5 * (eye + sigma), 0.5 * (eye - sigma)
+
+
+def _bracket(prepared: PreparedGround, axis, site: int, sites: tuple[int, ...]) -> np.ndarray:
+    """i[H, axis.sigma] at `site` as a matrix on `sites`: i(h sigma - sigma h).
+
+    Only h, the terms of H at the site, fails to commute with sigma there.
+    """
+    h = prepared.dense(prepared.acting_on(site), sites)
+    sigma = prepared.dense(prepared.sigma(axis, site), sites)
+    return 1j * (h @ sigma - sigma @ h)
+
+
+def _outcome_blocks(prepared: PreparedGround, axis, site: int, sites: tuple[int, ...]
                     ) -> tuple[np.ndarray, ...]:
     """Each outcome's unnormalized state P_mu rho P_mu on `sites`, which hold the measured site."""
     rho = prepared.reduced(sites)
-    return tuple(p @ rho @ p for p in (prepared.dense(op, sites) for op in kraus))
+    sigma = prepared.dense(prepared.sigma(axis, site), sites)
+    return tuple(p @ rho @ p for p in _projectors(sigma))
 
 
 def _axis(axis) -> tuple[float, ...]:
@@ -334,12 +319,14 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     the densities with a term at B; each is read from rho on its support and
     A.  The trace energy takes a second route, E_A plus the change of the
     terms of H at B, and the bookkeeping check compares the E_B it gives
-    with the closed form.
+    with the closed form.  Raises ValueError for a `theta` that is not finite.
     """
+    if theta is not None and not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, not {theta!r}")
     prepared = _resolve_ground(spec, ground)
     sigma_b = prepared.sigma(setup.axis_b, spec.site_b)
 
-    kraus, e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
+    e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
     profiles = {"ground": prepared.ground_profile, "post_measurement": post_measurement}
 
     xi_mat, eta_mat = prepared.tensors(spec)
@@ -356,7 +343,7 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     shift = 0.0
     for m in density_support(spec, spec.site_b):
         sites = _sites({spec.site_a}, density_support(spec, m))
-        before = _outcome_blocks(prepared, kraus, sites)
+        before = _outcome_blocks(prepared, setup.axis_a, spec.site_a, sites)
         after = apply_feedback(before, prepared.dense(sigma_b, sites), theta_used)
         density = prepared.dense(prepared.density(m), sites)
         post_feedback[m] = float(sum(_trace(block, density) for block in after).real)
@@ -418,7 +405,7 @@ def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray
     rho = prepared.reduced(sites)
     sigma_a, sigma_b = ([prepared.dense(prepared.sigma(AXES[q], site), sites) for q in "xyz"]
                         for site in (spec.site_a, spec.site_b))
-    brackets = [prepared.bracket(AXES[q], spec.site_b, sites) for q in "xyz"]  # i[H, sigma^q_B]
+    brackets = [_bracket(prepared, AXES[q], spec.site_b, sites) for q in "xyz"]  # i[H, sigma^q_B]
     # with C = i[H, sigma^q_B]: <sigma [H, sigma^q_B]> = Im <sigma C> and
     # i <sigma [H, sigma^q_B]> = Re <sigma C>
     at_b, at_a = (np.array([[_trace(rho, s @ c) for c in brackets] for s in group])

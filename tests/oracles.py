@@ -12,7 +12,9 @@ without forming the 2^N one, and `bdg_pairing` and `pfaffian` rebuild the
 pairing matrix and its Pfaffians by the textbook routes;
 `lowest_site_amplitudes` fills every Pfaffian in the other expansion order,
 and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`,
-`spectrum_dim` and `one_norm` are small measures that only the tests use.
+`spectrum_dim` and `one_norm` are small measures that only the tests use, and
+`identity`, `add`, `scaled`, `support`, `is_real` and `projectors` the Pauli
+arithmetic that builds the branch route's N-site projectors.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from qetsim.protocol import (
     ProtocolResult,
     closed_form_applies,
     optimal_theta,
-    projectors,
 )
 
 ENV_DIM = 4          # Choi rank of a qubit channel is at most 4
@@ -69,6 +70,43 @@ def spectrum_dim(spectrum: LocalSpectrum) -> int:
 def one_norm(op: HermitianOperator) -> float:
     """||O||_1 = sum of |coefficient| over the operator's Pauli strings."""
     return float(sum(abs(t.coefficient) for t in op.terms))
+
+
+def identity(n_sites: int, coefficient: float = 1.0) -> HermitianOperator:
+    """coefficient times the identity on n_sites sites."""
+    return HermitianOperator.from_strings(n_sites, [PauliString(coefficient, "I" * n_sites)],
+                                          drop_tol=0.0)
+
+
+def add(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
+    """a + b, with identical patterns merged and exact cancellations dropped."""
+    if a.n_sites != b.n_sites:
+        raise ValueError("operator sizes differ")
+    return HermitianOperator.from_strings(a.n_sites, a.terms + b.terms, drop_tol=0.0)
+
+
+def scaled(op: HermitianOperator, scalar: float) -> HermitianOperator:
+    """scalar times op."""
+    return HermitianOperator.from_strings(
+        op.n_sites, [PauliString(t.coefficient * scalar, t.letters) for t in op.terms], drop_tol=0.0)
+
+
+def support(term: PauliString) -> tuple[int, ...]:
+    """The sites where a string holds a letter other than I."""
+    return tuple(n for n, c in enumerate(term.letters) if c != "I")
+
+
+def is_real(op: HermitianOperator) -> bool:
+    """True when the matrix is real: every coefficient times i**n_y is real."""
+    return all((complex(t.coefficient) * 1j ** t.letters.count("Y")).imag == 0.0
+               for t in op.terms)
+
+
+def projectors(axis, site: int, n_sites: int) -> tuple[HermitianOperator, HermitianOperator]:
+    """Spectral projectors P_mu = (I + (-1)^mu axis.sigma) / 2 at one site, on all N sites."""
+    sigma = axis_operator(axis, site, n_sites)
+    half = identity(n_sites, 0.5)
+    return add(half, scaled(sigma, 0.5)), add(half, scaled(sigma, -0.5))
 
 
 def expectation(op: HermitianOperator, vec: np.ndarray) -> float:
@@ -372,7 +410,7 @@ def correlation_check(ground: np.ndarray, t_n: HermitianOperator,
     Only meaningful for disjoint supports, where T_n O_m is Hermitian and
     the two-point function is real.
     """
-    supports = [sorted({s for t in op.terms for s in t.support}) for op in (t_n, o_m)]
+    supports = [sorted({s for t in op.terms for s in support(t)}) for op in (t_n, o_m)]
     if set(supports[0]) & set(supports[1]):
         raise ValueError(f"supports overlap: {supports[0]} and {supports[1]}")
     tv = t_n.apply(ground)

@@ -18,6 +18,7 @@ from oracles import (
     eq9_energy,
     expectation,
     measure,
+    projectors,
     random_channel,
 )
 
@@ -28,7 +29,6 @@ from qetsim.protocol import (
     MeasurementSetup,
     axis_sweep,
     correlation_tensors,
-    projectors,
     run_protocol,
     teleported_energy,
 )

@@ -161,7 +161,7 @@ def test_residual_energy_dominates_teleported_energy():
 
 
 def test_coupling_must_be_positive():
-    for coupling in (0.0, -1.0, math.nan):
+    for coupling in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="coupling J must be positive"):
             eb_closed_form(1, coupling)
         with pytest.raises(ValueError, match="coupling J must be positive"):

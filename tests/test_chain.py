@@ -410,8 +410,9 @@ def test_no_spectrum_below_zero_from_seeded_probes(chains):
 def test_spec_validation():
     with pytest.raises(ValueError, match="3 sites"):
         ChainSpec(2)
-    with pytest.raises(ValueError, match="positive"):
-        ChainSpec(4, coupling=0.0)
+    for coupling in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ChainSpec(4, coupling=coupling)
     with pytest.raises(ValueError, match="boundary"):
         ChainSpec(4, boundary="twisted")
     with pytest.raises(ValueError, match="differ"):

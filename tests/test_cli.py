@@ -226,6 +226,21 @@ def test_analytic_rejects_nonpositive_coupling(capsys):
     assert code == 1 and "coupling J must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ground", "--sites", "6", "--j", "inf"),
+    ("ground", "--sites", "6", "--j", "nan"),
+    ("analytic", "--j", "inf", "--n-max", "2"),
+    ("sweep", "--sizes", "6", "--j", "inf"),
+    ("cool", "--sites", "6", "--j", "inf"),
+    ("teleport", "--sites", "6", "--theta", "nan"),
+    ("teleport", "--sites", "6", "--theta=-inf"),
+])
+def test_non_finite_inputs_exit_1_and_print_nothing(capsys, argv):
+    # NaN and Infinity are not JSON, so no document may be printed with them
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_analytic_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--n-max", "4", "--format", "csv")
     assert code == 0

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from oracles import apply_channel, channel_energy, identity_channel, measure, random_channel
+from oracles import (
+    apply_channel,
+    channel_energy,
+    identity_channel,
+    measure,
+    projectors,
+    random_channel,
+)
 
 from qetsim import chain, cooling, protocol
 from qetsim.chain import build_hamiltonian
 from qetsim.cooling import LocalChannel, minimize_residual
-from qetsim.protocol import MeasurementSetup, projectors
+from qetsim.protocol import MeasurementSetup
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,26 @@ def test_every_public_name_has_a_caller_or_is_exported():
     assert dead == []
 
 
+def test_frozen_dataclasses_are_set_only_in_post_init():
+    # specs and operators are frozen so that workers may share them; a field
+    # written through object.__setattr__ anywhere else is a hidden cache
+    misplaced = []
+
+    def visit(node, function, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"
+                and function != "__post_init__"):
+            misplaced.append(f"{name}:{node.lineno} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, name)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path.name)
+    assert misplaced == []
+
+
 def test_importing_the_cli_loads_no_scipy():
     # numpy is the only runtime dependency; a fresh interpreter shows what the
     # package itself imports, whatever the test session has loaded already

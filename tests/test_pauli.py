@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import apply_single_qubit, expectation, one_norm, term_diagonal
+from oracles import (
+    apply_single_qubit,
+    expectation,
+    identity,
+    is_real,
+    one_norm,
+    scaled,
+    support,
+    term_diagonal,
+)
 
 from qetsim.pauli import (
     HermitianOperator,
@@ -86,7 +95,7 @@ def test_terms_sharing_an_x_mask_are_grouped():
         PauliString(0.7, "XII"), PauliString(-1.1, "XZI"), PauliString(0.9, "XIZ"),
         PauliString(0.5, "YYI"), PauliString(-0.8, "XXZ"), PauliString(1.2, "XXI"),
         PauliString(-0.6, "IZI"), PauliString(0.25, "III")])
-    assert not complex_op.is_real and real_op.is_real
+    assert not is_real(complex_op) and is_real(real_op)
     rng = np.random.default_rng(17)
     real_vec = rng.standard_normal(8)
     complex_vec = real_vec + 1j * rng.standard_normal(8)
@@ -94,7 +103,7 @@ def test_terms_sharing_an_x_mask_are_grouped():
         ref = dense_reference(op)
         for v in (real_vec, complex_vec):
             assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12
-        assert len(op._plan[1]) == n_groups
+        assert len(_build_plan(op.n_sites, op.terms)[1]) == n_groups
     assert real_op.apply(real_vec).dtype == np.float64
     assert real_op.apply(complex_vec).dtype == np.complex128
     assert complex_op.apply(real_vec).dtype == np.complex128
@@ -126,7 +135,7 @@ def test_apply_matches_kron_dense_on_random_sums(case, seed):
     rng = np.random.default_rng(seed)
     for v in (rng.standard_normal(1 << n), rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)):
         assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12 * max(1.0, one_norm(op))
-    # the cached plan is invisible to equality, hashing and repr
+    # applying leaves the operator as it was: equality, hashing and repr
     assert op == twin
     assert (hash(op), repr(op)) == before == (hash(twin), repr(twin))
 
@@ -158,7 +167,7 @@ def test_apply_folds_groups_that_share_a_coefficient(case, seed):
     for v in (real_vec, real_vec + 1j * rng.standard_normal(1 << n)):
         out = op.apply(v)
         assert np.max(np.abs(out - ref @ v)) < 1e-12 * max(1.0, one_norm(op))
-        assert out.dtype == (np.float64 if op.is_real and v.dtype == np.float64 else np.complex128)
+        assert out.dtype == (np.float64 if is_real(op) and v.dtype == np.float64 else np.complex128)
     # every X-mask whose terms carry no Z-bit is one flip, folded under its coefficient
     plain = {}
     for term in op.terms:
@@ -166,7 +175,7 @@ def test_apply_folds_groups_that_share_a_coefficient(case, seed):
         plain.setdefault(x, []).append((z, term.coefficient))
     plain = {x: members[0][1] for x, members in plain.items()
              if len(members) == 1 and members[0][0] == 0}
-    _, diagonals, scalars = op._plan
+    _, diagonals, scalars = _build_plan(op.n_sites, op.terms)
     assert len(diagonals) + len(plain) == len({t.masks()[0] for t in op.terms})
     assert sorted(len(flips) for _, flips in scalars) == sorted(
         sum(c == d for c in plain.values()) for d in set(plain.values()))
@@ -227,7 +236,7 @@ def test_commutator_of_single_letters():
     # i[X, Y] = i (2i Z) = -2 Z; a string commutes with itself and with
     # a string that differs from it on an even number of sites
     x, y, z = (HermitianOperator.from_strings(1, [PauliString(1.0, c)]) for c in "XYZ")
-    assert x.commutator(y) == -2.0 * z
+    assert x.commutator(y) == scaled(z, -2.0)
     assert not x.commutator(x).terms
     xx, yy = (HermitianOperator.from_strings(2, [PauliString(1.0, c * 2)]) for c in "XY")
     assert not xx.commutator(yy).terms
@@ -325,13 +334,13 @@ def test_dense_on_sites_is_the_operator_rebuilt_there(chains, case, data):
     # matrix, read-only, and a term outside the sites raises on both routes
     n, terms = case
     op = HermitianOperator.from_strings(n, [PauliString(c, letters) for c, letters in terms])
-    support = {s for t in op.terms for s in t.support}
-    sites = tuple(sorted(support | set(data.draw(st.sets(st.integers(0, n - 1))))))
+    support_sites = {s for t in op.terms for s in support(t)}
+    sites = tuple(sorted(support_sites | set(data.draw(st.sets(st.integers(0, n - 1))))))
     rebuilt = HermitianOperator(len(sites), tuple(
         PauliString(t.coefficient, "".join(t.letters[s] for s in sites)) for t in op.terms))
     expected = dense_reference(rebuilt) if op.terms else np.zeros((1 << len(sites),) * 2)
     mat = op.dense(sites)
-    assert mat.dtype == (np.float64 if op.is_real else np.complex128)
+    assert mat.dtype == (np.float64 if is_real(op) else np.complex128)
     assert np.array_equal(mat, expected)
 
     spec, res = chains(n)
@@ -341,8 +350,8 @@ def test_dense_on_sites_is_the_operator_rebuilt_there(chains, case, data):
     assert prepared.dense(op, sites) is shared and not shared.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         shared[0, 0] = 1.0
-    if support:
-        dropped = data.draw(st.sampled_from(sorted(support)))
+    if support_sites:
+        dropped = data.draw(st.sampled_from(sorted(support_sites)))
         fewer = tuple(s for s in sites if s != dropped)
         for route in (op.dense, lambda s: prepared.dense(op, s)):
             with pytest.raises(ValueError, match="outside"):
@@ -389,7 +398,7 @@ def test_axis_operator_rejects_zero_vector():
 
 def test_apply_rejects_wrong_dimension():
     for op in (HermitianOperator.from_strings(3, [single_site(3, 0, "Z")]),
-               HermitianOperator.identity(3)):
+               identity(3)):
         for bad in (np.zeros(4), np.zeros((8, 1))):
             with pytest.raises(ValueError, match="shape"):
                 op.apply(bad)

@@ -15,6 +15,7 @@ from oracles import (
     eq9_energy,
     expectation,
     measure,
+    projectors,
 )
 
 from qetsim import chain, eigensolver, protocol
@@ -26,7 +27,6 @@ from qetsim.protocol import (
     closed_form_applies,
     correlation_tensors,
     optimal_theta,
-    projectors,
     run_protocol,
     teleported_energy,
 )
@@ -273,6 +273,9 @@ def test_run_protocol_theta_override():
     assert result.e_b == pytest.approx(0.0, abs=1e-12)
     assert result.theta_used == 0.0
     assert result.theta_star != 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_protocol(spec, MeasurementSetup.cardinal("y", "x"), theta=bad, ground=res)
 
 
 def test_run_protocol_requires_calibration():

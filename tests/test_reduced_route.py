@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BranchGround, branch_gram, branch_protocol, measure
+from oracles import BranchGround, branch_gram, branch_protocol, measure, projectors
 
 from qetsim import chain, cooling, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian, energy_densities
-from qetsim.pauli import HermitianOperator
+from qetsim.pauli import HermitianOperator, axis_operator
 from qetsim.protocol import MeasurementSetup, PreparedGround, run_protocol
 
 TOL = 1e-12      # J = 1 throughout
@@ -90,7 +90,7 @@ def test_cooling_matches_the_branch_oracle(chains, n_sites, boundary):
     objectives = cooling.outcome_objectives(PreparedGround(spec, res.state), spec, setup.axis_a)
 
     h = build_hamiltonian(spec)
-    ensemble, e_a = measure(res.state, *protocol.projectors(setup.axis_a, spec.site_a, n_sites), h)
+    ensemble, e_a = measure(res.state, *projectors(setup.axis_a, spec.site_a, n_sites), h)
     grams = {b.outcome: branch_gram(b.weight, b.state, spec.site_a, h)
              for b in ensemble.branches if b.weight > 0.0}
     assert sorted(objectives) == sorted(grams)
@@ -102,6 +102,50 @@ def test_cooling_matches_the_branch_oracle(chains, n_sites, boundary):
     assert abs(cool.e_r_numeric - sum(bounds)) <= TOL
     assert max(abs(a - b) for a, b in zip(cool.per_outcome, bounds)) <= TOL
     assert abs(cool.duality_gap - gap) <= TOL
+
+
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+@pytest.mark.parametrize("n_sites", range(3, 13))
+def test_outcome_blocks_match_the_n_site_projectors(chains, n_sites, boundary):
+    # P_mu = (I +- sigma) / 2 from sigma's few-site matrix against the oracle's
+    # N-site Pauli projectors restricted to the same sites, at every sender
+    # site, on the site set the measurement reads and on a receiver's
+    spec, res = chains(n_sites, boundary)
+    prepared = PreparedGround(spec, res.state)
+    rng = np.random.default_rng(n_sites)
+    axes = [protocol.AXES["y"], *(tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(3, 3)))]
+    for site in range(n_sites):
+        measured = protocol._sites(*(chain.density_support(spec, m)
+                                     for m in chain.density_support(spec, site)))
+        receiver = protocol._sites({site}, chain.density_support(spec, (site + 2) % n_sites))
+        for sites in (measured, receiver):
+            rho = prepared.reduced(sites)
+            for axis in axes:
+                blocks = protocol._outcome_blocks(prepared, axis, site, sites)
+                for block, op in zip(blocks, projectors(axis, site, n_sites), strict=True):
+                    p = op.dense(sites)
+                    assert np.max(np.abs(block - p @ rho @ p)) <= 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 12), st.sampled_from(chain.BOUNDARIES), unit_axes, st.data())
+def test_bracket_matches_the_pauli_commutator(chains, n_sites, boundary, axis, data):
+    # i(h sigma - sigma h) from the few-site matrices against i[H_site, sigma]
+    # formed in Pauli algebra and then made dense, on a site set that holds
+    # the terms of H at the site and up to two more sites.  The Pauli route
+    # takes one cardinal component at a time (the bracket is linear in the
+    # axis): a whole tilted sigma with a component near 1e-16 would lose its
+    # terms to `from_strings`' drop below 1e-15 of the largest coefficient
+    spec, res = chains(n_sites, boundary)
+    prepared = PreparedGround(spec, res.state)
+    site = data.draw(st.integers(0, n_sites - 1))
+    h = prepared.acting_on(site)
+    held = {n for t in h.terms for n, letter in enumerate(t.letters) if letter != "I"}
+    extra = data.draw(st.sets(st.integers(0, n_sites - 1), max_size=2))
+    sites = protocol._sites(held, extra)
+    exact = sum(a * h.commutator(axis_operator(protocol.AXES[q], site, n_sites)).dense(sites)
+                for q, a in zip("xyz", axis) if a != 0.0)
+    assert np.max(np.abs(protocol._bracket(prepared, axis, site, sites) - exact)) <= 1e-15
 
 
 def test_given_a_prepared_ground_no_operator_is_applied(chains, monkeypatch):
@@ -123,7 +167,7 @@ def test_given_a_prepared_ground_no_operator_is_applied(chains, monkeypatch):
 
 
 def test_a_prepared_ground_builds_each_operator_and_matrix_once(chains, monkeypatch):
-    # a second pass over every receiver builds no operator and no matrix; the
+    # a second pass over every receiver builds no operator and no dense matrix; the
     # T_m outside build_hamiltonian are built at most once each; and two
     # PreparedGrounds of one chain share no matrix, so no cache outlives its own
     built, computed, densities, matrices = [0], [0], Counter(), {}
@@ -152,8 +196,7 @@ def test_a_prepared_ground_builds_each_operator_and_matrix_once(chains, monkeypa
     monkeypatch.setattr(HermitianOperator, "__post_init__", counting_post_init)
     monkeypatch.setattr(protocol, "dense_matrix", counting_dense_matrix)
     monkeypatch.setattr(protocol, "build_energy_density", counting_energy_density)
-    for name in ("dense", "bracket"):
-        monkeypatch.setattr(PreparedGround, name, recording(getattr(PreparedGround, name)))
+    monkeypatch.setattr(PreparedGround, "dense", recording(PreparedGround.dense))
 
     def one_pass(prepared):
         for site_b in range(1, prepared.spec.n_sites):
