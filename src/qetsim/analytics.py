@@ -26,12 +26,12 @@ import math
 
 import numpy as np
 
+from .chain import check_coupling
+
 GLAISHER_KINKELIN = 1.2824271291006226
-
-
-def _check_coupling(coupling: float) -> None:
-    if not 0.0 < coupling < math.inf:         # NaN fails too
-        raise ValueError("coupling J must be positive and finite")
+# regression slope of ln E_B(n) against ln n over n = 20..200; it approaches
+# -9/2 and is the same for every J, so it is a constant (the tests refit it)
+CLOSED_FORM_SLOPE = -4.500283578608237
 
 
 def log_h(n: int) -> float:
@@ -67,7 +67,7 @@ def eb_closed_form(n: int, coupling: float = 1.0) -> float:
     Uses sqrt(1 + x^2) - 1 = x^2 / (sqrt(1 + x^2) + 1) so that tiny Delta
     (large n) loses nothing to cancellation.
     """
-    _check_coupling(coupling)
+    check_coupling(coupling)
     x = 0.5 * math.pi * delta(n)
     return (2.0 * coupling / math.pi) * x * x / (math.sqrt(1.0 + x * x) + 1.0)
 
@@ -82,12 +82,5 @@ def delta_asymptotic(n: int) -> float:
 
 def residual_energy_analytic(coupling: float = 1.0) -> float:
     """E_r = (6/pi - 1) J, the energy the sender cannot locally withdraw."""
-    _check_coupling(coupling)
+    check_coupling(coupling)
     return (6.0 / math.pi - 1.0) * coupling
-
-
-def power_law_slope(n_min: int = 20, n_max: int = 200) -> float:
-    """Regression slope of ln E_B(n) versus ln n; approaches -9/2 for every J."""
-    ns = np.arange(n_min, n_max + 1)
-    log_eb = np.array([math.log(eb_closed_form(int(n))) for n in ns])
-    return float(np.polyfit(np.log(ns.astype(float)), log_eb, 1)[0])

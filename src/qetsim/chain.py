@@ -18,12 +18,26 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import HermitianOperator, PauliString, from_sites, inner, norm
+from .pauli import HermitianOperator, PauliString, from_sites, inner
 
 if TYPE_CHECKING:
     from .eigensolver import EigenResult
 
 BOUNDARIES = ("periodic", "open")
+# Every coupling J in this range keeps each J-scaled number a normal float:
+# the offsets' sum (about -1.3 N J), the 1e-15 J and 1e-10 J tolerances,
+# eta^2 in the teleported energy, and the cooling SDP's Newton steps.  The
+# last two fail first: eta^2 overflows above about J = 1e154 and underflows
+# below about 1e-154, and the cooling SDP's dual solve fails at J = 1e-150.
+COUPLING_RANGE = (1e-100, 1e100)
+
+
+def check_coupling(coupling: float) -> None:
+    """Raise ValueError unless the coupling J lies in COUPLING_RANGE (NaN does not)."""
+    low, high = COUPLING_RANGE
+    if not low <= coupling <= high:
+        raise ValueError(f"coupling J must be positive and finite, in [{low:g}, {high:g}], "
+                         f"not {coupling!r}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +54,7 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 3:
             raise ValueError("need at least 3 sites")
-        if not 0.0 < self.coupling < np.inf:     # NaN fails too
-            raise ValueError("coupling J must be positive and finite")
+        check_coupling(self.coupling)
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         eps = self.epsilon
@@ -150,29 +163,43 @@ def energy_densities(spec: ChainSpec, state: np.ndarray) -> np.ndarray:
     Site n's bonds are xx[n] and xx[n-1]; on an open chain the missing edge
     bond is the zero xx[N-1], so one formula serves both boundaries.
     """
-    z, xx = local_observables(spec, state)
+    return _densities(spec, *local_observables(spec, state))
+
+
+def _densities(spec: ChainSpec, z: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Every <T_n> from z[n] = <sz_n> and xx[n] = <sx_n sx_{n+1 mod N}>."""
     j = spec.coupling
     return -j * z - (j / 2.0) * (xx + np.roll(xx, 1)) - np.asarray(spec.epsilon)
 
 
-def calibrate_epsilon(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
+def calibrate_epsilon(spec: ChainSpec, covariance: np.ndarray) -> np.ndarray:
     """Offsets eps_n = <g|(-J sz_n - (J/2) sx_n sx_{n+-1})|g> that zero every <T_n>.
 
-    `ground` must be the normalized ground state of the chain Hamiltonian;
-    the offsets are pure identity shifts, so they do not change it.  On a
-    periodic chain each offset is the mean, as the densities differ by rounding.
+    They are read from the ground state's covariance T (`EigenResult.covariance`,
+    see :mod:`qetsim.eigensolver`), N^2 numbers rather than 2^N amplitudes:
+    <sz_n> = T[n, n], <sx_n sx_{n+1}> = -T[n, n+1] and, on a periodic chain,
+    the closing bond's +T[N-1, 0].  A normalized pure state's T is
+    orthogonal; any other raises ValueError.  On a periodic chain each
+    offset is the mean, as translation invariance makes them equal up to
+    rounding.  The offsets are pure identity shifts, so they do not change g.
     """
-    nrm = norm(ground)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"ground state is not normalized (norm {nrm:.3e})")
-    eps = energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
-    return np.full(spec.n_sites, eps.mean()) if spec.boundary == "periodic" else eps
+    n_sites = spec.n_sites
+    t = np.asarray(covariance)
+    if t.shape != (n_sites, n_sites) or not np.allclose(t @ t.T, np.eye(n_sites),
+                                                        rtol=0.0, atol=1e-8):
+        raise ValueError("covariance is not orthogonal, as a normalized pure state's is")
+    xx = np.zeros(n_sites)
+    xx[:-1] = -np.diagonal(t, 1)
+    if spec.boundary == "periodic":
+        xx[-1] = t[-1, 0]
+    eps = _densities(spec.with_epsilon((0.0,) * n_sites), np.diagonal(t), xx)
+    return np.full(n_sites, eps.mean()) if spec.boundary == "periodic" else eps
 
 
 def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "periodic",
                      site_a: int = 0, site_b: int = 1,
                      seed: int = 0) -> tuple[ChainSpec, EigenResult]:
-    """Build the chain, take its exact ground state, and tune the offsets.
+    """Build the chain, take its exact ground state, and tune the offsets to its covariance.
 
     Returns the calibrated spec together with the ground-state result, whose
     residual is below 1e-10 J; the reported energy is the (near-zero)
@@ -182,7 +209,7 @@ def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "perio
     from .eigensolver import ground_state     # it builds on this module's ChainSpec and H
     spec = ChainSpec(n_sites, coupling, boundary, None, site_a, site_b)
     res = ground_state(spec)
-    eps = calibrate_epsilon(spec, res.state)
+    eps = calibrate_epsilon(spec, res.covariance)
     spec = spec.with_epsilon(eps)
     res.energy = res.energy - float(np.sum(eps))
     return spec, res

@@ -275,7 +275,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         by_distance = [e_b[dist] for dist in sorted(e_b)]
         ok = ok and all(far <= near + 1e-12 * args.j
                         for near, far in zip(by_distance, by_distance[1:]))
-    slope = analytics.power_law_slope()
     if args.fmt == "csv":
         doc = _csv_doc(["n", "distance", "eb_numeric", "eb_closed", "delta", "note"],
                        [[r[0], r[1], repr(r[2]), repr(r[3]), repr(r[4]), r[5]] for r in rows])
@@ -285,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "sizes": list(sizes), "distances": args.distances}),
             "rows": [{"n": r[0], "distance": r[1], "eb_numeric": r[2],
                       "eb_closed": r[3], "delta": r[4], "note": r[5]} for r in rows],
-            "closed_form_slope": slope,
+            "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
             "checks": {"eb_decreasing_with_distance": ok},
         })
     _emit(args, doc)
@@ -313,7 +312,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                      for r in rows],
             "glaisher_kinkelin": analytics.GLAISHER_KINKELIN,
             "residual_energy": e_r,
-            "closed_form_slope": analytics.power_law_slope(),
+            "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
             "checks": {"delta_decreasing": ok},
         })
     _emit(args, doc)

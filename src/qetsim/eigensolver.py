@@ -16,7 +16,11 @@ A positive-energy BdG eigenvector (x_k, y_k) has phi_k = x_k + y_k and
 psi_k = x_k - y_k with (A + B) phi_k = eps_k psi_k and
 (A - B) psi_k = eps_k phi_k, so one SVD of the N x N matrix A + B gives
 every eps_k and, with the rows X = (x_k), Y = (y_k), the pairing matrix
-G = -X^-1 Y; E0 = -(1/2) sum_k eps_k.  The SVD stands in for an `eigh` of
+G = -X^-1 Y; E0 = -(1/2) sum_k eps_k.  With A + B = U diag(eps) V^T, the
+orthogonal polar factor T = U V^T is the ground state's Majorana
+covariance: <sz_n> = T[n, n] and <sx_n sx_{n+1}> = -T[n, n+1], and a
+periodic chain's closing bond <sx_{N-1} sx_0> = +T[N-1, 0], the sign its
+antiperiodic fermions give it.  The SVD stands in for an `eigh` of
 the 2N x 2N matrix because LAPACK's divide-and-conquer `eigh` above 25 rows
 wakes numpy's OpenBLAS thread pool, whose workers then spin through the
 rest of the computation.  Nothing iterates, and no number depends on a seed.
@@ -46,6 +50,7 @@ class EigenResult:
     residual: float
     iterations: int
     degenerate: bool = False
+    covariance: np.ndarray | None = None    # T = U V^T, N x N (see the module docstring)
 
 
 def bdg_blocks(n_sites: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +112,9 @@ def ground_state(spec: ChainSpec) -> EigenResult:
     application.  The lowest even excitation costs the two smallest eps_k;
     a gap below GAP_TOL J sets `degenerate` and warns.  The odd sector's
     lowest level lies about 1.6 J/N above E0 on a periodic chain and 3 J/N
-    on an open one, so it cannot close the gap unseen.
+    on an open one, so it cannot close the gap unseen.  `covariance` is the
+    polar factor T of A + B, from which `chain.calibrated_chain` reads
+    every <sz_n> and <sx_n sx_{n+1}>.
     """
     n_sites = spec.n_sites
     a, b = bdg_blocks(n_sites, spec.boundary == "periodic")
@@ -127,4 +134,4 @@ def ground_state(spec: ChainSpec) -> EigenResult:
     if gap < GAP_TOL:
         warnings.warn(f"near-degenerate ground space (gap {gap:.2e} J)")
     return EigenResult(spec.coupling * e0 - float(np.sum(spec.epsilon)), state, residual, 1,
-                       degenerate=gap < GAP_TOL)
+                       degenerate=gap < GAP_TOL, covariance=psi @ phi)

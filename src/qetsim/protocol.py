@@ -35,6 +35,7 @@ from .pauli import HermitianOperator, axis_operator, dense_matrix, split_by_supp
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 MAX_REDUCED_SITES = 6
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]     # (-1)^mu, to scale stacked matrices
 
 @dataclass(frozen=True)
 class MeasurementSetup:
@@ -83,7 +84,7 @@ def measure(prepared: "PreparedGround", site: int, axis) -> tuple[float, tuple[f
     spec = prepared.spec
     touched = density_support(spec, site)          # the T_m with a term at the site
     sites = _sites(*(density_support(spec, m) for m in touched))
-    post = sum(_outcome_blocks(prepared, axis, site, sites))
+    post = _outcome_blocks(prepared, axis, site, sites).sum(axis=0)
     profile = list(prepared.ground_profile)
     for m in touched:
         profile[m] = float(_trace(post, prepared.dense(prepared.density(m), sites)).real)
@@ -112,18 +113,16 @@ def teleported_energy(xi: float, eta: float) -> float:
     return 0.5 * eta * eta / (math.hypot(xi, eta) + xi) if (xi or eta) else 0.0
 
 
-def apply_feedback(blocks, sigma_b: np.ndarray, theta: float) -> tuple[np.ndarray, ...]:
+def apply_feedback(blocks: np.ndarray, sigma_b: np.ndarray, theta: float) -> np.ndarray:
     """Rotate outcome mu's block rho_mu to V_B(mu) rho_mu V_B(mu)^dag.
 
-    `blocks` holds each outcome's unnormalized state P_mu rho P_mu on a few
-    sites, and `sigma_b` is sigma_B as a dense matrix on the same sites.
+    `blocks` stacks each outcome's unnormalized state P_mu rho P_mu on a few
+    sites along its first axis, and `sigma_b` is sigma_B as a dense matrix
+    on the same sites.  Both outcomes rotate in one pair of batched products.
     """
-    rotated = []
-    for mu, block in enumerate(blocks):
-        v = (math.cos(theta) * np.eye(len(block))
-             + 1j * (-1.0) ** mu * math.sin(theta) * sigma_b)
-        rotated.append(v @ block @ v.conj().T)
-    return tuple(rotated)
+    v = (math.cos(theta) * np.eye(len(sigma_b))
+         + 1j * math.sin(theta) * _OUTCOME_SIGNS * sigma_b)          # V_B(mu), stacked
+    return v @ blocks @ v.conj().transpose(0, 2, 1)
 
 
 def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -133,7 +132,7 @@ def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) ->
     if not worst <= tol * spec.coupling:    # a NaN density fails too
         raise ValueError(
             f"spec is not calibrated: max |<T_n>| = {worst:.3e}; "
-            "run chain.calibrated_chain or chain.calibrate_epsilon first")
+            "take the spec from chain.calibrated_chain")
     return densities
 
 
@@ -183,7 +182,11 @@ class PreparedGround:
 
         Its basis is little-endian over the sorted sites, as in
         `HermitianOperator.dense(sites)`.  With g split into a (2^k, 2^(N-k))
-        array by `split_by_support`, rho[a, b] = sum_e g[a, e] g[b, e]^*.
+        array by `split_by_support`, rho = g g^dag: one BLAS product, which
+        numpy hands to dsyrk for a real state, so rho comes out exactly
+        symmetric.  A complex state's zgemm leaves a defect of a few ulp
+        between rho and rho^dag, which the Hermitian part removes; on a
+        real rho it changes no bit.
         """
         key = _sites(sites)
         if len(key) > MAX_REDUCED_SITES:
@@ -192,7 +195,8 @@ class PreparedGround:
 
         def build():
             amps = split_by_support(self.state, key, self.spec.n_sites)
-            return _read_only(np.einsum("ae,be->ab", amps, amps.conj()))
+            rho = amps @ amps.conj().T
+            return _read_only(0.5 * (rho + rho.conj().T))
 
         return self._memoized(("reduced", key), build)
 
@@ -226,9 +230,9 @@ class PreparedGround:
 
         The key is `op.restricted(sites)`, the coefficients and letters on the
         sites in order, which fixes the matrix bit for bit.  On a periodic
-        chain the receivers three or more sites from A see the same sigma_B
-        and H_B patterns on their sites, so they share those matrices; each
-        T_m has an offset of its own, equal to the others only to rounding.
+        chain, whose offsets are all one float, the receivers three or more
+        sites from A see the same sigma_B, H_B and T_m patterns on their
+        sites, so they share those matrices.
         """
         pattern = op.restricted(sites)
         return self._memoized(("dense", len(sites), pattern),
@@ -244,10 +248,12 @@ def _trace(a: np.ndarray, b: np.ndarray):
     return np.einsum("ab,ba->", a, b)
 
 
-def _projectors(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral projectors P_mu = (I + (-1)^mu sigma) / 2 of a Pauli component's matrix."""
-    eye = np.eye(len(sigma))
-    return 0.5 * (eye + sigma), 0.5 * (eye - sigma)
+def _projectors(sigma: np.ndarray) -> np.ndarray:
+    """The spectral projectors P_mu = (I + (-1)^mu sigma) / 2 of a Pauli component's matrix.
+
+    They are stacked along the first axis, outcome mu at index mu.
+    """
+    return 0.5 * (np.eye(len(sigma)) + _OUTCOME_SIGNS * sigma)
 
 
 def _bracket(prepared: PreparedGround, axis, site: int, sites: tuple[int, ...]) -> np.ndarray:
@@ -261,11 +267,13 @@ def _bracket(prepared: PreparedGround, axis, site: int, sites: tuple[int, ...]) 
 
 
 def _outcome_blocks(prepared: PreparedGround, axis, site: int, sites: tuple[int, ...]
-                    ) -> tuple[np.ndarray, ...]:
-    """Each outcome's unnormalized state P_mu rho P_mu on `sites`, which hold the measured site."""
-    rho = prepared.reduced(sites)
-    sigma = prepared.dense(prepared.sigma(axis, site), sites)
-    return tuple(p @ rho @ p for p in _projectors(sigma))
+                    ) -> np.ndarray:
+    """Each outcome's unnormalized state P_mu rho P_mu on `sites`, which hold the measured site.
+
+    The blocks are stacked along the first axis, as `_projectors` stacks P_mu.
+    """
+    p = _projectors(prepared.dense(prepared.sigma(axis, site), sites))
+    return p @ prepared.reduced(sites) @ p
 
 
 def _axis(axis) -> tuple[float, ...]:
@@ -346,10 +354,10 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
         before = _outcome_blocks(prepared, setup.axis_a, spec.site_a, sites)
         after = apply_feedback(before, prepared.dense(sigma_b, sites), theta_used)
         density = prepared.dense(prepared.density(m), sites)
-        post_feedback[m] = float(sum(_trace(block, density) for block in after).real)
+        post_feedback[m] = float(_trace(after.sum(axis=0), density).real)
         if m == spec.site_b:            # supp T_B holds every term of H at B
             h_b = prepared.dense(prepared.acting_on(spec.site_b), sites)
-            shift = float(sum(_trace(new - old, h_b) for old, new in zip(before, after)).real)
+            shift = float(_trace((after - before).sum(axis=0), h_b).real)
     profiles["post_feedback"] = tuple(post_feedback)
     trace_energy = e_a + shift
     e_b = e_a - trace_energy
@@ -402,14 +410,14 @@ def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray
     """
     prepared = _resolve_ground(spec, ground)
     sites = _sites({spec.site_a}, density_support(spec, spec.site_b))
-    rho = prepared.reduced(sites)
-    sigma_a, sigma_b = ([prepared.dense(prepared.sigma(AXES[q], site), sites) for q in "xyz"]
-                        for site in (spec.site_a, spec.site_b))
-    brackets = [_bracket(prepared, AXES[q], spec.site_b, sites) for q in "xyz"]  # i[H, sigma^q_B]
+    # sigma^x, sigma^y, sigma^z at B, then at A, stacked
+    sigmas = np.array([prepared.dense(prepared.sigma(AXES[q], site), sites)
+                       for site in (spec.site_b, spec.site_a) for q in "xyz"])
+    brackets = np.array([_bracket(prepared, AXES[q], spec.site_b, sites) for q in "xyz"])
     # with C = i[H, sigma^q_B]: <sigma [H, sigma^q_B]> = Im <sigma C> and
-    # i <sigma [H, sigma^q_B]> = Re <sigma C>
-    at_b, at_a = (np.array([[_trace(rho, s @ c) for c in brackets] for s in group])
-                  for group in (sigma_b, sigma_a))
+    # i <sigma [H, sigma^q_B]> = Re <sigma C>; row p of `traces` is Tr(rho sigma_p C_q)
+    traces = np.einsum("pab,qba->pq", prepared.reduced(sites) @ sigmas, brackets)
+    at_b, at_a = traces[:3], traces[3:]
     xi_mat = 0.5 * (at_b.imag + at_b.imag.T) + sum(prepared.ground_profile) * np.eye(3)
     return xi_mat, at_a.real
 

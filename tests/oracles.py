@@ -14,7 +14,12 @@ pairing matrix and its Pfaffians by the textbook routes;
 and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`,
 `spectrum_dim` and `one_norm` are small measures that only the tests use, and
 `identity`, `add`, `scaled`, `support`, `is_real` and `projectors` the Pauli
-arithmetic that builds the branch route's N-site projectors.
+arithmetic that builds the branch route's N-site projectors.  The routes the
+package replaced with cheaper ones are kept as references: `state_offsets`
+reads the calibration offsets from the amplitudes rather than the covariance,
+`reduced_by_einsum` forms rho_S by einsum rather than one BLAS product, and
+`power_law_slope` refits the closed form's slope that the package keeps as a
+constant.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qetsim.analytics import eb_closed_form
 from qetsim.chain import (
     ChainSpec,
     LocalSpectrum,
@@ -522,3 +528,31 @@ def term_diagonal(n_sites: int, members) -> np.ndarray:
     for c, z in members:
         diag += c * site_signs(n_sites, z)
     return diag.reshape(-1)
+
+
+def power_law_slope(n_min: int = 20, n_max: int = 200) -> float:
+    """Regression slope of ln E_B(n) versus ln n; approaches -9/2 for every J."""
+    ns = np.arange(n_min, n_max + 1)
+    log_eb = np.array([math.log(eb_closed_form(int(n))) for n in ns])
+    return float(np.polyfit(np.log(ns.astype(float)), log_eb, 1)[0])
+
+
+def state_offsets(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
+    """Offsets eps_n = <g|(-J sz_n - (J/2) sx_n sx_{n+-1})|g> read from a state's amplitudes.
+
+    `chain.calibrate_epsilon` reads them from the ground state's covariance
+    instead; this route calibrates any normalized state, so that it reads as
+    a ground state with every <T_n> = 0.  On a periodic chain each offset is
+    the mean.
+    """
+    nrm = norm(ground)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"ground state is not normalized (norm {nrm:.3e})")
+    eps = energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
+    return np.full(spec.n_sites, eps.mean()) if spec.boundary == "periodic" else eps
+
+
+def reduced_by_einsum(state: np.ndarray, sites: tuple[int, ...], n_sites: int) -> np.ndarray:
+    """rho_S[a, b] = sum_e g[a, e] g[b, e]^* by einsum's own loops, over sorted `sites`."""
+    amps = split_by_support(state, tuple(sorted(sites)), n_sites)
+    return np.einsum("ae,be->ab", amps, amps.conj())

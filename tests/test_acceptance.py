@@ -18,6 +18,7 @@ from oracles import (
     eq9_energy,
     expectation,
     measure,
+    power_law_slope,
     projectors,
     random_channel,
 )
@@ -184,7 +185,7 @@ def test_criterion_6_closed_form_cross_check(chains):
 
 
 def test_criterion_7_power_law():
-    slope = analytics.power_law_slope(20, 200)
+    slope = power_law_slope(20, 200)
     slope_ok = abs(slope + 4.5) < 0.05
     # Delta(n) / asymptotic = 1 + 15/(64 n^2) + O(n^-4), with c exactly A
     worst = max(abs(analytics.delta(n) / analytics.delta_asymptotic(n) - 1.0

@@ -5,15 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import power_law_slope
 
 from qetsim.analytics import (
+    CLOSED_FORM_SLOPE,
     GLAISHER_KINKELIN,
     delta,
     delta_asymptotic,
     eb_closed_form,
     log_delta,
     log_h,
-    power_law_slope,
     residual_energy_analytic,
 )
 
@@ -114,6 +115,11 @@ def test_power_law_doubling_ratio():
 
 def test_power_law_regression_slope():
     assert power_law_slope() == pytest.approx(-4.5, abs=0.05)
+
+
+def test_closed_form_slope_is_the_regression_slope():
+    # the CLI reports the constant; refitting E_B(n) over n = 20..200 re-derives it
+    assert abs(CLOSED_FORM_SLOPE - power_law_slope(20, 200)) <= 1e-12
 
 
 def test_asymptotic_prefactor_printed_constant():

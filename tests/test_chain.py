@@ -19,6 +19,7 @@ from oracles import (
     expectation,
     one_norm,
     spectrum_dim,
+    state_offsets,
 )
 
 from qetsim import chain, eigensolver
@@ -111,9 +112,11 @@ def test_calibration_uniform_on_periodic_chain(chains):
 def test_periodic_offsets_are_exactly_equal(n_sites):
     # one offset, the mean of densities that differ only by rounding, so every
     # T_n has the same pattern; each <T_n> stays at rounding and the offsets
-    # still sum to E0 = -2J / sin(pi/2N)
+    # still sum to E0 = -2J / sin(pi/2N), each within a few ulp of E0 / N
     spec, res = calibrated_chain(n_sites)
     assert len(set(spec.epsilon)) == 1
+    expected = -2.0 / (n_sites * math.sin(math.pi / (2 * n_sites)))
+    assert abs(spec.epsilon[0] - expected) <= 8 * np.spacing(abs(expected))
     assert np.max(np.abs(energy_densities(spec, res.state))) < 1e-13
     assert math.fsum(spec.epsilon) == pytest.approx(-2.0 / math.sin(math.pi / (2 * n_sites)),
                                                     abs=1e-13 * n_sites)
@@ -296,9 +299,25 @@ def test_calibration_invariants(n_sites, boundary, coupling, data):
 
 
 def test_calibrate_epsilon_requires_normalized_state():
+    # a normalized pure state's covariance is orthogonal
     spec = ChainSpec(4)
+    for covariance in (np.ones((4, 4)), 1.01 * np.eye(4), np.eye(5)):
+        with pytest.raises(ValueError, match="normalized"):
+            calibrate_epsilon(spec, covariance)
     with pytest.raises(ValueError, match="normalized"):
-        calibrate_epsilon(spec, np.ones(16))
+        state_offsets(spec, np.ones(16))
+
+
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+def test_covariance_offsets_match_the_offsets_read_from_the_state(boundary):
+    # calibrated_chain reads <sz_n> and <sx_n sx_n+1> from the N x N covariance;
+    # the oracle reads them from the 2^N amplitudes
+    for n_sites in range(3, 15):
+        for coupling in (1.0, 1e-7, 1e6):
+            spec, res = calibrated_chain(n_sites, coupling, boundary)
+            bare = spec.with_epsilon((0.0,) * n_sites)
+            from_state = state_offsets(bare, res.state)
+            assert np.max(np.abs(np.array(spec.epsilon) - from_state)) <= 1e-14 * coupling
 
 
 def test_local_spectrum_negative_minimum(chains):

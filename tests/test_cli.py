@@ -241,6 +241,29 @@ def test_non_finite_inputs_exit_1_and_print_nothing(capsys, argv):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ground", "--sites", "6", "--j", "1e308"),
+    ("ground", "--sites", "6", "--j", "1e-320"),
+    ("teleport", "--sites", "6", "--j", "1e200"),
+    ("analytic", "--j", "1e308", "--n-max", "2"),
+])
+def test_coupling_outside_its_range_exits_1_and_names_the_range(capsys, argv):
+    # 1e308 overflowed the offsets' sum, 1e-320 made the checks' 1e-10 J
+    # subnormal, 1e200 overflowed eta^2, and analytic printed Infinity
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "coupling J must be positive and finite, in [1e-100, 1e+100]" in err
+
+
+@pytest.mark.parametrize("coupling", ["1e-100", "1e100"])
+def test_coupling_at_either_end_of_its_range_passes_every_check(capsys, coupling):
+    for argv in (("ground", "--sites", "6"), ("cool", "--sites", "6", "--axis-a", "y",
+                                              "--axis-b", "x")):
+        code, out, err = run_cli(capsys, *argv, "--j", coupling)
+        assert code == 0 and err == ""
+        assert all(json.loads(out)["checks"].values())
+
+
 def test_analytic_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--n-max", "4", "--format", "csv")
     assert code == 0

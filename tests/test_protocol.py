@@ -16,6 +16,7 @@ from oracles import (
     expectation,
     measure,
     projectors,
+    state_offsets,
 )
 
 from qetsim import chain, eigensolver, protocol
@@ -122,7 +123,7 @@ def test_eta_vanishes_for_product_ground_state():
     n = 6
     ground = basis_state(n, 0)
     spec = chain.ChainSpec(n, site_b=3)
-    spec = spec.with_epsilon(chain.calibrate_epsilon(spec, ground))
+    spec = spec.with_epsilon(state_offsets(spec, ground))
     _, eta_mat = correlation_tensors(spec, ground)
     assert np.max(np.abs(eta_mat)) < 1e-12
 

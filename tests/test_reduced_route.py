@@ -6,15 +6,28 @@ replaced, which pushes outcome branches of 2^N amplitudes through every
 stage; the two must agree to 1e-12 J.
 """
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BranchGround, branch_gram, branch_protocol, measure, projectors
+from oracles import (
+    BranchGround,
+    branch_gram,
+    branch_protocol,
+    measure,
+    projectors,
+    reduced_by_einsum,
+)
 
 from qetsim import chain, cooling, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian, energy_densities
@@ -247,3 +260,57 @@ def test_reduced_density_matrix_is_the_partial_trace(chains, boundary):
         sites = chain.density_support(spec, n)
         t_n = build_energy_density(spec, n).dense(sites)
         assert abs(np.einsum("ab,ba->", prepared.reduced(sites), t_n) - densities[n]) <= TOL
+
+
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+@pytest.mark.parametrize("n_sites", range(3, 11))
+def test_reduced_density_matrix_matches_the_einsum_oracle(chains, n_sites, boundary):
+    # every site set of up to six sites, on the real ground state and on a
+    # complex state calibrated to read as one; rho is exactly Hermitian
+    spec, res = chains(n_sites, boundary)
+    rng = np.random.default_rng(n_sites)
+    mixed = rng.standard_normal(1 << n_sites) + 1j * rng.standard_normal(1 << n_sites)
+    mixed /= np.linalg.norm(mixed)
+    bare = spec.with_epsilon((0.0,) * n_sites)
+    for state, here in ((res.state, spec), (mixed, bare.with_epsilon(energy_densities(bare, mixed)))):
+        prepared = PreparedGround(here, state)
+        for k in range(1, min(n_sites, protocol.MAX_REDUCED_SITES) + 1):
+            for sites in itertools.combinations(range(n_sites), k):
+                rho = prepared.reduced(sites)
+                assert np.max(np.abs(rho - reduced_by_einsum(state, sites, n_sites))) <= 1e-15
+                assert np.array_equal(rho, rho.conj().T)
+
+
+def test_reduced_density_matrices_leave_the_blas_pool_idle():
+    # a BLAS call that wakes numpy's OpenBLAS pool leaves its workers spinning
+    # through the elementwise work after it, which reads as CPU time near twice
+    # the wall time on two threads; rho's product runs on the calling thread.
+    # The workers also spin for up to about 0.1 s after they start, whatever
+    # the process does, so the timed window opens after a pause.
+    code = textwrap.dedent("""
+        import time
+        import numpy as np
+        from qetsim import chain, protocol
+        spec, res = chain.calibrated_chain(16)
+        prepared = protocol.PreparedGround(spec, res.state)
+        work = np.empty_like(res.state)
+        site_sets = ([(0, *range(m - 2, m + 3)) for m in range(3, 14)]
+                     + [(m, m + 1, m + 2) for m in range(14)]
+                     + [(0, m - 1, m, m + 1) for m in range(2, 15)]
+                     + [(0, 1, *range(m, m + 4)) for m in range(3, 13)])
+        time.sleep(0.5)
+        wall, cpu = time.perf_counter(), time.process_time()
+        for sites in site_sets:
+            prepared.reduced(sites)
+            for _ in range(5):
+                np.multiply(res.state, 1.5, out=work)
+                work += res.state
+        print(len(site_sets), time.process_time() - cpu, time.perf_counter() - wall)
+    """)
+    src = Path(protocol.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    count, cpu, wall = proc.stdout.split()
+    assert int(count) == 48
+    assert float(cpu) <= 1.5 * float(wall)
