@@ -9,7 +9,8 @@ Subcommands:
 
 Every command is deterministic for a fixed config: rerunning writes
 byte-identical output.  JSON (default) is a single object on stdout; CSV has
-a fixed column order per command.  argparse declares every option once.  A
+a fixed column order per command.  argparse declares every option once, and
+one parser, built on the first call, serves every call in a process.  A
 file passed with --config holds `key = value` lines whose keys are the
 command's own long flags (with `-` or `_`); each line is parsed as the flag
 `--key=value` ahead of the command line, so it is checked as the flag is and
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -116,10 +118,11 @@ def _config_flags(path: str) -> list[tuple[str, int, str]]:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv; a --config file's lines go in as flags before argv's own, which win.
 
-    Each config line is first parsed alone, by a parser whose errors start
-    with `path:line: `, so an unknown key or a bad value names its line.
+    The command-line parser is built on the first call and kept.  Each config
+    line is first parsed alone, by a parser of its own whose errors start with
+    `path:line: `, so an unknown key or a bad value names its line.
     """
-    parser = build_parser()
+    parser = _command_line_parser()
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -130,6 +133,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         if unknown:
             raise CliError(f"{origin}unknown key {key!r}")
     return parser.parse_args([argv[0], *(f for f, _, _ in flags), *argv[1:]])
+
+
+@functools.cache
+def _command_line_parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _check_sites(args: argparse.Namespace) -> None:
@@ -351,29 +359,29 @@ def cmd_cool(args: argparse.Namespace) -> int:
 def build_parser(origin: str = "") -> argparse.ArgumentParser:
     """One parser for flags and --config keys alike; no command's flag may be abbreviated.
 
-    Every error message it prints starts with `origin`.
+    Every error message it prints starts with `origin`.  It holds no command
+    function, only the command's name, so one parser can serve every call.
     """
     parser = _Parser(
         prog="qetsim", origin=origin,
         description="Energy teleportation on critical Ising chains: simulate and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False, origin=origin)
         _add_common(p)
-        p.set_defaults(func=func)
         return p
 
-    command("ground", cmd_ground, "calibration and ground-state diagnostics")
-    p_tel = command("teleport", cmd_teleport, "run the full protocol")
+    command("ground", "calibration and ground-state diagnostics")
+    p_tel = command("teleport", "run the full protocol")
     p_tel.add_argument("--theta", type=float, help="override the feedback angle (radians)")
-    p_sweep = command("sweep", cmd_sweep, "E_B versus separation and size")
+    p_sweep = command("sweep", "E_B versus separation and size")
     p_sweep.add_argument("--sizes", help="comma-separated chain sizes (default --sites)")
     p_sweep.add_argument("--distances", help="comma-separated separations (default all up to N/2)")
-    p_an = command("analytic", cmd_analytic, "closed-form tables and the asymptotic constant")
+    p_an = command("analytic", "closed-form tables and the asymptotic constant")
     p_an.add_argument("--n-min", type=int, default=1, help="first separation (default %(default)s)")
     p_an.add_argument("--n-max", type=int, default=50, help="last separation (default %(default)s)")
-    command("cool", cmd_cool, "minimize residual energy over local channels")
+    command("cool", "minimize residual energy over local channels")
     return parser
 
 
@@ -381,7 +389,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
-        return args.func(args)
+        # looked up on each call, so a cmd_* replaced after the first call is the one run
+        commands = {"ground": cmd_ground, "teleport": cmd_teleport, "sweep": cmd_sweep,
+                    "analytic": cmd_analytic, "cool": cmd_cool}
+        return commands[args.command](args)
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,11 +19,16 @@ S = C - I_2 (x) Y >= 0.  Every feasible Y bounds the minimum from below (weak
 duality), and that bound is the value reported.  The optimal channel lives on
 the kernel of S (complementary slackness S J = 0); its energy minus the bound
 is the duality gap, the certificate of the value.  The outcomes decouple.
+
+Every (outcome, start) pair is one row of a single barrier path: the rows take
+their Newton steps in lockstep, one batched eigh and one batched solve per
+step, and a row stops once it is centred at its last barrier weight.  Each
+row's step reads only that row's S, so its iterates and step count are those
+of solving it alone, to rounding; only the Python overhead per step is shared.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +60,22 @@ class LocalChannel:
 # I_2 (x) sigma for sigma = 1, x, y, z: S = C - I_2 (x) Y = C - y.basis for Y = y0 I + t.sigma
 _DUAL_BASIS = np.stack([np.kron(np.eye(2), s) for s in (
     np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))])
+_DUAL_FLAT = _DUAL_BASIS.reshape(4, 16)
+
+
+def _real_part_of_product(coefficients: np.ndarray) -> np.ndarray:
+    """R with x.view(np.float64) @ R == Re(x @ coefficients) for complex rows x."""
+    return np.stack([coefficients.real, -coefficients.imag], axis=1).reshape(
+        -1, coefficients.shape[1])
+
+
+# with A_i = _DUAL_BASIS[i] and any 4x4 M, read as real pairs: Re Tr(M A_i) is
+# M.ravel() @ _TRACE[:, i] and Re Tr(M A_i M A_j) is (M (x) M).ravel() @ _HESSIAN[:, 4 i + j]
+_TRACE = _real_part_of_product(_DUAL_BASIS.transpose(2, 1, 0).reshape(16, 4))
+_HESSIAN = _real_part_of_product(
+    np.einsum("iqr,jsp->pqrsij", _DUAL_BASIS, _DUAL_BASIS).reshape(256, 16))
+# [k, ., ., a, ., .] = delta_ka: the output index k of the unit |k><l| at the sender
+_UNIT_OUTPUTS = np.eye(2)[:, None, None, :, None, None]
 
 
 class OutcomeObjective:
@@ -91,46 +112,68 @@ def outcome_objectives(prepared: PreparedGround, spec: ChainSpec, axis_a
     for outcome, p in enumerate(_projectors(sigma)):
         if _trace(rho, p).real < 1e-14:
             continue
-        units = np.array([np.kron(np.eye(high), np.kron(e.reshape(2, 2), np.eye(low))) @ p
-                          for e in np.eye(4)])                              # E_q P
+        # E_q P for q = k*2 + l moves row (h, l, m) of P, read as (high, 2, low), to (h, k, m)
+        units = (_UNIT_OUTPUTS * p.reshape(high, 2, low, -1).swapaxes(0, 1)[None, :, :, None]
+                 ).reshape(4, len(rho), len(rho))
         moved = np.array([h_a @ u @ rho - u @ shifted @ rho for u in units])
         gram = np.einsum("pcb,qcb->pq", units.conj(), moved)     # Tr(units[p]^dag moved[q])
         objectives[outcome] = OutcomeObjective(0.5 * (gram + gram.conj().T))
     return objectives
 
 
-def _solve_choi_sdp(objective: OutcomeObjective, t: np.ndarray, max_evals: int
-                    ) -> tuple[float, float, tuple[np.ndarray, ...]]:
-    """Dual bound, primal energy and Kraus set of one outcome's Choi SDP, started at t.
+def _barrier_path(grams: np.ndarray, y: np.ndarray, max_evals: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Final dual point and Newton step count of each row of `grams` (K, 4, 4), from y (K, 4).
 
     The log-barrier centre for weight mu maximizes 2 y0 + mu log det S(y); there
     J = mu S^-1 is primal feasible and Tr[S J] = 4 mu bounds the gap.  Damped Newton
-    steps re-centre after each 20-fold cut of mu until 4 mu <= 1e-13 ||C||, for at
-    most max_evals steps; the last S gives the bound and, on its kernel, the channel.
+    steps re-centre after each 20-fold cut of mu, from mu = 1, until 4 mu <= 1e-13
+    (the rows are scaled to unit norm), for at most max_evals steps per row.  The
+    rows step in lockstep, one batched eigh and one batched solve per step, and a
+    row stops once it is centred at its last mu.  No row reads another row's
+    numbers, so a row takes the steps it takes alone, to rounding.
     """
-    c = objective.gram
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(c)))) or 1.0
-    y, mu = np.concatenate([[0.5 * objective(t) - scale], t]), scale   # lambda_min(S) = mu
-    for _ in range(max_evals):
-        w, v = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
-        s_inv_a = np.einsum("pq,iqr->ipr", (v / w) @ v.conj().T, _DUAL_BASIS)
-        trace = np.real(np.einsum("ipp->i", s_inv_a))
-        hess = np.real(np.einsum("ipq,jqp->ij", s_inv_a, s_inv_a))
-        while True:                       # cut mu while the point is still centred
-            grad = np.array([2.0 / mu, 0.0, 0.0, 0.0]) - trace   # Tr Y = 2 y0
-            step = np.linalg.solve(hess, grad)
-            decrement = math.sqrt(max(float(grad @ step), 0.0))
-            if decrement >= 0.1 or 4.0 * mu <= 1e-13 * scale:
+    final, steps = np.empty_like(y), np.full(len(y), max_evals)
+    rows, point, weight = np.arange(len(y)), y, np.ones(len(y))       # the rows still moving
+    for count in range(1, max_evals + 1):
+        w, v = np.linalg.eigh(grams - (point @ _DUAL_FLAT).reshape(-1, 4, 4))
+        s_inv = (v / w[:, None, :]) @ v.conj().swapaxes(1, 2)
+        trace = s_inv.reshape(-1, 16).view(np.float64) @ _TRACE
+        hess = ((s_inv[:, :, :, None, None] * s_inv[:, None, None]).reshape(-1, 256)
+                .view(np.float64) @ _HESSIAN).reshape(-1, 4, 4)
+        # the Newton step for the gradient (2 / mu) e_0 - trace is base + (2 / mu) lift
+        rhs = np.zeros((len(rows), 4, 2))
+        rhs[:, :, 0], rhs[:, 0, 1] = -trace, 1.0
+        base, lift = np.linalg.solve(hess, rhs).transpose(2, 0, 1)
+        while True:                       # cut mu while a row's point is still centred
+            lead = 2.0 / weight                                 # Tr Y = 2 y0
+            step = base + lead[:, None] * lift
+            grad = -trace
+            grad[:, 0] += lead
+            decrement = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
+            centred = (decrement < 0.1) & (4.0 * weight > 1e-13)
+            if not centred.any():
                 break
-            mu *= 0.05
-        if decrement < 0.1:
-            break
-        y = y + (step / (1.0 + decrement) if decrement > 0.25 else step)
+            weight = np.where(centred, 0.05 * weight, weight)
+        moving = decrement >= 0.1
+        if not moving.all():              # centred at its last mu: the row is solved
+            final[rows[~moving]], steps[rows[~moving]] = point[~moving], count
+            rows, grams, point, weight = rows[moving], grams[moving], point[moving], weight[moving]
+            step, decrement = step[moving], decrement[moving]
+            if not rows.size:
+                return final, steps
+        point = point + step / np.where(decrement > 0.25, 1.0 + decrement, 1.0)[:, None]
+    final[rows] = point
+    return final, steps
 
-    # J = K X K^dag on the kernel K of S (complementary slackness S J = 0), with
-    # Tr_out(K X K^dag) = I_2 linear in X; its min-norm solution is Hermitian
-    evals, evecs = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
-    bound = 2.0 * float(y[0] + evals[0])  # Tr Y for Y = (y0 + lambda_min S) I + t.sigma
+
+def _primal_channel(gram: np.ndarray, evals: np.ndarray, evecs: np.ndarray
+                    ) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Energy and Kraus set of the channel on the kernel of S = C - I_2 (x) Y, from eigh(S).
+
+    J = K X K^dag on the kernel K of S (complementary slackness S J = 0), with
+    Tr_out(K X K^dag) = I_2 linear in X; its min-norm solution is Hermitian.
+    """
     kernel = evecs[:, evals - evals[0] <= 1e-6 * (evals[-1] - evals[0])]
     k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
     system = np.einsum("kli,kmj->lmij", k3, k3.conj()).reshape(4, -1)
@@ -142,7 +185,34 @@ def _solve_choi_sdp(objective: OutcomeObjective, t: np.ndarray, max_evals: int
         raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
                            "did not reach the optimum")
     kraus = tuple((vecs * np.sqrt(np.clip(weights, 0.0, None))).T.reshape(-1, 2, 2))
-    return bound, float(np.real(np.trace(c @ choi))), kraus
+    return float(np.real(np.trace(gram @ choi))), kraus
+
+
+def _solve_choi_sdps(rows: list[tuple[OutcomeObjective, np.ndarray]], max_evals: int
+                     ) -> list[tuple[float, float, tuple[np.ndarray, ...]]]:
+    """Dual bound, primal energy and Kraus set of each (objective, start t) row's Choi SDP.
+
+    All rows share one `_barrier_path`, each on its C / ||C|| and started at
+    y0 = objective(t) / 2 - ||C|| (so lambda_min(S) = ||C||), so that neither
+    the stopping rule nor the barrier's numbers depend on the scale of C.  The
+    last S of a row gives its bound and, on its kernel, its channel; the bound
+    and the primal energy are scaled back.
+    """
+    if not rows:
+        return []
+    scales = [float(np.max(np.abs(np.linalg.eigvalsh(objective.gram)))) or 1.0
+              for objective, _ in rows]
+    grams = np.array([objective.gram / scale for (objective, _), scale in zip(rows, scales)])
+    starts = np.array([[0.5 * objective(t) / scale - 1.0, *(t / scale)]
+                       for (objective, t), scale in zip(rows, scales)])
+    y, _ = _barrier_path(grams, starts, max_evals)
+    evals, evecs = np.linalg.eigh(grams - (y @ _DUAL_FLAT).reshape(-1, 4, 4))
+    runs = []
+    for gram, point, w, v, scale in zip(grams, y, evals, evecs, scales):
+        primal, kraus = _primal_channel(gram, w, v)
+        # the bound is Tr Y for Y = (y0 + lambda_min S) I + t.sigma
+        runs.append((2.0 * float(point[0] + w[0]) * scale, primal * scale, kraus))
+    return runs
 
 
 @dataclass
@@ -158,12 +228,18 @@ class CoolingResult:
 def _min_local_channel(objectives: dict[int, OutcomeObjective],
                        starts: np.ndarray = np.zeros((1, 3)), max_evals: int = 500
                        ) -> tuple[tuple[float, ...], tuple[float, ...], float, LocalChannel]:
-    """Per-outcome bounds (best over the rows t of `starts`), per-start totals, gap, channel."""
+    """Per-outcome bounds (best over the rows t of `starts`), per-start totals, gap, channel.
+
+    Every (objective, t) pair is a row of one `_solve_choi_sdps`, solved in
+    lockstep with the others; a row's results are those of its solo solve.
+    """
+    runs = _solve_choi_sdps([(objective, t) for objective in objectives.values() for t in starts],
+                            max_evals)
     bounds, totals, gap, kraus_sets = [], np.zeros(len(starts)), 0.0, {}
-    for outcome, objective in objectives.items():
-        runs = [_solve_choi_sdp(objective, t, max_evals) for t in starts]
-        totals += [run[0] for run in runs]
-        bound, primal, kraus_sets[outcome] = max(runs, key=lambda run: run[0])
+    for index, outcome in enumerate(objectives):
+        per_start = runs[index * len(starts):(index + 1) * len(starts)]
+        totals += [run[0] for run in per_start]
+        bound, primal, kraus_sets[outcome] = max(per_start, key=lambda run: run[0])
         bounds.append(bound)
         gap += primal - bound
     return tuple(bounds), tuple(totals.tolist()), gap, LocalChannel(kraus_sets)

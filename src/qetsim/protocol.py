@@ -107,10 +107,14 @@ def optimal_theta(xi: float, eta: float) -> float:
 
 
 def teleported_energy(xi: float, eta: float) -> float:
-    """E_B = (sqrt(xi^2 + eta^2) - xi) / 2, written to survive eta -> 0."""
+    """E_B = (sqrt(xi^2 + eta^2) - xi) / 2, written to survive eta -> 0.
+
+    eta / (hypot + xi) lies in [-1, 1], so no intermediate over- or underflows
+    where E_B itself is a normal double.
+    """
     if xi < 0.0:
         raise ValueError("xi must be nonnegative")
-    return 0.5 * eta * eta / (math.hypot(xi, eta) + xi) if (xi or eta) else 0.0
+    return 0.5 * eta * (eta / (math.hypot(xi, eta) + xi)) if (xi or eta) else 0.0
 
 
 def apply_feedback(blocks: np.ndarray, sigma_b: np.ndarray, theta: float) -> np.ndarray:

@@ -17,9 +17,11 @@ and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`,
 arithmetic that builds the branch route's N-site projectors.  The routes the
 package replaced with cheaper ones are kept as references: `state_offsets`
 reads the calibration offsets from the amplitudes rather than the covariance,
-`reduced_by_einsum` forms rho_S by einsum rather than one BLAS product, and
+`reduced_by_einsum` forms rho_S by einsum rather than one BLAS product,
 `power_law_slope` refits the closed form's slope that the package keeps as a
-constant.
+constant, and `solve_choi_sdp` solves one cooling dual at a time, in the
+units of its Gram form, where the package solves every row in lockstep on
+C / ||C||.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from qetsim.chain import (
     density_support,
     energy_densities,
 )
-from qetsim.cooling import LocalChannel
+from qetsim.cooling import _DUAL_BASIS, LocalChannel, OutcomeObjective
 from qetsim.eigensolver import bdg_blocks
 from qetsim.pauli import (
     HermitianOperator,
@@ -337,6 +339,52 @@ def branch_gram(weight: float, state: np.ndarray, site: int,
     h_units = np.array([hamiltonian.apply(u) for u in units])
     gram = np.einsum("pi,qi->pq", units.conj(), h_units)
     return weight * 0.5 * (gram + gram.conj().T)
+
+
+def solve_choi_sdp(objective: OutcomeObjective, t: np.ndarray, max_evals: int
+                    ) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """Dual bound, primal energy and Kraus set of one outcome's Choi SDP, started at t.
+
+    The log-barrier centre for weight mu maximizes 2 y0 + mu log det S(y); there
+    J = mu S^-1 is primal feasible and Tr[S J] = 4 mu bounds the gap.  Damped Newton
+    steps re-centre after each 20-fold cut of mu until 4 mu <= 1e-13 ||C||, for at
+    most max_evals steps; the last S gives the bound and, on its kernel, the channel.
+    """
+    c = objective.gram
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(c)))) or 1.0
+    y, mu = np.concatenate([[0.5 * objective(t) - scale], t]), scale   # lambda_min(S) = mu
+    for _ in range(max_evals):
+        w, v = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
+        s_inv_a = np.einsum("pq,iqr->ipr", (v / w) @ v.conj().T, _DUAL_BASIS)
+        trace = np.real(np.einsum("ipp->i", s_inv_a))
+        hess = np.real(np.einsum("ipq,jqp->ij", s_inv_a, s_inv_a))
+        while True:                       # cut mu while the point is still centred
+            grad = np.array([2.0 / mu, 0.0, 0.0, 0.0]) - trace   # Tr Y = 2 y0
+            step = np.linalg.solve(hess, grad)
+            decrement = math.sqrt(max(float(grad @ step), 0.0))
+            if decrement >= 0.1 or 4.0 * mu <= 1e-13 * scale:
+                break
+            mu *= 0.05
+        if decrement < 0.1:
+            break
+        y = y + (step / (1.0 + decrement) if decrement > 0.25 else step)
+
+    # J = K X K^dag on the kernel K of S (complementary slackness S J = 0), with
+    # Tr_out(K X K^dag) = I_2 linear in X; its min-norm solution is Hermitian
+    evals, evecs = np.linalg.eigh(c - np.tensordot(y, _DUAL_BASIS, axes=1))
+    bound = 2.0 * float(y[0] + evals[0])  # Tr Y for Y = (y0 + lambda_min S) I + t.sigma
+    kernel = evecs[:, evals - evals[0] <= 1e-6 * (evals[-1] - evals[0])]
+    k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
+    system = np.einsum("kli,kmj->lmij", k3, k3.conj()).reshape(4, -1)
+    target = np.eye(2, dtype=np.complex128).ravel()
+    x = np.linalg.lstsq(system, target, rcond=None)[0]
+    choi = kernel @ x.reshape(kernel.shape[1], -1) @ kernel.conj().T
+    weights, vecs = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+    if norm(system @ x - target) > 1e-10 or weights[0] < -1e-12:
+        raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
+                           "did not reach the optimum")
+    kraus = tuple((vecs * np.sqrt(np.clip(weights, 0.0, None))).T.reshape(-1, 2, 2))
+    return bound, float(np.real(np.trace(c @ choi))), kraus
 
 
 def identity_channel(outcomes=(0, 1)) -> LocalChannel:

@@ -5,7 +5,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -467,6 +471,56 @@ def test_a_run_without_config_parses_once(monkeypatch, capsys):
                         parse_known_args(self, *a, **k))
     assert run_cli(capsys, "analytic", "--n-max", "3")[0] == 0
     assert calls == ["qetsim", "qetsim analytic"]      # the command line, then its command
+
+
+def test_the_command_line_parser_is_built_once_per_process():
+    # a fresh interpreter: importing the CLI builds no parser, and two runs
+    # build the one tree of parsers that build_parser makes
+    code = textwrap.dedent("""
+        import argparse, contextlib, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        from qetsim import cli
+        print(len(built))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analytic", "--n-max", "2"]) == 0
+            after_one = len(built)
+            assert cli.main(["analytic", "--n-max", "3"]) == 0
+        print(after_one, len(built))
+        cli.build_parser()
+        print(len(built))
+    """)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    at_import, after_one, after_two, with_another = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert after_one == after_two > 0
+    assert with_another == 2 * after_one
+
+
+def test_a_command_replaced_after_a_run_is_the_one_run(capsys, monkeypatch):
+    assert run_cli(capsys, "analytic", "--n-max", "2")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cool", lambda args: seen.append(args.sites) or 7)
+    assert run_cli(capsys, "cool", "--sites", "6") == (7, "", "")
+    assert seen == [6]
+
+
+def test_a_bad_config_line_names_its_line_after_the_parser_is_kept(tmp_path, capsys):
+    assert run_cli(capsys, "ground", "--sites", "6")[0] == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bc = open\nsites = six\n")
+    with pytest.raises(SystemExit):
+        main(["ground", "--config", str(cfg)])
+    assert f"qetsim ground: error: {cfg}:2: argument --sites" in capsys.readouterr().err
+    cfg.write_text("theta = 0.5\n")
+    code, out, err = run_cli(capsys, "ground", "--config", str(cfg))
+    assert (code, out) == (1, "") and f"{cfg}:1: unknown key 'theta'" in err
 
 
 def test_config_accepts_a_negative_axis_triple(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     apply_channel,
     channel_energy,
@@ -10,6 +11,7 @@ from oracles import (
     measure,
     projectors,
     random_channel,
+    solve_choi_sdp,
 )
 
 from qetsim import chain, cooling, protocol
@@ -192,3 +194,123 @@ def test_dual_certifies_within_a_hundred_newton_steps(measured_chain):
             minimize_residual(spec, setup, ground=res, max_evals=cap)
     with pytest.raises(ValueError, match="at least 1"):
         minimize_residual(spec, setup, ground=res, restarts=0)
+
+
+def random_row(seed: int, magnitude: float = 1.0, reach: float = 1.0):
+    """A random Hermitian 4x4 Gram form shifted to be positive semidefinite, and a start t."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gram = 0.5 * (a + a.conj().T)
+    gram = magnitude * (gram - np.linalg.eigvalsh(gram)[0] * np.eye(4))
+    return cooling.OutcomeObjective(gram), reach * magnitude * rng.standard_normal(3)
+
+
+def norm_of(objective) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(objective.gram))))
+
+
+def step_counts(rows, max_evals: int = 500):
+    """Newton steps each row of one lockstep barrier path takes, started as the solver starts it."""
+    scales = [norm_of(objective) for objective, _ in rows]
+    grams = np.array([objective.gram / s for (objective, _), s in zip(rows, scales)])
+    starts = np.array([[0.5 * objective(t) / s - 1.0, *(t / s)]
+                       for (objective, t), s in zip(rows, scales)])
+    return cooling._barrier_path(grams, starts, max_evals)[1].tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+                min_size=1, max_size=6))
+def test_lockstep_rows_match_their_solo_solves(cases):
+    rows = [random_row(seed, 10.0 ** exponent, reach) for seed, exponent, reach in cases]
+    try:
+        solo = [solve_choi_sdp(objective, t, 500) for objective, t in rows]
+    except RuntimeError:
+        # a row the per-row path cannot certify fails the batch the same way
+        with pytest.raises(RuntimeError, match="did not reach the optimum"):
+            cooling._solve_choi_sdps(rows, 500)
+        return
+    batch = cooling._solve_choi_sdps(rows, 500)
+    assert len(batch) == len(rows)
+    for (objective, _), (bound, primal, kraus), (bound0, primal0, _) in zip(rows, batch, solo):
+        scale = norm_of(objective)
+        assert abs(bound - bound0) <= 1e-13 * scale
+        # the kernel read-out fixes the primal energy to about 1e-11 ||C|| on either path
+        assert abs(primal - primal0) <= 1e-11 * scale
+        assert abs((primal - bound) - (primal0 - bound0)) <= 1e-11 * scale
+        assert abs(primal - bound) <= 1e-10 * scale
+        assert gram_energy(objective, kraus) == pytest.approx(primal, abs=1e-12 * scale)
+
+
+FAST, SLOW = random_row(6, reach=0.0), random_row(7, reach=1e4)
+
+
+def test_a_row_stops_once_centred():
+    # a fast row beside a slow one takes its own steps and gives its solo result
+    (fast,), (slow,) = step_counts([FAST]), step_counts([SLOW])
+    assert fast < 25 < 50 < slow
+    assert step_counts([FAST, SLOW]) == [fast, slow]
+    (bound, primal, _), _ = cooling._solve_choi_sdps([FAST, SLOW], 500)
+    (bound0, primal0, _), = cooling._solve_choi_sdps([FAST], 500)
+    scale = norm_of(FAST[0])
+    assert abs(bound - bound0) <= 1e-13 * scale and abs(primal - primal0) <= 1e-13 * scale
+
+
+def test_the_step_cap_applies_per_row():
+    (fast,) = step_counts([FAST])
+    assert step_counts([FAST, SLOW], max_evals=fast + 10) == [fast, fast + 10]
+    # six rows take over 250 steps in all, yet a cap of 100 certifies each of them
+    rows = [random_row(seed) for seed in (7, 12, 13, 21, 27, 30)]
+    assert sum(step_counts(rows)) > 250 and max(step_counts(rows)) < 100
+    for (objective, t), (bound, primal, _) in zip(rows, cooling._solve_choi_sdps(rows, 100)):
+        bound0, primal0, _ = solve_choi_sdp(objective, t, 100)
+        assert abs(bound - bound0) <= 1e-13 * norm_of(objective)
+        assert abs(primal - primal0) <= 1e-11 * norm_of(objective)
+    with pytest.raises(RuntimeError, match="did not reach the optimum"):
+        cooling._solve_choi_sdps(rows, 20)
+
+
+def test_no_objectives_give_empty_results():
+    assert cooling._solve_choi_sdps([], 500) == []
+    bounds, totals, gap, channel = cooling._min_local_channel({}, np.zeros((3, 3)))
+    assert bounds == () and totals == (0.0, 0.0, 0.0) and gap == 0.0
+    assert channel.kraus_sets == {}
+
+
+def test_four_restarts_solve_eight_rows_like_the_per_row_loop(measured_chain, monkeypatch):
+    spec, res, _, _, _ = measured_chain
+    setup = MeasurementSetup.cardinal("y", "x")
+    batches = []
+    barrier_path = cooling._barrier_path
+
+    def recording(grams, y, max_evals):
+        batches.append(len(grams))
+        return barrier_path(grams, y, max_evals)
+
+    monkeypatch.setattr(cooling, "_barrier_path", recording)
+    cool = minimize_residual(spec, setup, restarts=4, seed=0, ground=res)
+    assert batches == [8]
+    # the per-row loop: every outcome from each start, totalled per start
+    rng = np.random.default_rng(0)
+    starts = spec.coupling * np.vstack([np.zeros(3), rng.standard_normal((3, 3))])
+    objectives = y_objectives(spec, res)
+    totals = [sum(solve_choi_sdp(objective, t, 500)[0] for objective in objectives.values())
+              for t in starts]
+    assert len(cool.per_restart) == 4
+    assert max(abs(a - b) for a, b in zip(cool.per_restart, totals)) <= 1e-13 * spec.coupling
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e-150])
+def test_the_dual_is_scale_free(measured_chain, factor):
+    # the y|x Grams scaled by 1e+-150 give the unit-scale bounds, energies and gap, scaled
+    spec, res, _, _, _ = measured_chain
+    objectives = y_objectives(spec, res)
+    scaled = {mu: cooling.OutcomeObjective(factor * obj.gram) for mu, obj in objectives.items()}
+    bounds, _, gap, channel = cooling._min_local_channel(objectives)
+    bounds_s, _, gap_s, channel_s = cooling._min_local_channel(scaled)
+    for (mu, objective), bound, bound_s in zip(objectives.items(), bounds, bounds_s):
+        assert np.isclose(bound_s / factor, bound, rtol=1e-14, atol=0.0)
+        energy = gram_energy(objective, channel.kraus_sets[mu])
+        energy_s = gram_energy(scaled[mu], channel_s.kraus_sets[mu]) / factor
+        assert np.isclose(energy_s, energy, rtol=1e-14, atol=0.0)
+    assert abs(gap_s / factor - gap) <= 1e-14 * sum(bounds)

@@ -168,6 +168,14 @@ def test_theta_star_minimizes_closed_form():
     assert 2.0 - best == pytest.approx(teleported_energy(xi, eta), abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("xi, eta", [(1.0, 1.0), (1.3, -0.4), (0.0, 2.0), (2.0, 1e-3)])
+def test_teleported_energy_is_scale_free(scale, xi, eta):
+    # E_B is homogeneous of degree 1, so no intermediate may overflow or underflow
+    assert teleported_energy(scale * xi, scale * eta) / scale == pytest.approx(
+        teleported_energy(xi, eta), rel=1e-14)
+
+
 def test_feedback_identity_at_zero_angle(chains):
     spec, res = chains(8)
     h = build_hamiltonian(spec)
