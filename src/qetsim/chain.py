@@ -24,11 +24,13 @@ if TYPE_CHECKING:
     from .eigensolver import EigenResult
 
 BOUNDARIES = ("periodic", "open")
-# Every coupling J in this range keeps each J-scaled number a normal float:
-# the offsets' sum (about -1.3 N J), the 1e-15 J and 1e-10 J tolerances,
-# eta^2 in the teleported energy, and the cooling SDP's Newton steps.  The
-# last two fail first: eta^2 overflows above about J = 1e154 and underflows
-# below about 1e-154, and the cooling SDP's dual solve fails at J = 1e-150.
+# Every coupling J in this range keeps each J-scaled number a normal float.
+# The limits that remain are the calibration's: the 1e-15 J tolerance turns
+# subnormal below about J = 2e-293, and the offsets' sum (about -1.3 N J)
+# overflows near J = 1e307.  The teleported energy (which never squares eta)
+# and the cooling SDP (solved on C / ||C||) are scale-free.  The range stays
+# narrower until ROADMAP's open input-range step widens it, with CLI tests
+# at its ends.
 COUPLING_RANGE = (1e-100, 1e100)
 
 

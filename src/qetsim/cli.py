@@ -8,14 +8,16 @@ Subcommands:
     cool      minimize the residual energy over the sender's local channels
 
 Every command is deterministic for a fixed config: rerunning writes
-byte-identical output.  JSON (default) is a single object on stdout; CSV has
-a fixed column order per command.  argparse declares every option once, and
-one parser, built on the first call, serves every call in a process.  A
-file passed with --config holds `key = value` lines whose keys are the
-command's own long flags (with `-` or `_`); each line is parsed as the flag
-`--key=value` ahead of the command line, so it is checked as the flag is and
-an explicit flag wins.  Exit code 0 means every computation converged and all
-built-in invariant checks passed.
+byte-identical output.  Each command computes its numbers and hands its table
+and its document to one writer, which emits the CSV table (a fixed column
+order per command) or the JSON document (the default, one object), to stdout
+or --out, so both formats carry the same numbers.  argparse declares every
+option once, and one parser, built on the first call, serves every call in a
+process.  A file passed with --config holds `key = value` lines whose keys
+are the command's own long flags (with `-` or `_`); each line is parsed as
+the flag `--key=value` ahead of the command line, so it is checked as the
+flag is and an explicit flag wins.  Exit code 0 means every computation
+converged and all built-in invariant checks passed.
 """
 
 from __future__ import annotations
@@ -63,12 +65,9 @@ def _parse_axis(text: str):
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise CliError(f"expected comma-separated integers: {text!r}") from None
-    if not values:
-        raise CliError("empty list")
-    return values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -159,36 +158,43 @@ def _resolve_setup(args: argparse.Namespace, spec, ground) -> tuple[protocol.Mea
     return protocol.MeasurementSetup(axis_a, axis_b), "flags"
 
 
-def _params_block(args: argparse.Namespace, command: str, extra: dict | None = None) -> dict:
-    block = {
-        "command": command, "sites": args.sites, "j": args.j, "bc": args.bc,
-        "site_a": args.site_a, "site_b": args.site_b, "axis_a": args.axis_a,
-        "axis_b": args.axis_b, "seed": args.seed,
-        "format": args.fmt,
-    }
-    if extra:
-        block.update(extra)
-    return block
+def _prepare(args: argparse.Namespace):
+    """Chain, prepared ground state and setup, with the params that say which axes were used."""
+    spec, res = _build_chain(args)
+    ground = protocol.PreparedGround(spec, res.state)
+    setup, axis_origin = _resolve_setup(args, spec, ground)
+    return spec, ground, setup, {"axes_from": axis_origin, "axis_a_used": list(setup.axis_a),
+                                 "axis_b_used": list(setup.axis_b)}
 
 
-def _emit(args: argparse.Namespace, document: str) -> None:
+def _report(args: argparse.Namespace, ok: bool, header: list[str], rows: list[list],
+            document: dict) -> int:
+    """Write the CSV table or the JSON document to --out or stdout; return the exit code.
+
+    The one reader of --format and --out.  `document` starts with `params`,
+    the command's own parameters, which follow the shared ones in the JSON.
+    """
+    if args.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        shared = {
+            "command": args.command, "sites": args.sites, "j": args.j, "bc": args.bc,
+            "site_a": args.site_a, "site_b": args.site_b, "axis_a": args.axis_a,
+            "axis_b": args.axis_b, "seed": args.seed,
+            "format": args.fmt,
+        }
+        text = json.dumps({**document, "params": {**shared, **document["params"]}},
+                          indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(document)
+            fh.write(text)
     else:
-        sys.stdout.write(document)
-
-
-def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_doc(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+        sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def cmd_ground(args: argparse.Namespace) -> int:
@@ -196,61 +202,43 @@ def cmd_ground(args: argparse.Namespace) -> int:
     t_expect = [float(t) for t in chain.energy_densities(spec, res.state)]
     eps_min = [chain.local_density_spectrum(spec, n).minimum for n in range(spec.n_sites)]
     ok = abs(res.energy) < 1e-9 * args.j and max(abs(t) for t in t_expect) < 1e-10 * args.j
-    if args.fmt == "csv":
-        rows = [[n, repr(spec.epsilon[n]), repr(t_expect[n]), repr(eps_min[n])]
-                for n in range(spec.n_sites)]
-        doc = _csv_doc(["n", "epsilon_n", "T_n_expect", "eps_min"], rows)
-    else:
-        doc = _json_doc({
-            "params": _params_block(args, "ground"),
-            "energy": res.energy,
-            "residual": res.residual,
-            "iterations": res.iterations,
-            "degenerate": res.degenerate,
-            "epsilon": list(spec.epsilon),
-            "t_expect": t_expect,
-            "eps_min": eps_min,
-            "checks": {"calibrated": ok},
-        })
-    _emit(args, doc)
-    return 0 if ok else 1
+    rows = [[n, spec.epsilon[n], t_expect[n], eps_min[n]] for n in range(spec.n_sites)]
+    return _report(args, ok, ["n", "epsilon_n", "T_n_expect", "eps_min"], rows, {
+        "params": {},
+        "energy": res.energy,
+        "residual": res.residual,
+        "iterations": res.iterations,
+        "degenerate": res.degenerate,
+        "epsilon": list(spec.epsilon),
+        "t_expect": t_expect,
+        "eps_min": eps_min,
+        "checks": {"calibrated": ok},
+    })
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
-    spec, res = _build_chain(args)
-    ground = protocol.PreparedGround(spec, res.state)
-    setup, axis_origin = _resolve_setup(args, spec, ground)
+    spec, ground, setup, axes = _prepare(args)
     result = protocol.run_protocol(spec, setup, theta=args.theta, ground=ground)
     profile_ok = all(
         abs(sum(result.profiles[stage]) - total) < 1e-10 * args.j
         for stage, total in (("ground", 0.0), ("post_measurement", result.e_a),
                              ("post_feedback", result.trace_energy)))
     ok = profile_ok and result.e_a >= result.e_b - 1e-10 * args.j
-    if args.fmt == "csv":
-        rows = [[n,
-                 repr(result.profiles["ground"][n]),
-                 repr(result.profiles["post_measurement"][n]),
-                 repr(result.profiles["post_feedback"][n])]
-                for n in range(spec.n_sites)]
-        doc = _csv_doc(["n", "t_ground", "t_post_measurement", "t_post_feedback"], rows)
-    else:
-        doc = _json_doc({
-            "params": _params_block(args, "teleport", {
-                "theta": args.theta, "axes_from": axis_origin,
-                "axis_a_used": list(setup.axis_a), "axis_b_used": list(setup.axis_b)}),
-            "e_a": result.e_a,
-            "xi": result.xi,
-            "eta": result.eta,
-            "theta_star": result.theta_star,
-            "theta_used": result.theta_used,
-            "e_b": result.e_b,
-            "trace_energy": result.trace_energy,
-            "teleportable": result.teleportable,
-            "profiles": {k: list(v) for k, v in result.profiles.items()},
-            "checks": {"profiles_consistent": profile_ok},
-        })
-    _emit(args, doc)
-    return 0 if ok else 1
+    rows = [[n, result.profiles["ground"][n], result.profiles["post_measurement"][n],
+             result.profiles["post_feedback"][n]] for n in range(spec.n_sites)]
+    return _report(args, ok, ["n", "t_ground", "t_post_measurement", "t_post_feedback"], rows, {
+        "params": {"theta": args.theta, **axes},
+        "e_a": result.e_a,
+        "xi": result.xi,
+        "eta": result.eta,
+        "theta_star": result.theta_star,
+        "theta_used": result.theta_used,
+        "e_b": result.e_b,
+        "trace_energy": result.trace_energy,
+        "teleportable": result.teleportable,
+        "profiles": {k: list(v) for k, v in result.profiles.items()},
+        "checks": {"profiles_consistent": profile_ok},
+    })
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -283,20 +271,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         by_distance = [e_b[dist] for dist in sorted(e_b)]
         ok = ok and all(far <= near + 1e-12 * args.j
                         for near, far in zip(by_distance, by_distance[1:]))
-    if args.fmt == "csv":
-        doc = _csv_doc(["n", "distance", "eb_numeric", "eb_closed", "delta", "note"],
-                       [[r[0], r[1], repr(r[2]), repr(r[3]), repr(r[4]), r[5]] for r in rows])
-    else:
-        doc = _json_doc({
-            "params": _params_block(args, "sweep", {
-                "sizes": list(sizes), "distances": args.distances}),
-            "rows": [{"n": r[0], "distance": r[1], "eb_numeric": r[2],
-                      "eb_closed": r[3], "delta": r[4], "note": r[5]} for r in rows],
-            "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
-            "checks": {"eb_decreasing_with_distance": ok},
-        })
-    _emit(args, doc)
-    return 0 if ok else 1
+    header = ["n", "distance", "eb_numeric", "eb_closed", "delta", "note"]
+    return _report(args, ok, header, rows, {
+        "params": {"sizes": list(sizes), "distances": args.distances},
+        "rows": [dict(zip(header, row)) for row in rows],
+        "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
+        "checks": {"eb_decreasing_with_distance": ok},
+    })
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -310,50 +291,34 @@ def cmd_analytic(args: argparse.Namespace) -> int:
                      d / analytics.delta_asymptotic(n)])
     e_r = analytics.residual_energy_analytic(args.j)
     ok = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
-    if args.fmt == "csv":
-        doc = _csv_doc(["n", "delta", "eb_closed", "asym_ratio"],
-                       [[r[0], repr(r[1]), repr(r[2]), repr(r[3])] for r in rows])
-    else:
-        doc = _json_doc({
-            "params": _params_block(args, "analytic", {"n_min": n_min, "n_max": n_max}),
-            "rows": [{"n": r[0], "delta": r[1], "eb_closed": r[2], "asym_ratio": r[3]}
-                     for r in rows],
-            "glaisher_kinkelin": analytics.GLAISHER_KINKELIN,
-            "residual_energy": e_r,
-            "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
-            "checks": {"delta_decreasing": ok},
-        })
-    _emit(args, doc)
-    return 0 if ok else 1
+    header = ["n", "delta", "eb_closed", "asym_ratio"]
+    return _report(args, ok, header, rows, {
+        "params": {"n_min": n_min, "n_max": n_max},
+        "rows": [dict(zip(header, row)) for row in rows],
+        "glaisher_kinkelin": analytics.GLAISHER_KINKELIN,
+        "residual_energy": e_r,
+        "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
+        "checks": {"delta_decreasing": ok},
+    })
 
 
 def cmd_cool(args: argparse.Namespace) -> int:
-    spec, res = _build_chain(args)
-    ground = protocol.PreparedGround(spec, res.state)
-    setup, axis_origin = _resolve_setup(args, spec, ground)
+    spec, ground, setup, axes = _prepare(args)
     result = protocol.run_protocol(spec, setup, ground=ground)
     cool = cooling.minimize_residual(spec, setup, ground=ground)
     bound_ok = cool.e_r_numeric >= result.e_b - 1e-8 * args.j
     feasible_ok = cool.e_r_numeric <= cool.e_a + 1e-9 * args.j
-    if args.fmt == "csv":
-        doc = _csv_doc(["outcome", "minimum"],
-                       [[mu, repr(v)] for mu, v in zip(cool.best_channel.kraus_sets,
-                                                       cool.per_outcome)])
-    else:
-        doc = _json_doc({
-            "params": _params_block(args, "cool", {
-                "axes_from": axis_origin,
-                "axis_a_used": list(setup.axis_a), "axis_b_used": list(setup.axis_b)}),
-            "e_a": cool.e_a,
-            "e_b": result.e_b,
-            "e_r_numeric": cool.e_r_numeric,
-            "e_r_analytic_infinite": analytics.residual_energy_analytic(args.j),
-            "duality_gap": cool.duality_gap,
-            "per_outcome": list(cool.per_outcome),
-            "checks": {"e_r_above_e_b": bound_ok, "e_r_below_e_a": feasible_ok},
-        })
-    _emit(args, doc)
-    return 0 if (bound_ok and feasible_ok) else 1
+    rows = [[mu, v] for mu, v in zip(cool.best_channel.kraus_sets, cool.per_outcome)]
+    return _report(args, bound_ok and feasible_ok, ["outcome", "minimum"], rows, {
+        "params": axes,
+        "e_a": cool.e_a,
+        "e_b": result.e_b,
+        "e_r_numeric": cool.e_r_numeric,
+        "e_r_analytic_infinite": analytics.residual_energy_analytic(args.j),
+        "duality_gap": cool.duality_gap,
+        "per_outcome": list(cool.per_outcome),
+        "checks": {"e_r_above_e_b": bound_ok, "e_r_below_e_a": feasible_ok},
+    })
 
 
 def build_parser(origin: str = "") -> argparse.ArgumentParser:

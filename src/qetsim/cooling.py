@@ -173,6 +173,10 @@ def _primal_channel(gram: np.ndarray, evals: np.ndarray, evecs: np.ndarray
 
     J = K X K^dag on the kernel K of S (complementary slackness S J = 0), with
     Tr_out(K X K^dag) = I_2 linear in X; its min-norm solution is Hermitian.
+    J is then sandwiched by I_2 (x) M^-1/2, M = Tr_out J (each output block
+    J_kk' becomes M^-1/2 J_kk' M^-1/2), so Tr_out J = I_2 holds to rounding,
+    not only to the solve's residual, and J stays PSD: the channel is exactly
+    feasible and its energy is a true upper bound.
     """
     kernel = evecs[:, evals - evals[0] <= 1e-6 * (evals[-1] - evals[0])]
     k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
@@ -180,8 +184,14 @@ def _primal_channel(gram: np.ndarray, evals: np.ndarray, evecs: np.ndarray
     target = np.eye(2, dtype=np.complex128).ravel()
     x = np.linalg.lstsq(system, target, rcond=None)[0]
     choi = kernel @ x.reshape(kernel.shape[1], -1) @ kernel.conj().T
+    feasible = norm(system @ x - target) <= 1e-10      # so M is within 1e-10 of I_2
+    if feasible:
+        blocks = choi.reshape(2, 2, 2, 2).swapaxes(1, 2)      # J_kk' over the input
+        m_w, m_v = np.linalg.eigh(blocks[0, 0] + blocks[1, 1])
+        root = (m_v / np.sqrt(m_w)) @ m_v.conj().T
+        choi = (root @ blocks @ root).swapaxes(1, 2).reshape(4, 4)
     weights, vecs = np.linalg.eigh(0.5 * (choi + choi.conj().T))
-    if norm(system @ x - target) > 1e-10 or weights[0] < -1e-12:
+    if not feasible or weights[0] < -1e-12:
         raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
                            "did not reach the optimum")
     kraus = tuple((vecs * np.sqrt(np.clip(weights, 0.0, None))).T.reshape(-1, 2, 2))

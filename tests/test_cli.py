@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, config precedence, exit codes."""
 
+import ast
 import csv
 import dataclasses
 import io
@@ -335,6 +336,64 @@ def test_cool_csv_schema(capsys):
     _, doc, _ = run_cli(capsys, "cool", "--sites", "6", "--axis-a", "y", "--axis-b", "x")
     assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(
         json.loads(doc)["e_r_numeric"], abs=1e-12)
+
+
+STAGES = ("ground", "post_measurement", "post_feedback")
+# each command's flags, and the CSV table its JSON document says it should print
+TABLE_FROM_DOCUMENT = {
+    "ground": (["--sites", "9", "--bc", "open"],
+               lambda doc: [list(r) for r in zip(range(9), doc["epsilon"], doc["t_expect"],
+                                                 doc["eps_min"])]),
+    "teleport": (["--sites", "8", "--axis-a", "1,1,0", "--axis-b", "z", "--theta", "0.3"],
+                 lambda doc: [[n, *r] for n, r in
+                              enumerate(zip(*(doc["profiles"][s] for s in STAGES)))]),
+    "sweep": (["--sizes", "6,8", "--axis-a", "best"],
+              lambda doc: [list(row.values()) for row in doc["rows"]]),
+    "analytic": (["--n-max", "12", "--j", "2.5"],
+                 lambda doc: [list(row.values()) for row in doc["rows"]]),
+    "cool": (["--sites", "8", "--axis-a", "y", "--axis-b", "x"],
+             lambda doc: [[mu, v] for mu, v in enumerate(doc["per_outcome"])]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_FROM_DOCUMENT))
+def test_csv_and_json_carry_the_same_numbers(capsys, command):
+    flags, table_from = TABLE_FROM_DOCUMENT[command]
+    code_json, out_json, _ = run_cli(capsys, command, *flags)
+    code_csv, out_csv, _ = run_cli(capsys, command, *flags, "--format", "csv")
+    assert code_json == code_csv == 0
+    doc = json.loads(out_json)
+    header, *rows = csv.reader(io.StringIO(out_csv))
+    if "rows" in doc:
+        assert all(list(row) == header for row in doc["rows"])
+    expected = table_from(doc)
+    assert len(rows) == len(expected) > 0
+    for row, values in zip(rows, expected):
+        assert len(row) == len(values) == len(header)
+        for cell, value in zip(row, values):
+            # every float cell reads back as the very float the JSON holds
+            assert (float(cell) if isinstance(value, float) else type(value)(cell)) == value
+
+
+def test_only_the_report_writer_reads_the_output_flags():
+    # the output decision lives in `_report`: no other function reads --format
+    # or --out or writes to stdout, and only it and the config reader open files
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers, openers = set(), set()
+    for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in ("fmt", "out") or
+                    (node.attr == "stdout" and isinstance(node.value, ast.Name)
+                     and node.value.id == "sys")):
+                readers.add(func.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                openers.add(func.name)
+    assert readers == {"_report"}
+    assert openers == {"_report", "_config_flags"}
+    commands = {node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
+    assert commands == {f"cmd_{name}" for name in TABLE_FROM_DOCUMENT}
 
 
 def test_restarts_knob_removed(tmp_path, capsys):

@@ -242,6 +242,15 @@ def test_lockstep_rows_match_their_solo_solves(cases):
         assert gram_energy(objective, kraus) == pytest.approx(primal, abs=1e-12 * scale)
 
 
+def test_the_primal_channel_is_complete_to_rounding():
+    # 300 random Grams in one batch: every channel is complete to rounding, so
+    # its energy never sits below the bound it certifies
+    rows = [random_row(seed) for seed in range(300)]
+    for (objective, _), (bound, primal, kraus) in zip(rows, cooling._solve_choi_sdps(rows, 500)):
+        assert primal - bound >= -1e-14 * norm_of(objective)
+        assert LocalChannel({0: kraus}).completeness_defect() < 1e-14
+
+
 FAST, SLOW = random_row(6, reach=0.0), random_row(7, reach=1e4)
 
 
