@@ -11,13 +11,16 @@ Every command is deterministic for a fixed config: rerunning writes
 byte-identical output.  Each command computes its numbers and hands its table
 and its document to one writer, which emits the CSV table (a fixed column
 order per command) or the JSON document (the default, one object), to stdout
-or --out, so both formats carry the same numbers.  argparse declares every
-option once, and one parser, built on the first call, serves every call in a
-process.  A file passed with --config holds `key = value` lines whose keys
-are the command's own long flags (with `-` or `_`); each line is parsed as
-the flag `--key=value` ahead of the command line, so it is checked as the
-flag is and an explicit flag wins.  Exit code 0 means every computation
-converged and all built-in invariant checks passed.
+or --out, so both formats carry the same numbers.  Each command takes only
+the flags it reads, and the JSON `params` echo them (but --out and --config)
+and what the command computed from them.  argparse declares every option
+once; one parser, built on the first call, serves every call in a process,
+and it checks --out's directory before any solve.  A file passed with
+--config holds `key = value` lines whose keys are the command's own long
+flags (with `-` or `_`); each line is parsed as the flag `--key=value` ahead
+of the command line, so it is checked as the flag is and an explicit flag
+wins.  Exit code 0 means every computation converged and all built-in
+invariant checks passed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 from . import analytics, chain, cooling, protocol
@@ -70,29 +74,33 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise CliError(f"expected comma-separated integers: {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sites", type=int, default=10,
-                        help="chain length N (default %(default)s)")
-    parser.add_argument("--j", type=float, default=1.0,
-                        help="finite coupling J > 0 (default %(default)s)")
-    parser.add_argument("--bc", choices=chain.BOUNDARIES, default="periodic",
-                        help="boundary condition (default %(default)s)")
-    parser.add_argument("--site-a", type=int, default=0, help="sender site (default %(default)s)")
-    parser.add_argument("--site-b", type=int, default=1, help="receiver site (default %(default)s)")
-    parser.add_argument("--axis-a", default="x",
-                        help="measured Pauli component: x|y|z|best|ax,ay,az; best on either "
-                             "axis flag picks both axes (default %(default)s)")
-    parser.add_argument("--axis-b", default="x",
-                        help="feedback component, same forms; best here too picks both axes "
-                             "(default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="accepted and echoed, but no number depends on it: the ground "
-                             "state is exact (default %(default)s)")
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                        help="output format (default %(default)s)")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--config",
-                        help="file of key = value lines, one per long flag; flags take precedence")
+def _output_path(path: str) -> str:
+    """An --out path whose directory exists, so a bad path fails before any solve."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no such directory: {folder!r}")
+    return path
+
+
+# the flags of more than one command; each declares those it reads, in this order
+_FLAGS = {
+    "--sites": dict(type=int, default=10, help="chain length N (default %(default)s)"),
+    "--j": dict(type=float, default=1.0, help="finite coupling J > 0 (default %(default)s)"),
+    "--bc": dict(choices=chain.BOUNDARIES, default="periodic",
+                 help="boundary condition (default %(default)s)"),
+    "--site-a": dict(type=int, default=0, help="sender site (default %(default)s)"),
+    "--site-b": dict(type=int, default=1, help="receiver site (default %(default)s)"),
+    "--axis-a": dict(default="x", help="measured Pauli component: x|y|z|best|ax,ay,az; best on "
+                                       "either axis flag picks both axes (default %(default)s)"),
+    "--axis-b": dict(default="x", help="feedback component, same forms; best here too picks "
+                                       "both axes (default %(default)s)"),
+    "--seed": dict(type=int, default=0, help="accepted and echoed, but no number depends on it: "
+                                             "the ground state is exact (default %(default)s)"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json",
+                     help="output format (default %(default)s)"),
+    "--out": dict(type=_output_path, help="write output to this path instead of stdout"),
+    "--config": dict(help="file of key = value lines, one per long flag; flags take precedence"),
+}
 
 
 def _config_flags(path: str) -> list[tuple[str, int, str]]:
@@ -139,15 +147,14 @@ def _command_line_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _check_sites(args: argparse.Namespace) -> None:
-    if args.sites > 20:
+def _check_sites(n_sites: int) -> None:
+    if n_sites > 20:
         raise CliError("sites > 20 is out of range for this tool")
 
 
-def _build_chain(args: argparse.Namespace):
-    _check_sites(args)
-    return chain.calibrated_chain(args.sites, args.j, args.bc,
-                                  site_a=args.site_a, site_b=args.site_b, seed=args.seed)
+def _build_chain(args: argparse.Namespace, n_sites: int, **sites):
+    _check_sites(n_sites)
+    return chain.calibrated_chain(n_sites, args.j, args.bc, seed=args.seed, **sites)
 
 
 def _resolve_setup(args: argparse.Namespace, spec, ground) -> tuple[protocol.MeasurementSetup, str]:
@@ -160,7 +167,7 @@ def _resolve_setup(args: argparse.Namespace, spec, ground) -> tuple[protocol.Mea
 
 def _prepare(args: argparse.Namespace):
     """Chain, prepared ground state and setup, with the params that say which axes were used."""
-    spec, res = _build_chain(args)
+    spec, res = _build_chain(args, args.sites, site_a=args.site_a, site_b=args.site_b)
     ground = protocol.PreparedGround(spec, res.state)
     setup, axis_origin = _resolve_setup(args, spec, ground)
     return spec, ground, setup, {"axes_from": axis_origin, "axis_a_used": list(setup.axis_a),
@@ -171,8 +178,9 @@ def _report(args: argparse.Namespace, ok: bool, header: list[str], rows: list[li
             document: dict) -> int:
     """Write the CSV table or the JSON document to --out or stdout; return the exit code.
 
-    The one reader of --format and --out.  `document` starts with `params`,
-    the command's own parameters, which follow the shared ones in the JSON.
+    The one reader of --format and --out.  The JSON `params` are the parsed
+    flags but --out and --config, updated with `document["params"]`, what the
+    command computed.
     """
     if args.fmt == "csv":
         buf = io.StringIO()
@@ -181,13 +189,9 @@ def _report(args: argparse.Namespace, ok: bool, header: list[str], rows: list[li
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        shared = {
-            "command": args.command, "sites": args.sites, "j": args.j, "bc": args.bc,
-            "site_a": args.site_a, "site_b": args.site_b, "axis_a": args.axis_a,
-            "axis_b": args.axis_b, "seed": args.seed,
-            "format": args.fmt,
-        }
-        text = json.dumps({**document, "params": {**shared, **document["params"]}},
+        flags = {("format" if key == "fmt" else key): value for key, value in vars(args).items()
+                 if key not in ("out", "config")}
+        text = json.dumps({**document, "params": {**flags, **document["params"]}},
                           indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -198,7 +202,7 @@ def _report(args: argparse.Namespace, ok: bool, header: list[str], rows: list[li
 
 
 def cmd_ground(args: argparse.Namespace) -> int:
-    spec, res = _build_chain(args)
+    spec, res = _build_chain(args, args.sites)
     t_expect = [float(t) for t in chain.energy_densities(spec, res.state)]
     eps_min = [chain.local_density_spectrum(spec, n).minimum for n in range(spec.n_sites)]
     ok = abs(res.energy) < 1e-9 * args.j and max(abs(t) for t in t_expect) < 1e-10 * args.j
@@ -227,7 +231,7 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     rows = [[n, result.profiles["ground"][n], result.profiles["post_measurement"][n],
              result.profiles["post_feedback"][n]] for n in range(spec.n_sites)]
     return _report(args, ok, ["n", "t_ground", "t_post_measurement", "t_post_feedback"], rows, {
-        "params": {"theta": args.theta, **axes},
+        "params": axes,
         "e_a": result.e_a,
         "xi": result.xi,
         "eta": result.eta,
@@ -245,19 +249,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _parse_int_list(args.sizes) if args.sizes else (args.sites,)
     plan = []
     for n_sites in sizes:       # every (size, distance) is checked before any solve
-        size_args = argparse.Namespace(**{**vars(args), "sites": n_sites, "site_a": 0, "site_b": 1})
-        _check_sites(size_args)
+        _check_sites(n_sites)
         chain.ChainSpec(n_sites, args.j, args.bc)      # N >= 3, J > 0, boundary
         distances = (_parse_int_list(args.distances) if args.distances
                      else tuple(range(1, n_sites // 2 + 1)))
         for dist in distances:
             if not 1 <= dist <= n_sites // 2:
                 raise CliError(f"distance {dist} invalid for {n_sites} sites")
-        plan.append((size_args, distances))
+        plan.append((n_sites, distances))
     rows = []
     ok = True
-    for size_args, distances in plan:
-        spec, res = _build_chain(size_args)
+    for n_sites, distances in plan:
+        spec, res = _build_chain(args, n_sites)
         ground = protocol.PreparedGround(spec, res.state)
         e_b = {}
         for dist in distances:
@@ -273,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         for near, far in zip(by_distance, by_distance[1:]))
     header = ["n", "distance", "eb_numeric", "eb_closed", "delta", "note"]
     return _report(args, ok, header, rows, {
-        "params": {"sizes": list(sizes), "distances": args.distances},
+        "params": {"sizes": list(sizes)},
         "rows": [dict(zip(header, row)) for row in rows],
         "closed_form_slope": analytics.CLOSED_FORM_SLOPE,
         "checks": {"eb_decreasing_with_distance": ok},
@@ -281,11 +284,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    n_min, n_max = args.n_min, args.n_max
-    if not 1 <= n_min <= n_max:
+    if not 1 <= args.n_min <= args.n_max:
         raise CliError("need 1 <= n-min <= n-max")
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in range(args.n_min, args.n_max + 1):
         d = analytics.delta(n)
         rows.append([n, d, analytics.eb_closed_form(n, args.j),
                      d / analytics.delta_asymptotic(n)])
@@ -293,7 +295,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     ok = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
     header = ["n", "delta", "eb_closed", "asym_ratio"]
     return _report(args, ok, header, rows, {
-        "params": {"n_min": n_min, "n_max": n_max},
+        "params": {},
         "rows": [dict(zip(header, row)) for row in rows],
         "glaisher_kinkelin": analytics.GLAISHER_KINKELIN,
         "residual_energy": e_r,
@@ -332,21 +334,24 @@ def build_parser(origin: str = "") -> argparse.ArgumentParser:
         description="Energy teleportation on critical Ising chains: simulate and verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, flags: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False, origin=origin)
-        _add_common(p)
+        for flag in (*flags.split(), "--format", "--out", "--config"):
+            p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    command("ground", "calibration and ground-state diagnostics")
-    p_tel = command("teleport", "run the full protocol")
+    protocol_flags = "--sites --j --bc --site-a --site-b --axis-a --axis-b --seed"
+    command("ground", "calibration and ground-state diagnostics", "--sites --j --bc --seed")
+    p_tel = command("teleport", "run the full protocol", protocol_flags)
     p_tel.add_argument("--theta", type=float, help="override the feedback angle (radians)")
-    p_sweep = command("sweep", "E_B versus separation and size")
+    p_sweep = command("sweep", "E_B versus separation and size",
+                      "--sites --j --bc --axis-a --axis-b --seed")
     p_sweep.add_argument("--sizes", help="comma-separated chain sizes (default --sites)")
     p_sweep.add_argument("--distances", help="comma-separated separations (default all up to N/2)")
-    p_an = command("analytic", "closed-form tables and the asymptotic constant")
+    p_an = command("analytic", "closed-form tables and the asymptotic constant", "--j")
     p_an.add_argument("--n-min", type=int, default=1, help="first separation (default %(default)s)")
     p_an.add_argument("--n-max", type=int, default=50, help="last separation (default %(default)s)")
-    command("cool", "minimize residual energy over local channels")
+    command("cool", "minimize residual energy over local channels", protocol_flags)
     return parser
 
 

@@ -35,6 +35,7 @@ from .pauli import HermitianOperator, axis_operator, dense_matrix, split_by_supp
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 MAX_REDUCED_SITES = 6
+CALIBRATION_BOUND = 1e-8        # the largest |<T_n>| / J a calibrated ground state may show
 _OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]     # (-1)^mu, to scale stacked matrices
 
 @dataclass(frozen=True)
@@ -129,11 +130,11 @@ def apply_feedback(blocks: np.ndarray, sigma_b: np.ndarray, theta: float) -> np.
     return v @ blocks @ v.conj().transpose(0, 2, 1)
 
 
-def check_calibration(spec: ChainSpec, ground: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """The ground profile <T_n>; raises ValueError unless every |<T_n>| <= tol J."""
+def check_calibration(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
+    """The ground profile <T_n>; raises ValueError unless every |<T_n>| <= CALIBRATION_BOUND J."""
     densities = energy_densities(spec, ground)
     worst = float(np.max(np.abs(densities)))
-    if not worst <= tol * spec.coupling:    # a NaN density fails too
+    if not worst <= CALIBRATION_BOUND * spec.coupling:    # a NaN density fails too
         raise ValueError(
             f"spec is not calibrated: max |<T_n>| = {worst:.3e}; "
             "take the spec from chain.calibrated_chain")

@@ -417,9 +417,10 @@ def test_byte_identical_reruns(capsys):
 def test_no_number_depends_on_the_seed(capsys, command):
     # --seed is accepted and echoed; the ground state is exact, and `cool`
     # does not pass it to the cooling search
+    axes = ("--axis-a", "y") if command == "cool" else ()     # `ground` takes no axis
     docs = []
     for seed in ("0", "7"):
-        code, out, _ = run_cli(capsys, command, "--sites", "8", "--axis-a", "y", "--seed", seed)
+        code, out, _ = run_cli(capsys, command, "--sites", "8", *axes, "--seed", seed)
         assert code == 0
         doc = json.loads(out)
         assert doc["params"].pop("seed") == int(seed)
@@ -591,13 +592,65 @@ def test_config_accepts_a_negative_axis_triple(tmp_path, capsys):
     assert run_cli(capsys, "teleport", "--sites", "6", "--axis-a=-1,0,0") == (0, out, "")
 
 
-def test_readme_lists_the_shared_flags(capsys):
+def test_readme_lists_each_commands_flags(capsys):
+    # the README's table row for a command names exactly the flags its --help lists
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    listed = re.search(r"Shared flags: `([^`]*)`", readme).group(1)
-    with pytest.raises(SystemExit):
-        main(["ground", "--help"])
-    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-    assert set(re.findall(r"--[a-z][a-z-]*", listed)) | {"--help"} == options
+    common = re.search(r"Every command also takes (.*?)\.\s", readme, flags=re.S).group(1)
+    table = dict(re.findall(r"^\| `(\w+)` +\| (.*) \|$", readme, flags=re.M))
+    assert sorted(table) == sorted(TABLE_FROM_DOCUMENT)
+    slots = 0
+    for command, listed in table.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert set(re.findall(r"--[a-z][a-z-]*", listed + common)) | {"--help"} == options
+        slots += len(options) - 1
+    assert slots == 47
+
+
+# the chain flags a command's computation does not read, and a value valid for each
+UNREAD_FLAGS = {"ground": "site-a site-b axis-a axis-b", "sweep": "site-a site-b",
+                "analytic": "sites bc site-a site-b axis-a axis-b seed"}
+VALID = {"sites": "8", "bc": "open", "site-a": "0", "site-b": "1", "axis-a": "x", "axis-b": "x",
+         "seed": "0"}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in
+                                           UNREAD_FLAGS.items() for flag in flags.split()])
+def test_a_flag_the_command_does_not_read_is_refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, flag):
+    def fail(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
+    value = VALID[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: --{flag}" in captured.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (1, "") and "unknown key" in err
+
+
+# what each command echoes in `params` beyond its parsed flags
+COMPUTED_PARAMS = {"teleport": ["axes_from", "axis_a_used", "axis_b_used"],
+                   "cool": ["axes_from", "axis_a_used", "axis_b_used"]}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_FROM_DOCUMENT))
+def test_params_echo_the_declared_flags_and_the_computed_values(capsys, command):
+    flags, _ = TABLE_FROM_DOCUMENT[command]
+    code, out, _ = run_cli(capsys, command, *flags)
+    assert code == 0
+    params = json.loads(out)["params"]
+    declared = ["format" if dest == "fmt" else dest for dest in vars(cli._parse([command]))
+                if dest not in ("out", "config")]
+    assert list(params) == declared + COMPUTED_PARAMS.get(command, [])
+    if command == "sweep":
+        assert params["sizes"] == [6, 8]     # the parsed list, not the flag's text
 
 
 def test_large_guard(capsys, monkeypatch):
@@ -648,6 +701,30 @@ def test_teleport_at_a_large_coupling_matches_unit_coupling(capsys):
         assert code == 0
         docs[float(j)] = json.loads(out)
     assert docs[1e6]["e_b"] / 1e6 == pytest.approx(docs[1.0]["e_b"], rel=1e-10)
+
+
+def test_out_into_a_missing_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        main(["ground", "--sites", "8", "--out", str(missing / "x.json")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert str(missing) in captured.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sites = 8\nout = {missing / 'x.json'}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ground", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"{cfg}:2: argument --out" in captured.err and str(missing) in captured.err
+    assert calls == [] and not missing.exists()
 
 
 def test_out_writes_file(tmp_path, capsys):
