@@ -87,19 +87,6 @@ class ChainSpec:
         return replace(self, site_a=site_a, site_b=site_b)
 
 
-@dataclass(frozen=True)
-class LocalSpectrum:
-    """Eigenvalues of one T_n on its local support, with degeneracies."""
-
-    site: int
-    eigenvalues: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-
-    @property
-    def minimum(self) -> float:
-        return self.eigenvalues[0]
-
-
 def density_support(spec: ChainSpec, n: int) -> tuple[int, ...]:
     if not 0 <= n < spec.n_sites:
         raise ValueError(f"site {n} out of range")
@@ -217,16 +204,6 @@ def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "perio
     return spec, res
 
 
-def local_density_spectrum(spec: ChainSpec, n: int) -> LocalSpectrum:
-    """Dense eigendecomposition of T_n on its 2- or 3-site support; levels within 1e-9 J merge."""
-    support = density_support(spec, n)
-    vals = np.linalg.eigvalsh(build_energy_density(spec, n).dense(sites=support))
-    eigenvalues = []
-    multiplicities = []
-    for v in vals:
-        if eigenvalues and abs(v - eigenvalues[-1]) < 1e-9 * spec.coupling:
-            multiplicities[-1] += 1
-        else:
-            eigenvalues.append(float(v))
-            multiplicities.append(1)
-    return LocalSpectrum(n, tuple(eigenvalues), tuple(multiplicities))
+def local_density_spectrum(spec: ChainSpec, n: int) -> np.ndarray:
+    """Eigenvalues of T_n on its 2- or 3-site support, in ascending order."""
+    return np.linalg.eigvalsh(build_energy_density(spec, n).dense(sites=density_support(spec, n)))

@@ -15,7 +15,8 @@ or --out, so both formats carry the same numbers.  Each command takes only
 the flags it reads, and the JSON `params` echo them (but --out and --config)
 and what the command computed from them.  argparse declares every option
 once; one parser, built on the first call, serves every call in a process,
-and it checks --out's directory before any solve.  A file passed with
+and every flag, --out, the axes and --theta too, is checked before any
+solve.  A file passed with
 --config holds `key = value` lines whose keys are the command's own long
 flags (with `-` or `_`); each line is parsed as the flag `--key=value` ahead
 of the command line, so it is checked as the flag is and an explicit flag
@@ -75,10 +76,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _output_path(path: str) -> str:
-    """An --out path whose directory exists, so a bad path fails before any solve."""
+    """An --out path in an existing directory, not one itself, so it fails before any solve."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"no such directory: {folder!r}")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"is a directory: {path!r}")
     return path
 
 
@@ -157,19 +160,18 @@ def _build_chain(args: argparse.Namespace, n_sites: int, **sites):
     return chain.calibrated_chain(n_sites, args.j, args.bc, seed=args.seed, **sites)
 
 
-def _resolve_setup(args: argparse.Namespace, spec, ground) -> tuple[protocol.MeasurementSetup, str]:
-    axis_a = _parse_axis(args.axis_a)
-    axis_b = _parse_axis(args.axis_b)
-    if axis_a == "best" or axis_b == "best":
+def _resolve_setup(axes: tuple, spec, ground) -> tuple[protocol.MeasurementSetup, str]:
+    if "best" in axes:
         return protocol.axis_sweep(spec, ground=ground).best, "axis sweep"
-    return protocol.MeasurementSetup(axis_a, axis_b), "flags"
+    return protocol.MeasurementSetup(*axes), "flags"
 
 
 def _prepare(args: argparse.Namespace):
     """Chain, prepared ground state and setup, with the params that say which axes were used."""
+    axes = _parse_axis(args.axis_a), _parse_axis(args.axis_b)      # before the solve
     spec, res = _build_chain(args, args.sites, site_a=args.site_a, site_b=args.site_b)
     ground = protocol.PreparedGround(spec, res.state)
-    setup, axis_origin = _resolve_setup(args, spec, ground)
+    setup, axis_origin = _resolve_setup(axes, spec, ground)
     return spec, ground, setup, {"axes_from": axis_origin, "axis_a_used": list(setup.axis_a),
                                  "axis_b_used": list(setup.axis_b)}
 
@@ -204,7 +206,7 @@ def _report(args: argparse.Namespace, ok: bool, header: list[str], rows: list[li
 def cmd_ground(args: argparse.Namespace) -> int:
     spec, res = _build_chain(args, args.sites)
     t_expect = [float(t) for t in chain.energy_densities(spec, res.state)]
-    eps_min = [chain.local_density_spectrum(spec, n).minimum for n in range(spec.n_sites)]
+    eps_min = [float(chain.local_density_spectrum(spec, n)[0]) for n in range(spec.n_sites)]
     ok = abs(res.energy) < 1e-9 * args.j and max(abs(t) for t in t_expect) < 1e-10 * args.j
     rows = [[n, spec.epsilon[n], t_expect[n], eps_min[n]] for n in range(spec.n_sites)]
     return _report(args, ok, ["n", "epsilon_n", "T_n_expect", "eps_min"], rows, {
@@ -221,6 +223,8 @@ def cmd_ground(args: argparse.Namespace) -> int:
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
+    if args.theta is not None and not math.isfinite(args.theta):
+        raise CliError(f"theta must be finite, not {args.theta!r}")
     spec, ground, setup, axes = _prepare(args)
     result = protocol.run_protocol(spec, setup, theta=args.theta, ground=ground)
     profile_ok = all(
@@ -246,7 +250,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sizes = _parse_int_list(args.sizes) if args.sizes else (args.sites,)
+    sizes = _parse_int_list(args.sizes)
+    axes = _parse_axis(args.axis_a), _parse_axis(args.axis_b)
     plan = []
     for n_sites in sizes:       # every (size, distance) is checked before any solve
         _check_sites(n_sites)
@@ -265,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         e_b = {}
         for dist in distances:
             dspec = spec.with_sites(0, dist)
-            setup, note = _resolve_setup(args, dspec, ground)
+            setup, note = _resolve_setup(axes, dspec, ground)
             result = protocol.run_protocol(dspec, setup, ground=ground)
             closed = analytics.eb_closed_form(dist, args.j)
             rows.append([spec.n_sites, dist, result.e_b, closed, analytics.delta(dist),
@@ -345,8 +350,9 @@ def build_parser(origin: str = "") -> argparse.ArgumentParser:
     p_tel = command("teleport", "run the full protocol", protocol_flags)
     p_tel.add_argument("--theta", type=float, help="override the feedback angle (radians)")
     p_sweep = command("sweep", "E_B versus separation and size",
-                      "--sites --j --bc --axis-a --axis-b --seed")
-    p_sweep.add_argument("--sizes", help="comma-separated chain sizes (default --sites)")
+                      "--j --bc --axis-a --axis-b --seed")
+    p_sweep.add_argument("--sizes", default="10",
+                         help="comma-separated chain sizes (default %(default)s)")
     p_sweep.add_argument("--distances", help="comma-separated separations (default all up to N/2)")
     p_an = command("analytic", "closed-form tables and the asymptotic constant", "--j")
     p_an.add_argument("--n-min", type=int, default=1, help="first separation (default %(default)s)")

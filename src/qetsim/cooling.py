@@ -18,7 +18,7 @@ ch. 1 and 3) maximizes Tr Y over Y = y0 I + t.sigma subject to
 S = C - I_2 (x) Y >= 0.  Every feasible Y bounds the minimum from below (weak
 duality), and that bound is the value reported.  The optimal channel lives on
 the kernel of S (complementary slackness S J = 0); its energy minus the bound
-is the duality gap, the certificate of the value.  The outcomes decouple.
+is the duality gap, the one certificate of the value.  The outcomes decouple.
 
 Every (outcome, start) pair is one row of a single barrier path: the rows take
 their Newton steps in lockstep, one batched eigh and one batched solve per
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, density_support
-from .pauli import norm
 from .protocol import MeasurementSetup, PreparedGround, _projectors, _resolve_ground, _trace
 
 
@@ -174,9 +173,10 @@ def _primal_channel(gram: np.ndarray, evals: np.ndarray, evecs: np.ndarray
     J = K X K^dag on the kernel K of S (complementary slackness S J = 0), with
     Tr_out(K X K^dag) = I_2 linear in X; its min-norm solution is Hermitian.
     J is then sandwiched by I_2 (x) M^-1/2, M = Tr_out J (each output block
-    J_kk' becomes M^-1/2 J_kk' M^-1/2), so Tr_out J = I_2 holds to rounding,
-    not only to the solve's residual, and J stays PSD: the channel is exactly
-    feasible and its energy is a true upper bound.
+    J_kk' becomes M^-1/2 J_kk' M^-1/2), so Tr_out J = I_2 holds to rounding
+    whatever the solve's residual, and J stays PSD: the channel is exactly
+    feasible and its energy a true upper bound.  Raises RuntimeError only if
+    no channel lives on the kernel: M is not positive definite or J not PSD.
     """
     kernel = evecs[:, evals - evals[0] <= 1e-6 * (evals[-1] - evals[0])]
     k3 = kernel.reshape(2, 2, -1)         # (output k, input l, kernel column)
@@ -184,14 +184,13 @@ def _primal_channel(gram: np.ndarray, evals: np.ndarray, evecs: np.ndarray
     target = np.eye(2, dtype=np.complex128).ravel()
     x = np.linalg.lstsq(system, target, rcond=None)[0]
     choi = kernel @ x.reshape(kernel.shape[1], -1) @ kernel.conj().T
-    feasible = norm(system @ x - target) <= 1e-10      # so M is within 1e-10 of I_2
-    if feasible:
-        blocks = choi.reshape(2, 2, 2, 2).swapaxes(1, 2)      # J_kk' over the input
-        m_w, m_v = np.linalg.eigh(blocks[0, 0] + blocks[1, 1])
+    blocks = choi.reshape(2, 2, 2, 2).swapaxes(1, 2)      # J_kk' over the input
+    m_w, m_v = np.linalg.eigh(blocks[0, 0] + blocks[1, 1])
+    if m_w[0] > 0.0:                      # else no channel lives on the kernel
         root = (m_v / np.sqrt(m_w)) @ m_v.conj().T
         choi = (root @ blocks @ root).swapaxes(1, 2).reshape(4, 4)
     weights, vecs = np.linalg.eigh(0.5 * (choi + choi.conj().T))
-    if not feasible or weights[0] < -1e-12:
+    if m_w[0] <= 0.0 or weights[0] < -1e-12:
         raise RuntimeError("no feasible Choi matrix on the dual kernel; the dual solve "
                            "did not reach the optimum")
     kraus = tuple((vecs * np.sqrt(np.clip(weights, 0.0, None))).T.reshape(-1, 2, 2))
@@ -205,8 +204,8 @@ def _solve_choi_sdps(rows: list[tuple[OutcomeObjective, np.ndarray]], max_evals:
     All rows share one `_barrier_path`, each on its C / ||C|| and started at
     y0 = objective(t) / 2 - ||C|| (so lambda_min(S) = ||C||), so that neither
     the stopping rule nor the barrier's numbers depend on the scale of C.  The
-    last S of a row gives its bound and, on its kernel, its channel; the bound
-    and the primal energy are scaled back.
+    last S of a row gives its bound and, on its kernel, its channel, also when
+    the row ran out of steps; the bound and the primal energy are scaled back.
     """
     if not rows:
         return []

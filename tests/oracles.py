@@ -11,8 +11,8 @@ ground state, `even_parity_sector` gives the dense even-sector matrix
 without forming the 2^N one, and `bdg_pairing` and `pfaffian` rebuild the
 pairing matrix and its Pfaffians by the textbook routes;
 `lowest_site_amplitudes` fills every Pfaffian in the other expansion order,
-and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`,
-`spectrum_dim` and `one_norm` are small measures that only the tests use, and
+and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`
+and `one_norm` are small measures that only the tests use, and
 `identity`, `add`, `scaled`, `support`, `is_real` and `projectors` the Pauli
 arithmetic that builds the branch route's N-site projectors.  The routes the
 package replaced with cheaper ones are kept as references: `state_offsets`
@@ -21,7 +21,8 @@ reads the calibration offsets from the amplitudes rather than the covariance,
 `power_law_slope` refits the closed form's slope that the package keeps as a
 constant, and `solve_choi_sdp` solves one cooling dual at a time, in the
 units of its Gram form, where the package solves every row in lockstep on
-C / ||C||.
+C / ||C||; it also keeps the older read-out, which refuses a kernel whose
+lstsq residual exceeds 1e-10 where the package completes the channel.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from qetsim.analytics import eb_closed_form
 from qetsim.chain import (
     ChainSpec,
-    LocalSpectrum,
     build_energy_density,
     build_hamiltonian,
     density_support,
@@ -68,11 +68,6 @@ def distance(spec: ChainSpec, m: int, n: int) -> int:
     if spec.boundary == "periodic":
         d = min(d, spec.n_sites - d)
     return d
-
-
-def spectrum_dim(spectrum: LocalSpectrum) -> int:
-    """Dimension of a local spectrum's support space: the sum of its multiplicities."""
-    return sum(spectrum.multiplicities)
 
 
 def one_norm(op: HermitianOperator) -> float:

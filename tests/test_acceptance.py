@@ -63,7 +63,7 @@ def test_criterion_2_negative_density_witness(chains):
     for n_sites in (8, 10, 12):
         spec, _ = chains(n_sites)
         for n in range(n_sites):
-            worst = max(worst, local_density_spectrum(spec, n).minimum)
+            worst = max(worst, local_density_spectrum(spec, n)[0])
     ok = worst < -0.01
     report(2, f"negative-density witness: max over sites of eps_min = {worst:.4f} < -0.01", ok)
 

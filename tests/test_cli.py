@@ -86,7 +86,7 @@ def test_teleport_csv_profiles(capsys):
 
 
 def test_sweep_csv_schema_and_decay(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--sites", "10", "--distances", "1,2,3",
+    code, out, _ = run_cli(capsys, "sweep", "--sizes", "10", "--distances", "1,2,3",
                            "--axis-a", "best", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -96,7 +96,7 @@ def test_sweep_csv_schema_and_decay(capsys):
 
 
 def test_sweep_json_has_slope(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--sites", "8", "--distances", "1,2")
+    code, out, _ = run_cli(capsys, "sweep", "--sizes", "8", "--distances", "1,2")
     assert code == 0
     doc = json.loads(out)
     assert doc["closed_form_slope"] == pytest.approx(-4.5, abs=0.05)
@@ -240,8 +240,13 @@ def test_analytic_rejects_nonpositive_coupling(capsys):
     ("teleport", "--sites", "6", "--theta", "nan"),
     ("teleport", "--sites", "6", "--theta=-inf"),
 ])
-def test_non_finite_inputs_exit_1_and_print_nothing(capsys, argv):
-    # NaN and Infinity are not JSON, so no document may be printed with them
+def test_non_finite_inputs_exit_1_and_print_nothing(capsys, monkeypatch, argv):
+    # NaN and Infinity are not JSON, so no document may be printed with them;
+    # each is refused before the ground solve
+    def fail(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:")
 
@@ -605,11 +610,11 @@ def test_readme_lists_each_commands_flags(capsys):
         options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert set(re.findall(r"--[a-z][a-z-]*", listed + common)) | {"--help"} == options
         slots += len(options) - 1
-    assert slots == 47
+    assert slots == 46
 
 
 # the chain flags a command's computation does not read, and a value valid for each
-UNREAD_FLAGS = {"ground": "site-a site-b axis-a axis-b", "sweep": "site-a site-b",
+UNREAD_FLAGS = {"ground": "site-a site-b axis-a axis-b", "sweep": "sites site-a site-b",
                 "analytic": "sites bc site-a site-b axis-a axis-b seed"}
 VALID = {"sites": "8", "bc": "open", "site-a": "0", "site-b": "1", "axis-a": "x", "axis-b": "x",
          "seed": "0"}
@@ -665,6 +670,28 @@ def test_large_guard(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["ground", "--sites", "18", "--large"])
     assert "--large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("teleport", "--sites", "18", "--axis-a", "diag"), "axis must be x, y, z, best"),
+    (("cool", "--sites", "8", "--axis-b", "diag"), "axis must be x, y, z, best"),
+    (("sweep", "--sizes", "14,16", "--axis-a", "diag"), "axis must be x, y, z, best"),
+    (("teleport", "--sites", "18", "--theta", "nan"), "theta must be finite, not nan"),
+])
+def test_a_bad_axis_or_theta_exits_1_before_any_solve(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    def fail(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and message in err
+    # the same value from a --config file
+    flag, value = argv[-2:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    code, out, err = run_cli(capsys, *argv[:-2], "--config", str(cfg))
+    assert (code, out) == (1, "") and message in err
 
 
 def test_invalid_axis_rejected(capsys):
@@ -725,6 +752,18 @@ def test_out_into_a_missing_directory_fails_before_any_solve(tmp_path, capsys, m
     assert exc.value.code == 2 and captured.out == ""
     assert f"{cfg}:2: argument --out" in captured.err and str(missing) in captured.err
     assert calls == [] and not missing.exists()
+
+
+def test_out_naming_a_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolverCalled
+
+    monkeypatch.setattr(eigensolver, "ground_state", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["ground", "--sites", "18", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --out: is a directory: {str(tmp_path)!r}" in captured.err
 
 
 def test_out_writes_file(tmp_path, capsys):

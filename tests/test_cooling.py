@@ -223,14 +223,14 @@ def step_counts(rows, max_evals: int = 500):
                 min_size=1, max_size=6))
 def test_lockstep_rows_match_their_solo_solves(cases):
     rows = [random_row(seed, 10.0 ** exponent, reach) for seed, exponent, reach in cases]
+    batch = cooling._solve_choi_sdps(rows, 500)
     try:
         solo = [solve_choi_sdp(objective, t, 500) for objective, t in rows]
     except RuntimeError:
-        # a row the per-row path cannot certify fails the batch the same way
-        with pytest.raises(RuntimeError, match="did not reach the optimum"):
-            cooling._solve_choi_sdps(rows, 500)
+        # a row the oracle's residual test refuses is still certified by the batch
+        for (objective, _), (bound, primal, _) in zip(rows, batch):
+            assert abs(primal - bound) <= 1e-10 * norm_of(objective)
         return
-    batch = cooling._solve_choi_sdps(rows, 500)
     assert len(batch) == len(rows)
     for (objective, _), (bound, primal, kraus), (bound0, primal0, _) in zip(rows, batch, solo):
         scale = norm_of(objective)
@@ -249,6 +249,19 @@ def test_the_primal_channel_is_complete_to_rounding():
     for (objective, _), (bound, primal, kraus) in zip(rows, cooling._solve_choi_sdps(rows, 500)):
         assert primal - bound >= -1e-14 * norm_of(objective)
         assert LocalChannel({0: kraus}).completeness_defect() < 1e-14
+
+
+@pytest.mark.parametrize("row", [(23243, 1.0, 0.0), (29247, 1e-2, 2.0)])
+def test_a_kernel_the_residual_test_refused_is_certified(row):
+    # the last S has a second eigenvalue near 1.5e-5 ||C||, above the 1e-6 kernel
+    # threshold, so the one-column kernel's lstsq misses Tr_out J = I_2 by about
+    # 2e-10, which the oracle refuses; completed by I_2 (x) M^-1/2, J certifies the bound
+    objective, t = random_row(*row)
+    (bound, primal, kraus), = cooling._solve_choi_sdps([(objective, t)], 500)
+    assert -1e-14 * norm_of(objective) <= primal - bound <= 1e-12 * norm_of(objective)
+    assert LocalChannel({0: kraus}).completeness_defect() < 1e-14
+    with pytest.raises(RuntimeError, match="did not reach the optimum"):
+        solve_choi_sdp(objective, t, 500)
 
 
 FAST, SLOW = random_row(6, reach=0.0), random_row(7, reach=1e4)
@@ -275,8 +288,10 @@ def test_the_step_cap_applies_per_row():
         bound0, primal0, _ = solve_choi_sdp(objective, t, 100)
         assert abs(bound - bound0) <= 1e-13 * norm_of(objective)
         assert abs(primal - primal0) <= 1e-11 * norm_of(objective)
-    with pytest.raises(RuntimeError, match="did not reach the optimum"):
-        cooling._solve_choi_sdps(rows, 20)
+    # capped at 20 steps no row is certified, yet each reports its gap and a complete channel
+    for (objective, _), (bound, primal, kraus) in zip(rows, cooling._solve_choi_sdps(rows, 20)):
+        assert primal - bound > 1e-4 * norm_of(objective)
+        assert LocalChannel({0: kraus}).completeness_defect() < 1e-14
 
 
 def test_no_objectives_give_empty_results():
