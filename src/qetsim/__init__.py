@@ -5,16 +5,9 @@ from .chain import ChainSpec, build_energy_density, build_hamiltonian, calibrate
 from .cooling import CoolingResult, LocalChannel, minimize_residual
 from .eigensolver import EigenResult
 from .pauli import HermitianOperator, PauliString
-from .protocol import (
-    AxisSweepResult,
-    MeasurementSetup,
-    ProtocolResult,
-    axis_sweep,
-    run_protocol,
-)
+from .protocol import MeasurementSetup, ProtocolResult, axis_sweep, run_protocol
 
 __all__ = [
-    "AxisSweepResult",
     "ChainSpec",
     "CoolingResult",
     "EigenResult",

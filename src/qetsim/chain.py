@@ -27,11 +27,11 @@ BOUNDARIES = ("periodic", "open")
 # Every coupling J in this range keeps each J-scaled number a normal float.
 # The limits that remain are the calibration's: the 1e-15 J tolerance turns
 # subnormal below about J = 2e-293, and the offsets' sum (about -1.3 N J)
-# overflows near J = 1e307.  The teleported energy (which never squares eta)
-# and the cooling SDP (solved on C / ||C||) are scale-free.  The range stays
-# narrower until ROADMAP's open input-range step widens it, with CLI tests
-# at its ends.
-COUPLING_RANGE = (1e-100, 1e100)
+# overflows near J = 7e306 at N = 20; the ends keep a margin from both.  The
+# teleported energy (which never squares eta) and the cooling SDP (solved on
+# C / ||C||) are scale-free.  Every command reproduces J times its J = 1
+# numbers to 5e-11 relative at both ends, as it does at J = 1e-50 and 1e50.
+COUPLING_RANGE = (1e-290, 1e300)
 
 
 def check_coupling(coupling: float) -> None:

@@ -21,7 +21,8 @@ solve.  A file passed with
 flags (with `-` or `_`); each line is parsed as the flag `--key=value` ahead
 of the command line, so it is checked as the flag is and an explicit flag
 wins.  Exit code 0 means every computation converged and all built-in
-invariant checks passed.
+invariant checks passed.  Errors and warnings go to stderr as one line each,
+`error: <message>` and `warning: <message>`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import analytics, chain, cooling, protocol
 
@@ -162,7 +164,7 @@ def _build_chain(args: argparse.Namespace, n_sites: int, **sites):
 
 def _resolve_setup(axes: tuple, spec, ground) -> tuple[protocol.MeasurementSetup, str]:
     if "best" in axes:
-        return protocol.axis_sweep(spec, ground=ground).best, "axis sweep"
+        return protocol.axis_sweep(spec, ground=ground), "axis sweep"
     return protocol.MeasurementSetup(*axes), "flags"
 
 
@@ -363,15 +365,17 @@ def build_parser(origin: str = "") -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parse(argv)
-        # looked up on each call, so a cmd_* replaced after the first call is the one run
-        commands = {"ground": cmd_ground, "teleport": cmd_teleport, "sweep": cmd_sweep,
-                    "analytic": cmd_analytic, "cool": cmd_cool}
-        return commands[args.command](args)
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():     # restores Python's warning display on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _parse(argv)
+            # looked up on each call, so a cmd_* replaced after the first call is the one run
+            commands = {"ground": cmd_ground, "teleport": cmd_teleport, "sweep": cmd_sweep,
+                        "analytic": cmd_analytic, "cool": cmd_cool}
+            return commands[args.command](args)
+        except (CliError, ValueError, RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -269,7 +269,7 @@ def minimize_residual(spec: ChainSpec, setup: MeasurementSetup, ground, seed: in
     if restarts < 1 or max_evals < 1:
         raise ValueError("restarts and max_evals must be at least 1")
     prepared = _resolve_ground(spec, ground)
-    e_a, _ = prepared.measurement(spec, setup.axis_a)
+    e_a, _ = prepared.measurement(spec.site_a, setup.axis_a)
 
     rng = np.random.default_rng(seed)
     starts = spec.coupling * np.vstack([np.zeros(3), rng.standard_normal((restarts - 1, 3))])

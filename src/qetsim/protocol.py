@@ -99,12 +99,9 @@ def optimal_theta(xi: float, eta: float) -> float:
     """Feedback angle minimizing the post-protocol energy, in (-pi/2, pi/2].
 
     Any nonzero pair fixes the angle, however small, so the result is
-    scale-free in J; only xi = eta = 0 leaves it undefined.
+    scale-free in J; xi = eta = 0 teleports nothing at any angle and gives 0.
     """
-    if xi == 0.0 and eta == 0.0:
-        warnings.warn("xi and eta both vanish; no energy can be teleported")
-        return 0.0
-    return 0.5 * math.atan2(-eta, xi)
+    return 0.5 * math.atan2(-eta, xi) if (xi or eta) else 0.0
 
 
 def teleported_energy(xi: float, eta: float) -> float:
@@ -156,9 +153,10 @@ class PreparedGround:
     patterns share one matrix.  The projectors and i[H, sigma] are formed
     from these matrices where they are used, by a few small products.  A
     sweep over receivers thus checks and measures once and builds each
-    operator and dense matrix once.  Every use names a spec, which must
-    describe the same chain (N, J, boundary and offsets); its protocol sites
-    are free.  Memoized arrays are read-only, since every caller shares them.
+    operator and dense matrix once.  Its methods take sites, not a spec: a
+    public function given one checks the spec's chain once, in
+    `_resolve_ground`.  Memoized arrays are read-only, since every caller
+    shares them.
     """
 
     def __init__(self, spec: ChainSpec, state: np.ndarray):
@@ -175,12 +173,6 @@ class PreparedGround:
         except KeyError:
             value = self._memo[key] = build()
             return value
-
-    def _require(self, spec: ChainSpec) -> None:
-        """Raise ValueError unless `spec` differs from the prepared one only in its sites."""
-        if _chain_of(spec) != _chain_of(self.spec):
-            raise ValueError("spec describes a different chain (N, J, boundary or offsets) "
-                             "than the prepared ground state")
 
     def reduced(self, sites) -> np.ndarray:
         """rho_S = Tr_(not S) |g><g| on at most MAX_REDUCED_SITES sites.
@@ -205,17 +197,15 @@ class PreparedGround:
 
         return self._memoized(("reduced", key), build)
 
-    def tensors(self, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-        """`correlation_tensors` at spec's sites, computed once per (site_a, site_b)."""
-        self._require(spec)
-        return self._memoized(("tensors", spec.site_a, spec.site_b), lambda: tuple(
-            _read_only(m) for m in correlation_tensors(spec, self)))
+    def tensors(self, site_a: int, site_b: int) -> tuple[np.ndarray, np.ndarray]:
+        """`correlation_tensors` of a sender at site_a and a receiver at site_b, computed once."""
+        return self._memoized(("tensors", site_a, site_b), lambda: tuple(
+            _read_only(m) for m in _tensors(self, site_a, site_b)))
 
-    def measurement(self, spec: ChainSpec, axis_a) -> tuple[float, tuple[float, ...]]:
-        """`measure` of axis_a at spec.site_a: (E_A, post-measurement profile)."""
-        self._require(spec)
-        return self._memoized(("measurement", spec.site_a, _axis(axis_a)),
-                              lambda: measure(self, spec.site_a, axis_a))
+    def measurement(self, site_a: int, axis_a) -> tuple[float, tuple[float, ...]]:
+        """`measure` of axis_a at site_a: (E_A, post-measurement profile)."""
+        return self._memoized(("measurement", site_a, _axis(axis_a)),
+                              lambda: measure(self, site_a, axis_a))
 
     def density(self, m: int) -> HermitianOperator:
         """T_m, built on first use."""
@@ -296,9 +286,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _resolve_ground(spec: ChainSpec, ground) -> PreparedGround:
-    """`ground` as a PreparedGround: a state, an EigenResult, or one already prepared."""
+    """`ground` as a PreparedGround: a state, an EigenResult, or one already prepared.
+
+    The one check that a spec describes the prepared chain (N, J, boundary
+    and offsets); its protocol sites are free.
+    """
     if isinstance(ground, PreparedGround):
-        ground._require(spec)
+        if _chain_of(spec) != _chain_of(ground.spec):
+            raise ValueError("spec describes a different chain (N, J, boundary or offsets) "
+                             "than the prepared ground state")
         return ground
     if isinstance(ground, eigensolver.EigenResult):
         ground = ground.state
@@ -339,17 +335,15 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     prepared = _resolve_ground(spec, ground)
     sigma_b = prepared.sigma(setup.axis_b, spec.site_b)
 
-    e_a, post_measurement = prepared.measurement(spec, setup.axis_a)
+    e_a, post_measurement = prepared.measurement(spec.site_a, setup.axis_a)
     profiles = {"ground": prepared.ground_profile, "post_measurement": post_measurement}
 
-    xi_mat, eta_mat = prepared.tensors(spec)
+    xi_mat, eta_mat = prepared.tensors(spec.site_a, spec.site_b)
     a_vec, b_vec = np.asarray(setup.axis_a), np.asarray(setup.axis_b)
     xi = float(b_vec @ xi_mat @ b_vec)
     eta = float(a_vec @ eta_mat @ b_vec)
     teleportable = math.hypot(xi, eta) > 1e-14 * spec.coupling
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        theta_star = optimal_theta(xi, eta)
+    theta_star = optimal_theta(xi, eta)
     theta_used = theta_star if theta is None else float(theta)
 
     post_feedback = list(post_measurement)
@@ -383,23 +377,6 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
                           teleportable, profiles)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    label: str
-    axis_a: tuple[float, float, float]
-    axis_b: tuple[float, float, float]
-    xi: float
-    eta: float
-    e_b: float
-
-
-@dataclass(frozen=True)
-class AxisSweepResult:
-    points: tuple[SweepPoint, ...]
-    best: MeasurementSetup
-    best_e_b: float
-
-
 def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray]:
     """3x3 tensors reducing (xi, eta) at any axes to bilinear forms.
 
@@ -411,14 +388,20 @@ def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray
 
     for any state.  [H, sigma_B] holds only the terms of H at B, so both
     tensors are traces over rho on A and supp T_B, with <H> the ground
-    profile's sum.  `ground` takes the same forms as in `run_protocol`.
+    profile's sum.  `ground` takes the same forms as in `run_protocol`; the
+    tensors are read-only, as a PreparedGround memoizes them.
     """
-    prepared = _resolve_ground(spec, ground)
-    sites = _sites({spec.site_a}, density_support(spec, spec.site_b))
+    return _resolve_ground(spec, ground).tensors(spec.site_a, spec.site_b)
+
+
+def _tensors(prepared: PreparedGround, site_a: int, site_b: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """`correlation_tensors` (Xi, N) of a sender at site_a and a receiver at site_b."""
+    sites = _sites({site_a}, density_support(prepared.spec, site_b))
     # sigma^x, sigma^y, sigma^z at B, then at A, stacked
     sigmas = np.array([prepared.dense(prepared.sigma(AXES[q], site), sites)
-                       for site in (spec.site_b, spec.site_a) for q in "xyz"])
-    brackets = np.array([_bracket(prepared, AXES[q], spec.site_b, sites) for q in "xyz"])
+                       for site in (site_b, site_a) for q in "xyz"])
+    brackets = np.array([_bracket(prepared, AXES[q], site_b, sites) for q in "xyz"])
     # with C = i[H, sigma^q_B]: <sigma [H, sigma^q_B]> = Im <sigma C> and
     # i <sigma [H, sigma^q_B]> = Re <sigma C>; row p of `traces` is Tr(rho sigma_p C_q)
     traces = np.einsum("pab,qba->pq", prepared.reduced(sites) @ sigmas, brackets)
@@ -427,21 +410,16 @@ def correlation_tensors(spec: ChainSpec, ground) -> tuple[np.ndarray, np.ndarray
     return xi_mat, at_a.real
 
 
-def axis_sweep(spec: ChainSpec, ground) -> AxisSweepResult:
-    """E_B over the nine cardinal axis pairs {x,y,z} x {x,y,z}, and the best of them.
+def axis_sweep(spec: ChainSpec, ground) -> MeasurementSetup:
+    """The cardinal axis pair in {x,y,z} x {x,y,z} with the largest E_B.
 
-    Parity and reality of the ground state make Xi diagonal and leave only
-    N[y,x] = -N[x,y] nonzero, so no tilted pair beats the best cardinal one
-    while Xi[x,x] <= Xi[y,y] and Xi[z,z] > 0 (see the README).  `ground`
+    A tie goes to the first maximal pair in x, y, z order, the sender's axis
+    outer.  Parity and reality of the ground state make Xi diagonal and leave
+    only N[y,x] = -N[x,y] nonzero, so no tilted pair beats the best cardinal
+    one while Xi[x,x] <= Xi[y,y] and Xi[z,z] > 0 (see the README).  `ground`
     takes the same forms as in `run_protocol`.
     """
-    xi_mat, eta_mat = _resolve_ground(spec, ground).tensors(spec)
-    points = []
-    for p, label_a in enumerate("xyz"):
-        for q, label_b in enumerate("xyz"):
-            xi, eta = float(xi_mat[q, q]), float(eta_mat[p, q])
-            points.append(SweepPoint(f"{label_a}|{label_b}", AXES[label_a], AXES[label_b],
-                                     xi, eta, teleported_energy(max(xi, 0.0), eta)))
-    best_point = max(points, key=lambda pt: pt.e_b)
-    best = MeasurementSetup(best_point.axis_a, best_point.axis_b)
-    return AxisSweepResult(tuple(points), best, best_point.e_b)
+    xi_mat, eta_mat = correlation_tensors(spec, ground)
+    p, q = max(np.ndindex(3, 3), key=lambda pq: teleported_energy(
+        max(float(xi_mat[pq[1], pq[1]]), 0.0), float(eta_mat[pq])))
+    return MeasurementSetup.cardinal("xyz"[p], "xyz"[q])

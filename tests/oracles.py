@@ -28,7 +28,6 @@ lstsq residual exceeds 1e-10 where the package completes the channel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,9 +311,7 @@ def branch_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     a_vec, b_vec = np.asarray(setup.axis_a), np.asarray(setup.axis_b)
     xi = float(b_vec @ xi_mat @ b_vec)
     eta = float(a_vec @ eta_mat @ b_vec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        theta_star = optimal_theta(xi, eta)
+    theta_star = optimal_theta(xi, eta)
     theta_used = theta_star if theta is None else float(theta)
     sigma_b = axis_operator(setup.axis_b, spec.site_b, spec.n_sites)
     ensemble = apply_feedback(ensemble, sigma_b, theta_used)

@@ -173,8 +173,7 @@ def test_criterion_6_closed_form_cross_check(chains):
     labels = []
     for n_sites in (8, 10, 12, 14, 16):
         spec, res = chains(n_sites)
-        sweep = axis_sweep(spec, ground=res)
-        result = run_protocol(spec, sweep.best, ground=res)
+        result = run_protocol(spec, axis_sweep(spec, ground=res), ground=res)
         gaps.append(abs(result.e_b - target))
         labels.append(f"N={n_sites}: {result.e_b:.6f}")
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))

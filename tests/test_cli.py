@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -170,7 +171,7 @@ def test_sweep_rows_equal_one_shot_protocol_runs(capsys, bc, axes):
     assert [row["distance"] for row in rows] == list(range(1, n_sites // 2 + 1))
     for row in rows:
         spec, res = chain.calibrated_chain(n_sites, boundary=bc, site_a=0, site_b=row["distance"])
-        setup = (protocol.axis_sweep(spec, ground=res).best if axes[0] == "best"
+        setup = (protocol.axis_sweep(spec, ground=res) if axes[0] == "best"
                  else protocol.MeasurementSetup.cardinal(*axes))
         result = protocol.run_protocol(spec, setup, ground=res)
         assert row["eb_numeric"] == pytest.approx(result.e_b, abs=1e-12 * spec.coupling)
@@ -254,24 +255,46 @@ def test_non_finite_inputs_exit_1_and_print_nothing(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ("ground", "--sites", "6", "--j", "1e308"),
     ("ground", "--sites", "6", "--j", "1e-320"),
-    ("teleport", "--sites", "6", "--j", "1e200"),
+    ("teleport", "--sites", "6", "--j", "2e300"),
+    ("sweep", "--sizes", "6", "--j", "5e-291"),
     ("analytic", "--j", "1e308", "--n-max", "2"),
 ])
 def test_coupling_outside_its_range_exits_1_and_names_the_range(capsys, argv):
     # 1e308 overflowed the offsets' sum, 1e-320 made the checks' 1e-10 J
-    # subnormal, 1e200 overflowed eta^2, and analytic printed Infinity
+    # subnormal, and analytic printed Infinity; 2e300 and 5e-291 lie just
+    # outside the range's ends
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert "coupling J must be positive and finite, in [1e-100, 1e+100]" in err
+    assert "coupling J must be positive and finite, in [1e-290, 1e+300]" in err
 
 
-@pytest.mark.parametrize("coupling", ["1e-100", "1e100"])
+@pytest.mark.parametrize("coupling", ["1e-290", "1e300"])
 def test_coupling_at_either_end_of_its_range_passes_every_check(capsys, coupling):
-    for argv in (("ground", "--sites", "6"), ("cool", "--sites", "6", "--axis-a", "y",
-                                              "--axis-b", "x")):
+    for argv in (("ground", "--sites", "6"),
+                 ("teleport", "--sites", "6", "--axis-a", "best"),
+                 ("sweep", "--sizes", "6,8", "--axis-a", "best"),
+                 ("analytic", "--n-max", "300"),
+                 ("cool", "--sites", "6", "--axis-a", "y", "--axis-b", "x")):
         code, out, err = run_cli(capsys, *argv, "--j", coupling)
         assert code == 0 and err == ""
         assert all(json.loads(out)["checks"].values())
+
+
+def test_a_warning_prints_as_one_warning_line(capsys):
+    # adjacent parties with tilted axes, where the closed form does not apply;
+    # the line names no file, so it reads the same from every checkout
+    argv = ["teleport", "--sites", "8", "--axis-a", "0,1,1", "--axis-b", "1,1,0"]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "qetsim.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: closed-form E_B does not apply")
+    assert str(src) not in lines[0] and ".py" not in lines[0]
+    # in process too, and the library keeps Python's own display afterwards
+    shown = warnings.showwarning
+    assert run_cli(capsys, *argv)[::2] == (0, proc.stderr)
+    assert warnings.showwarning is shown
 
 
 def test_analytic_csv_schema(capsys):

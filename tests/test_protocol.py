@@ -19,7 +19,7 @@ from oracles import (
     state_offsets,
 )
 
-from qetsim import chain, eigensolver, protocol
+from qetsim import chain, cooling, eigensolver, protocol
 from qetsim.chain import build_energy_density, build_hamiltonian
 from qetsim.pauli import HermitianOperator, axis_operator, single_site
 from qetsim.protocol import (
@@ -128,6 +128,17 @@ def test_eta_vanishes_for_product_ground_state():
     assert np.max(np.abs(eta_mat)) < 1e-12
 
 
+def test_axis_sweep_breaks_a_tie_toward_the_first_pair():
+    # on the product state of the test above every pair teleports nothing, so
+    # all nine tie and the sweep keeps the first in x, y, z order: x|x
+    n = 6
+    ground = basis_state(n, 0)
+    spec = chain.ChainSpec(n, site_b=3)
+    spec = spec.with_epsilon(state_offsets(spec, ground))
+    assert set(cardinal_energies(spec, ground).values()) == {0.0}
+    assert axis_sweep(spec, ground=ground) == MeasurementSetup.cardinal("x", "x")
+
+
 def test_eta_matches_finite_difference_of_protocol_energy(chains):
     # d Tr[rho H] / d theta at theta = 0 equals eta
     spec, res = chains(10)
@@ -154,9 +165,13 @@ def test_optimal_theta_is_scale_free():
         assert optimal_theta(3e-20, 4e-20) == optimal_theta(3.0, 4.0)
 
 
-def test_optimal_theta_degenerate_pair_warns():
-    with pytest.warns(UserWarning, match="teleported"):
-        assert optimal_theta(0.0, 0.0) == 0.0
+def test_optimal_theta_of_a_vanishing_pair_is_plus_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (0.0, -0.0):
+            for eta in (0.0, -0.0):
+                theta = optimal_theta(xi, eta)
+                assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
 
 
 def test_theta_star_minimizes_closed_form():
@@ -305,18 +320,24 @@ def test_adjacent_incompatible_axes_fall_back_with_warning(chains):
     assert result.e_a >= result.e_b - 1e-12
 
 
+def cardinal_energies(spec, ground) -> dict[str, float]:
+    """E_B of each of the nine cardinal pairs `a|b`, from the correlation tensors."""
+    xi_mat, eta_mat = correlation_tensors(spec, ground)
+    return {f"{a}|{b}": teleported_energy(max(float(xi_mat[q, q]), 0.0), float(eta_mat[p, q]))
+            for p, a in enumerate(XYZ) for q, b in enumerate(XYZ)}
+
+
 def test_axis_sweep_cardinal_table(chains):
     spec, res = chains(10)
-    sweep = axis_sweep(spec, ground=res)
-    assert len(sweep.points) == 9
-    table = {pt.label: pt for pt in sweep.points}
+    _, eta_mat = correlation_tensors(spec, res)
+    e_b = cardinal_energies(spec, res)
     # eta = 0 forces e_b = 0
     for label in ("x|x", "z|x", "x|z", "z|z", "y|y", "z|y", "y|z"):
-        assert abs(table[label].eta) < 1e-10
-        assert table[label].e_b == pytest.approx(0.0, abs=1e-12)
-    assert sweep.best_e_b >= table["x|x"].e_b
-    assert sweep.best_e_b == pytest.approx(table["y|x"].e_b)
-    assert sweep.best == MeasurementSetup.cardinal("y", "x")
+        p, q = (XYZ.index(c) for c in label.split("|"))
+        assert abs(eta_mat[p, q]) < 1e-10
+        assert e_b[label] == pytest.approx(0.0, abs=1e-12)
+    assert e_b["y|x"] == max(e_b.values()) > e_b["x|x"]
+    assert axis_sweep(spec, ground=res) == MeasurementSetup.cardinal("y", "x")
 
 
 def test_axis_sweep_agrees_with_direct_xi_eta(chains):
@@ -324,7 +345,6 @@ def test_axis_sweep_agrees_with_direct_xi_eta(chains):
     # eta = Re i <sigma_A [H, sigma_B]>, at the swept y|x pair and at tilted
     # axes, where the tensors enter only through their bilinear forms
     spec, res = chains(10)
-    sweep = axis_sweep(spec, ground=res)
     h = build_hamiltonian(spec)
     g = res.state
     xi_mat, eta_mat = correlation_tensors(spec, g)
@@ -337,10 +357,10 @@ def test_axis_sweep_agrees_with_direct_xi_eta(chains):
         eta = (1j * (np.vdot(av, h.apply(bv)) - np.vdot(av, sig_b.apply(h.apply(g))))).real
         return xi, eta
 
-    point = {pt.label: pt for pt in sweep.points}["y|x"]
+    x, y = XYZ.index("x"), XYZ.index("y")
     xi, eta = direct(protocol.AXES["y"], protocol.AXES["x"])
-    assert point.xi == pytest.approx(xi, abs=1e-10)
-    assert point.eta == pytest.approx(eta, abs=1e-10)
+    assert xi_mat[x, x] == pytest.approx(xi, abs=1e-10)
+    assert eta_mat[y, x] == pytest.approx(eta, abs=1e-10)
     a_vec = np.array([1.0, 2.0, -2.0]) / 3.0
     b_vec = np.array([0.6, 0.0, 0.8])
     xi, eta = direct(tuple(a_vec), tuple(b_vec))
@@ -420,23 +440,22 @@ def test_selection_rules_with_the_receiver_at_an_open_edge(chains, n_sites, site
         assert teleported_energy(max(float(b_vec @ xi_mat @ b_vec), 0.0), eta) <= cardinal
 
 
-def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains):
+def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains, monkeypatch):
     spec, res = chains(8)
     prepared = protocol.PreparedGround(spec, res.state)
     far = spec.with_sites(0, 3)
-    assert prepared.tensors(far) is prepared.tensors(spec.with_sites(0, 3))
-    assert prepared.tensors(far) is not prepared.tensors(spec)
+    assert prepared.tensors(0, 3) is prepared.tensors(0, 3) is correlation_tensors(far, prepared)
+    assert prepared.tensors(0, 3) is not prepared.tensors(0, 1)
     y_axis = MeasurementSetup.cardinal("y", "x").axis_a
-    assert prepared.measurement(far, y_axis) is prepared.measurement(spec, y_axis)
-    other_sender = prepared.measurement(spec.with_sites(2, 3), y_axis)
-    assert other_sender is not prepared.measurement(spec, y_axis)
+    assert prepared.measurement(0, y_axis) is prepared.measurement(0, list(y_axis))
+    assert prepared.measurement(2, y_axis) is not prepared.measurement(0, y_axis)
     # one rho_S per site set, in whatever order it is named, shared by every reader
     rho = prepared.reduced((4, 0, 2, 3))
     assert rho is prepared.reduced([0, 2, 3, 4]) and rho.shape == (16, 16)
     assert rho is not prepared.reduced((0, 2, 3))
     run_protocol(far, MeasurementSetup.cardinal("y", "x"), ground=prepared)
     assert prepared.reduced((0, 2, 3, 4)) is rho
-    for shared in (*prepared.tensors(far), rho):
+    for shared in (*prepared.tensors(0, 3), rho):
         with pytest.raises(ValueError):
             shared[0] = 1.0
     with pytest.raises(ValueError, match="exceed"):
@@ -444,11 +463,20 @@ def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains):
     eps = np.asarray(spec.epsilon)
     others = (dataclasses.replace(spec, coupling=2.0), dataclasses.replace(spec, boundary="open"),
               spec.with_epsilon(eps + 1e-3), chains(10)[0])
+    uses = (lambda s: run_protocol(s, MeasurementSetup(), ground=prepared),
+            lambda s: correlation_tensors(s, prepared), lambda s: axis_sweep(s, prepared),
+            lambda s: cooling.minimize_residual(s, MeasurementSetup(), ground=prepared))
     for other in others:
-        for use in (lambda s: prepared.tensors(s), lambda s: prepared.measurement(s, y_axis),
-                    lambda s: run_protocol(s, MeasurementSetup(), ground=prepared)):
+        for use in uses:
             with pytest.raises(ValueError, match="different chain"):
                 use(other)
+    # each call compares its spec's chain with the prepared one once, two `_chain_of` reads
+    chain_of, reads = protocol._chain_of, []
+    monkeypatch.setattr(protocol, "_chain_of", lambda s: reads.append(s) or chain_of(s))
+    for use in uses:
+        reads.clear()
+        use(spec.with_sites(2, 5))
+        assert len(reads) == 2
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -477,9 +505,8 @@ def test_closed_form_predicate_matches_dense_commutator(boundary):
 
 def test_sweep_best_energy_is_attained_by_simulation(chains):
     spec, res = chains(10)
-    sweep = axis_sweep(spec, ground=res)
-    result = run_protocol(spec, sweep.best, ground=res)
-    assert result.e_b == pytest.approx(sweep.best_e_b, abs=1e-10)
+    result = run_protocol(spec, axis_sweep(spec, ground=res), ground=res)
+    assert result.e_b == pytest.approx(max(cardinal_energies(spec, res).values()), abs=1e-10)
 
 
 def test_measurement_setup_validation():

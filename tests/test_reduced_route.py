@@ -173,8 +173,8 @@ def test_given_a_prepared_ground_no_operator_is_applied(chains, monkeypatch):
     for prepared in grounds:
         for site_a, site_b in ((0, 1), (2, 5), (4, 3)):
             spec = prepared.spec.with_sites(site_a, site_b)
-            sweep = protocol.axis_sweep(spec, ground=prepared)
-            for setup in (sweep.best, MeasurementSetup((0.6, 0.0, 0.8), (0.0, 0.8, 0.6))):
+            best = protocol.axis_sweep(spec, ground=prepared)
+            for setup in (best, MeasurementSetup((0.6, 0.0, 0.8), (0.0, 0.8, 0.6))):
                 quiet_run(spec, setup, prepared)
                 cooling.minimize_residual(spec, setup, ground=prepared, restarts=2)
 
@@ -214,7 +214,7 @@ def test_a_prepared_ground_builds_each_operator_and_matrix_once(chains, monkeypa
     def one_pass(prepared):
         for site_b in range(1, prepared.spec.n_sites):
             spec = prepared.spec.with_sites(0, site_b)
-            quiet_run(spec, protocol.axis_sweep(spec, ground=prepared).best, prepared)
+            quiet_run(spec, protocol.axis_sweep(spec, ground=prepared), prepared)
 
     for n_sites, boundary in ((12, "periodic"), (10, "open")):
         spec, res = chains(n_sites, boundary)
