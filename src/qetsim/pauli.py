@@ -34,13 +34,13 @@ workers keep spinning after it returns, through work that calls no BLAS:
 twenty BLAS dot products of 2**18 elements, interleaved with 1.8 s of
 elementwise numpy, cost 3.5 s of CPU time on 2 vCPUs, against 1.8 s with
 einsum.  `inner` is an einsum, which runs its own loops.  A rank-k product
-with at most 64 rows is the exception: a reduced density matrix g g^dag of
+with at most 16 rows is the exception: a reduced density matrix g g^dag of
 the (2^k, 2^(N-k)) array from `split_by_support` is a dsyrk for a real
 state, which OpenBLAS keeps on the calling thread.  Nine 4-site ones take
 4.8 ms at N = 18 against 14.2 ms by einsum, and CPU time equalled wall
-time at every N up to 20 on 2 vCPUs.  A complex state's zgemm is threaded
-on six sites from N = 18 and on five at N = 20 (CPU time 1.9 times wall
-time); the ground states the package builds are real.
+time at every N up to 20 on 2 vCPUs.  A complex state's zgemm, threaded on
+six sites from N = 18 (CPU time 1.9 times wall time), is not on the three
+and four sites the protocol reads (0.93 to 1.00 times, N = 16 to 20).
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ class PauliString:
     def n_sites(self) -> int:
         return len(self.letters)
 
-    def masks(self) -> tuple[int, int, int]:
-        """(x_mask, z_mask, n_y) for bitwise application."""
-        return _masks(self.letters)
-
 
 def _masks(letters: str) -> tuple[int, int, int]:
     """(x_mask, z_mask, n_y) of a letter pattern: bit n set where site n flips or signs."""
@@ -117,11 +113,6 @@ def _masks(letters: str) -> tuple[int, int, int]:
         if c == "Y":
             ny += 1
     return x, z, ny
-
-
-def _phase(term: PauliString) -> complex:
-    """coefficient * i**n_y: a string's factor once its Y letters are split into X and Z."""
-    return complex(term.coefficient) * (1j) ** term.letters.count("Y")
 
 
 def _z_diagonal(members, dtype) -> np.ndarray:
@@ -154,8 +145,8 @@ def _build_plan(n_sites: int, terms) -> tuple[bool, tuple, tuple]:
     """
     groups: dict[int, list[tuple[complex, int]]] = {}
     for term in terms:
-        x, z, _ = term.masks()
-        groups.setdefault(x, []).append((_phase(term), z))
+        x, z, n_y = _masks(term.letters)
+        groups.setdefault(x, []).append((complex(term.coefficient) * (1j) ** n_y, z))
     is_real = all(c.imag == 0.0 for members in groups.values() for c, _ in members)
     diagonals = []
     scalars: dict[complex, list[tuple]] = {}
@@ -251,10 +242,6 @@ class HermitianOperator:
             terms.append(PauliString(c.real, letters))
         return cls(n_sites, tuple(terms))
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_sites
-
     def acting_on(self, site: int) -> "HermitianOperator":
         """The terms with a letter at `site`: the only part that can fail to commute there."""
         terms = tuple(t for t in self.terms if t.letters[site] != "I")
@@ -295,12 +282,12 @@ class HermitianOperator:
         real state, complex128 otherwise.
         """
         vec = np.asarray(vec)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"state has shape {vec.shape}, expected ({self.dim},)")
+        if vec.shape != (1 << self.n_sites,):
+            raise ValueError(f"state has shape {vec.shape}, expected ({1 << self.n_sites},)")
         is_real, diagonals, scalars = _build_plan(self.n_sites, self.terms)
         dtype = np.result_type(vec.dtype, np.float64 if is_real else np.complex128)
         # the first coefficient accumulates in `out` itself, so it needs no zeroing
-        out = np.empty(self.dim, dtype) if scalars else np.zeros(self.dim, dtype)
+        out = np.empty(vec.size, dtype) if scalars else np.zeros(vec.size, dtype)
         work = np.empty_like(out)
         shape = (2,) * self.n_sites
         vec_nd, out_nd, work_nd = vec.reshape(shape), out.reshape(shape), work.reshape(shape)

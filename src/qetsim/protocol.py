@@ -14,10 +14,11 @@ evolution is applied between steps (the short-time regime is hard-coded).
 
 Every number is a trace Tr(rho_S O) over the ground state's reduced density
 matrix on a few sites S.  The measurement acts at A and the feedback at B,
-so a density T_m whose support misses both commutes with every projector and
-rotation and keeps its ground value exactly: the intermediate sites are not
-excited.  The others, E_A, xi and eta involve only the sites within two of A
-or B, so no state of 2^N amplitudes is formed after the ground state.
+and a term without a letter at the acting site commutes with every projector
+and rotation there, so each step changes only the terms of the T_m at its
+own site: the intermediate sites are not excited.  The sender is read from
+rho on supp T_A, the sites within one of A, and each receiver from rho on A
+and supp T_B, so no state of 2^N amplitudes is formed after the ground state.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .chain import (ChainSpec, build_energy_density, build_hamiltonian, density_
 from .pauli import HermitianOperator, axis_operator, dense_matrix, split_by_support
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-MAX_REDUCED_SITES = 6
+MAX_REDUCED_SITES = 4
 CALIBRATION_BOUND = 1e-8        # the largest |<T_n>| / J a calibrated ground state may show
 _OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]     # (-1)^mu, to scale stacked matrices
 
@@ -75,24 +76,21 @@ class ProtocolResult:
 def measure(prepared: "PreparedGround", site: int, axis) -> tuple[float, tuple[float, ...]]:
     """Measure axis.sigma at `site`: E_A and the post-measurement profile.
 
-    Outcome mu leaves P_mu|g>, with P_mu = (I + (-1)^mu sigma) / 2.  A
-    density T_m whose support misses the site commutes with both projectors
-    and keeps its ground value; the others are read from rho on the sites
-    within two of it.  E_A comes from the same rho by a second route:
-    sum_mu P_mu H P_mu = H + sigma [H, sigma] / 2, so
+    Outcome mu leaves P_mu|g>, with P_mu = (I + (-1)^mu sigma) / 2.  With
+    change = sum_mu P_mu rho P_mu - rho on supp T_A, each T_m moves from its
+    ground value by Tr(change T_m|A), T_m|A its terms with a letter at the
+    site; the rest commute with both projectors.  E_A comes from the same rho
+    by a second route: sum_mu P_mu H P_mu = H + sigma [H, sigma] / 2, so
     E_A = <H> + <sigma [H, sigma]> / 2, with <H> the ground profile's sum.
     """
-    spec = prepared.spec
-    touched = density_support(spec, site)          # the T_m with a term at the site
-    sites = _sites(*(density_support(spec, m) for m in touched))
-    post = _outcome_blocks(prepared, axis, site, sites).sum(axis=0)
-    profile = list(prepared.ground_profile)
-    for m in touched:
-        profile[m] = float(_trace(post, prepared.dense(prepared.density(m), sites)).real)
+    sites = density_support(prepared.spec, site)
+    rho = prepared.reduced(sites)
+    change = _outcome_blocks(prepared, axis, site, sites).sum(axis=0) - rho
+    profile = _moved(prepared, prepared.ground_profile, change, site, sites)
     sigma = prepared.dense(prepared.sigma(axis, site), sites)
     # <sigma [H, sigma]> = Im <sigma i[H, sigma]>
-    deposit = _trace(prepared.reduced(sites), sigma @ _bracket(prepared, axis, site, sites)).imag
-    return sum(prepared.ground_profile) + 0.5 * float(deposit), tuple(profile)
+    deposit = _trace(rho, sigma @ _bracket(prepared, axis, site, sites)).imag
+    return sum(prepared.ground_profile) + 0.5 * float(deposit), profile
 
 
 def optimal_theta(xi: float, eta: float) -> float:
@@ -144,12 +142,13 @@ class PreparedGround:
     Construction runs `check_calibration` and keeps the ground profile it
     returns and the calibrated H; it builds nothing else.  Everything the
     protocol reads is built on first use and memoized on this object, for as
-    long as it lives and no longer: `reduced` per site set, the correlation
-    tensors per (site_a, site_b), the sender's measurement (E_A and the
-    post-measurement profile) per (site_a, axis_a), and the few-site Pauli
-    operators: each T_m, the terms of H at a site, and axis.sigma per
-    (axis, site).  `dense` memoizes an operator's matrix on a site set by
-    the operator's pattern there, so receivers whose sites see the same
+    long as it lives and no longer: `reduced` per site set (supp T_A for the
+    sender, A and supp T_B for a receiver), the correlation tensors per
+    (site_a, site_b), the sender's measurement (E_A and the post-measurement
+    profile) per (site_a, axis_a), and the few-site Pauli operators:
+    T_m|site (each T_m built once), the terms of H at a site, and axis.sigma
+    per (axis, site).  `dense` memoizes an operator's matrix on a site set
+    by the operator's pattern there, so receivers whose sites see the same
     patterns share one matrix.  The projectors and i[H, sigma] are formed
     from these matrices where they are used, by a few small products.  A
     sweep over receivers thus checks and measures once and builds each
@@ -207,9 +206,10 @@ class PreparedGround:
         return self._memoized(("measurement", site_a, _axis(axis_a)),
                               lambda: measure(self, site_a, axis_a))
 
-    def density(self, m: int) -> HermitianOperator:
-        """T_m, built on first use."""
-        return self._memoized(("density", m), lambda: build_energy_density(self.spec, m))
+    def density(self, m: int, site: int) -> HermitianOperator:
+        """T_m|site, the terms of T_m with a letter at `site`; T_m itself is built once."""
+        whole = self._memoized(("density", m), lambda: build_energy_density(self.spec, m))
+        return self._memoized(("density", m, site), lambda: whole.acting_on(site))
 
     def acting_on(self, site: int) -> HermitianOperator:
         """The terms of H at `site`, the only part of H that can fail to commute there."""
@@ -226,12 +226,21 @@ class PreparedGround:
         The key is `op.restricted(sites)`, the coefficients and letters on the
         sites in order, which fixes the matrix bit for bit.  On a periodic
         chain, whose offsets are all one float, the receivers three or more
-        sites from A see the same sigma_B, H_B and T_m patterns on their
+        sites from A see the same sigma_B, H_B and T_m|B patterns on their
         sites, so they share those matrices.
         """
         pattern = op.restricted(sites)
         return self._memoized(("dense", len(sites), pattern),
                               lambda: _read_only(dense_matrix(pattern, len(sites))))
+
+
+def _moved(prepared: PreparedGround, profile, change, site: int, sites) -> tuple[float, ...]:
+    """`profile` with each T_m at `site` moved by Tr(change T_m|site), `change` on `sites`."""
+    profile = list(profile)
+    for m in density_support(prepared.spec, site):     # the T_m with a letter at the site
+        profile[m] += float(_trace(change, prepared.dense(prepared.density(m, site), sites)).real)
+    return tuple(profile)
+
 
 def _sites(*groups) -> tuple[int, ...]:
     """The sorted union of site groups: the key and basis order of a reduced density matrix."""
@@ -324,11 +333,12 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     EigenResult, or a PreparedGround shared across calls.  `theta` overrides
     the optimal feedback angle (the reported theta_star is always the
     optimum).  Per-site <T_n> profiles are recorded for the ground state,
-    after the measurement, and after the feedback.  The feedback moves only
-    the densities with a term at B; each is read from rho on its support and
-    A.  The trace energy takes a second route, E_A plus the change of the
-    terms of H at B, and the bookkeeping check compares the E_B it gives
-    with the closed form.  Raises ValueError for a `theta` that is not finite.
+    after the measurement, and after the feedback.  The feedback is read from
+    rho on A and supp T_B: with `change` its change of the outcome blocks
+    there, each T_m moves by Tr(change T_m|B).  The trace energy takes a
+    second route, E_A + Tr(change H_B), and the bookkeeping check compares
+    the E_B it gives with the closed form.  Raises ValueError for a `theta`
+    that is not finite.
     """
     if theta is not None and not math.isfinite(theta):
         raise ValueError(f"theta must be finite, not {theta!r}")
@@ -346,19 +356,13 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
     theta_star = optimal_theta(xi, eta)
     theta_used = theta_star if theta is None else float(theta)
 
-    post_feedback = list(post_measurement)
-    shift = 0.0
-    for m in density_support(spec, spec.site_b):
-        sites = _sites({spec.site_a}, density_support(spec, m))
-        before = _outcome_blocks(prepared, setup.axis_a, spec.site_a, sites)
-        after = apply_feedback(before, prepared.dense(sigma_b, sites), theta_used)
-        density = prepared.dense(prepared.density(m), sites)
-        post_feedback[m] = float(_trace(after.sum(axis=0), density).real)
-        if m == spec.site_b:            # supp T_B holds every term of H at B
-            h_b = prepared.dense(prepared.acting_on(spec.site_b), sites)
-            shift = float(_trace((after - before).sum(axis=0), h_b).real)
-    profiles["post_feedback"] = tuple(post_feedback)
-    trace_energy = e_a + shift
+    sites = _sites({spec.site_a}, density_support(spec, spec.site_b))
+    before = _outcome_blocks(prepared, setup.axis_a, spec.site_a, sites)
+    after = apply_feedback(before, prepared.dense(sigma_b, sites), theta_used)
+    change = (after - before).sum(axis=0)
+    profiles["post_feedback"] = _moved(prepared, post_measurement, change, spec.site_b, sites)
+    h_b = prepared.dense(prepared.acting_on(spec.site_b), sites)
+    trace_energy = e_a + float(_trace(change, h_b).real)
     e_b = e_a - trace_energy
 
     if theta is None and teleportable:

@@ -45,6 +45,7 @@ from qetsim.eigensolver import bdg_blocks
 from qetsim.pauli import (
     HermitianOperator,
     PauliString,
+    _masks,
     axis_operator,
     inner,
     norm,
@@ -482,7 +483,7 @@ def even_parity_sector(op: HermitianOperator) -> HermitianOperator:
     n_sites = op.n_sites - 1
     strings = []
     for term in op.terms:
-        x, z, _ = term.masks()
+        x, z, _ = _masks(term.letters)
         if x.bit_count() % 2:
             raise ValueError(f"{term.letters!r} does not conserve parity")
         if z >> n_sites & 1:

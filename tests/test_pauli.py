@@ -21,6 +21,7 @@ from qetsim.pauli import (
     HermitianOperator,
     PauliString,
     _build_plan,
+    _masks,
     axis_operator,
     dense_matrix,
     from_sites,
@@ -171,12 +172,12 @@ def test_apply_folds_groups_that_share_a_coefficient(case, seed):
     # every X-mask whose terms carry no Z-bit is one flip, folded under its coefficient
     plain = {}
     for term in op.terms:
-        x, z, _ = term.masks()
+        x, z, _ = _masks(term.letters)
         plain.setdefault(x, []).append((z, term.coefficient))
     plain = {x: members[0][1] for x, members in plain.items()
              if len(members) == 1 and members[0][0] == 0}
     _, diagonals, scalars = _build_plan(op.n_sites, op.terms)
-    assert len(diagonals) + len(plain) == len({t.masks()[0] for t in op.terms})
+    assert len(diagonals) + len(plain) == len({_masks(t.letters)[0] for t in op.terms})
     assert sorted(len(flips) for _, flips in scalars) == sorted(
         sum(c == d for c in plain.values()) for d in set(plain.values()))
 
@@ -210,10 +211,10 @@ def test_plan_diagonals_are_the_dense_matrix_entries(case):
         masks.append(x)
         full = np.broadcast_to(diag, ((1 << n) // diag.size, diag.size)).reshape(-1)
         assert np.max(np.abs(full - mat[idx ^ x, idx])) <= bound
-        members = [(s.coefficient * 1j ** s.letters.count("Y"), s.masks()[1])
-                   for s in strings if s.masks()[0] == x]
+        members = [(s.coefficient * 1j ** s.letters.count("Y"), _masks(s.letters)[1])
+                   for s in strings if _masks(s.letters)[0] == x]
         assert np.max(np.abs(full - term_diagonal(n, members))) <= bound
-    assert sorted(masks) == sorted({s.masks()[0] for s in strings})
+    assert sorted(masks) == sorted({_masks(s.letters)[0] for s in strings})
 
 
 pauli_sum_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*(
