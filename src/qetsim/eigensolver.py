@@ -24,6 +24,8 @@ antiperiodic fermions give it.  The SVD stands in for an `eigh` of
 the 2N x 2N matrix because LAPACK's divide-and-conquer `eigh` above 25 rows
 wakes numpy's OpenBLAS thread pool, whose workers then spin through the
 rest of the computation.  Nothing iterates, and no number depends on a seed.
+The check ||H g - E0 g|| is one `apply` of H - E0, the bare H with -E0 as
+an identity term, whose output is the one fresh 2**N array it takes.
 
 States are plain numpy vectors of length 2**n_sites in the basis described
 in :mod:`qetsim.pauli`, reduced with `pauli.norm`.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, build_hamiltonian
-from .pauli import norm
+from .pauli import HermitianOperator, PauliString, norm
 
 GAP_TOL = 1e-8
 RESIDUAL_BOUND = 1e-10
@@ -100,21 +102,34 @@ def pfaffian_amplitudes(pairing: np.ndarray) -> np.ndarray:
     return amp
 
 
+def _largest_entry(vec: np.ndarray) -> int:
+    """np.argmax(np.abs(vec)) of a real vector, from its argmax and argmin without forming |vec|.
+
+    Each returns its first extreme entry, so on a tie of magnitudes the
+    lower of the two is the first largest |entry|.
+    """
+    top, bottom = int(np.argmax(vec)), int(np.argmin(vec))
+    if vec[top] != -vec[bottom]:
+        return top if vec[top] > -vec[bottom] else bottom
+    return min(top, bottom)
+
+
 def ground_state(spec: ChainSpec) -> EigenResult:
     """The exact ground state of `spec`'s chain, with E0 and the even-sector gap exact.
 
     The state is the Pfaffian state of the J = 1 pairing matrix, normalized,
-    with its largest amplitude positive; it does not depend on J or on the
-    offsets, which shift H by a multiple of I.  `energy` is J E0 minus the
-    offsets' sum, as H has them.  `residual` is ||H g - E0 g|| from one
-    application of the bare J = 1 Hamiltonian, times J; a residual above
-    RESIDUAL_BOUND J raises RuntimeError.  `iterations` counts that one
-    application.  The lowest even excitation costs the two smallest eps_k;
-    a gap below GAP_TOL J sets `degenerate` and warns.  The odd sector's
-    lowest level lies about 1.6 J/N above E0 on a periodic chain and 3 J/N
-    on an open one, so it cannot close the gap unseen.  `covariance` is the
-    polar factor T of A + B, from which `chain.calibrated_chain` reads
-    every <sz_n> and <sx_n sx_{n+1}>.
+    with its largest amplitude positive (the first, on a tie of magnitudes,
+    found by `_largest_entry`); it does not depend on J or on the offsets,
+    which shift H by a multiple of I.  `energy` is J E0 minus the offsets'
+    sum, as H has them.  `residual` is the norm of one application of
+    H - E0, the bare J = 1 Hamiltonian with -E0 as an identity term, times
+    J; a residual above RESIDUAL_BOUND J raises RuntimeError.  `iterations`
+    counts that one application.  The lowest even excitation costs the two
+    smallest eps_k; a gap below GAP_TOL J sets `degenerate` and warns.  The
+    odd sector's lowest level lies about 1.6 J/N above E0 on a periodic
+    chain and 3 J/N on an open one, so it cannot close the gap unseen.
+    `covariance` is the polar factor T of A + B, from which
+    `chain.calibrated_chain` reads every <sz_n> and <sx_n sx_{n+1}>.
     """
     n_sites = spec.n_sites
     a, b = bdg_blocks(n_sites, spec.boundary == "periodic")
@@ -124,10 +139,10 @@ def ground_state(spec: ChainSpec) -> EigenResult:
     e0 = -0.5 * float(np.sum(eps))
     gap = float(eps[-1] + eps[-2])
     state = pfaffian_amplitudes(pairing)
-    state /= np.copysign(norm(state), state[np.argmax(np.abs(state))])
-    h_g = build_hamiltonian(ChainSpec(n_sites, 1.0, spec.boundary)).apply(state)
-    h_g -= e0 * state
-    residual = spec.coupling * norm(h_g)
+    state /= np.copysign(norm(state), state[_largest_entry(state)])
+    bare = build_hamiltonian(ChainSpec(n_sites, 1.0, spec.boundary))
+    shifted = HermitianOperator(n_sites, bare.terms + (PauliString(-e0, "I" * n_sites),))
+    residual = spec.coupling * norm(shifted.apply(state))
     if not residual <= RESIDUAL_BOUND * spec.coupling:
         raise RuntimeError(f"the Pfaffian ground state misses H g = E0 g by "
                            f"{residual:.3e} (bound {RESIDUAL_BOUND * spec.coupling:.1e})")

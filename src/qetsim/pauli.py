@@ -15,17 +15,19 @@ not keep: operators are frozen and hold only their terms, and the package
 applies each one once, to check a ground state's residual.  Terms that share
 an X-mask are one group; the group's Z-masks, coefficients and factors of i
 sum to a single diagonal over the basis (a scalar when no term in the group
-has a Z-bit).  It is built by splitting the
-terms on their highest Z-bit, so the chain's N single-site Z terms take
-O(2**N) work, and it stops at that bit, above which it repeats.  Viewing a
-state as an array of shape (2,)*N, with site n on axis N-1-n, flipping bit n
-is reversing that axis, and the plan keeps each X-mask as a precomputed tuple
-of reversing slices.  A group with a diagonal adds `diag * vec` read through
-its flip: one multiply and one add.  Groups with a scalar diagonal are folded
-by coefficient: each adds its flipped `vec` into one accumulator, and each
-distinct coefficient scales that accumulator once.  For the Ising chain, whose
-N bond groups all carry -J, that is N + 3 array passes instead of 2N + 2.
-No index arrays are built.
+has a Z-bit).  It is built in one fresh array by splitting the terms on
+their highest Z-bit, so the chain's N single-site Z terms take O(2**N) work,
+and it stops at that bit, above which it repeats.  Viewing a state as an
+array of shape (2,)*N, with site n on axis N-1-n, flipping bit n is
+reversing that axis.  X-mask 0's diagonal takes the product with `vec` in
+place and is the output.  Scalar groups of coefficient +-1 add or subtract
+their flipped `vec` straight into it, other scalar groups add theirs into
+one accumulator per coefficient, scaled once, and any other diagonal adds
+`diag * vec` through its flip.  For the Ising H - E0, whose N bonds all
+carry -J = -1, that is one fresh 2**N array and N + 1 passes after the
+diagonal.  A real state's flips read through its complex128 pair view, or
+through its even and odd halves, where a plain reversed axis would make
+numpy's inner loop short (`_flip_views`).  No index arrays are built.
 
 Every whole-state reduction, an inner product or a norm, goes through
 `inner` (or `norm`, built on it), never numpy's `vdot`, `inner` or
@@ -115,33 +117,38 @@ def _masks(letters: str) -> tuple[int, int, int]:
     return x, z, ny
 
 
-def _z_diagonal(members, dtype) -> np.ndarray:
+def _z_diagonal(members, dtype, out=None) -> np.ndarray:
     """sum c (-1)**popcount(i & z) over the (c, z) members, for i < 2**t, bit t-1 the top Z-bit.
 
     With d_lo from the terms without bit t-1 and d_hi from the others with it
     cleared, each repeated to 2**(t-1) entries, it is [d_lo + d_hi, d_lo - d_hi].
+    d_lo is built at the front of the result and repeated from there, so only
+    d_hi, a few entries for the chain's single-site Z terms, takes an array
+    of its own.  Given `out`, the result is its front 2**t entries.
     """
     top = max((z for _, z in members), default=0).bit_length()
+    diag = np.empty(1 << top, dtype) if out is None else out[:1 << top]
     if top == 0:
-        return np.array([sum(c for c, _ in members)], dtype)
+        diag[0] = sum(c for c, _ in members)
+        return diag
     bit = 1 << (top - 1)
-    d_lo = _z_diagonal([(c, z) for c, z in members if not z & bit], dtype)
+    d_lo = _z_diagonal([(c, z) for c, z in members if not z & bit], dtype, diag)
     d_hi = _z_diagonal([(c, z ^ bit) for c, z in members if z & bit], dtype)
-    diag = np.empty((2, bit), dtype)
-    diag.reshape(2, -1, d_lo.size)[:] = d_lo
+    rows = diag.reshape(-1, d_lo.size)
+    rows[1:] = rows[0]
     rows = diag.reshape(2, -1, d_hi.size)
     rows[0] += d_hi
     rows[1] -= d_hi
-    return diag.reshape(-1)
+    return diag
 
 
-def _build_plan(n_sites: int, terms) -> tuple[bool, tuple, tuple]:
-    """(is_real, ((flip, diagonal), ...), ((coefficient, (flip, ...)), ...)).
+def _build_plan(terms) -> tuple[bool, tuple, tuple]:
+    """(is_real, ((x_mask, diagonal), ...), ((coefficient, (x_mask, ...)), ...)).
 
     The second entry holds one pair per X-mask whose group has a Z-bit, its
-    diagonal from `_z_diagonal`; the third folds the X-masks with a scalar
-    diagonal by that scalar.  A flip is the index tuple that reverses the
-    X-mask's axes of the (2,)*N view.
+    diagonal a fresh array from `_z_diagonal`, in increasing X-mask order, so
+    X-mask 0 comes first; the third folds the X-masks with a scalar diagonal
+    by that scalar.
     """
     groups: dict[int, list[tuple[complex, int]]] = {}
     for term in terms:
@@ -149,17 +156,45 @@ def _build_plan(n_sites: int, terms) -> tuple[bool, tuple, tuple]:
         groups.setdefault(x, []).append((complex(term.coefficient) * (1j) ** n_y, z))
     is_real = all(c.imag == 0.0 for members in groups.values() for c, _ in members)
     diagonals = []
-    scalars: dict[complex, list[tuple]] = {}
+    scalars: dict[complex, list[int]] = {}
     for x, members in sorted(groups.items()):
         if is_real:
             members = [(c.real, z) for c, z in members]
-        flip = tuple(slice(None, None, -1) if x >> (n_sites - 1 - axis) & 1 else slice(None)
-                     for axis in range(n_sites))
         if all(z == 0 for _, z in members):
-            scalars.setdefault(sum(c for c, _ in members), []).append(flip)
+            scalars.setdefault(sum(c for c, _ in members), []).append(x)
             continue
-        diagonals.append((flip, _z_diagonal(members, np.float64 if is_real else np.complex128)))
-    return is_real, tuple(diagonals), tuple((c, tuple(flips)) for c, flips in scalars.items())
+        diagonals.append((x, _z_diagonal(members, np.float64 if is_real else np.complex128)))
+    return is_real, tuple(diagonals), tuple((c, tuple(masks)) for c, masks in scalars.items())
+
+
+def _reversed(x: int, n_axes: int) -> tuple:
+    """The index of a (2,)*n_axes view, bit n on axis n_axes-1-n, that reverses X-mask x's axes."""
+    return tuple(slice(None, None, -1) if x >> (n_axes - 1 - axis) & 1 else slice(None)
+                 for axis in range(n_axes))
+
+
+def _flip_views(x: int, dst: np.ndarray, src: np.ndarray) -> tuple:
+    """Pairs (d, s) of views that tile `dst`, s reading `src` at d's indices XOR x.
+
+    Both are contiguous arrays of length 2**N.  A reversed axis low in the
+    index makes numpy's inner loop a few elements long, so two real arrays
+    take other views.  Without bit 0, the complex128 view of the float pairs
+    carries bit 0 inside each element (the bits 1-2 bond at N = 18: 0.78 ms
+    to 0.27 ms).  With bit 0 but not bits 1 or 2, as on the closing bond,
+    the even and odd halves read each other through a high flip (0.47 ms to
+    0.35 ms).  Complex arrays, and the bonds on bits 0-1 and 0-2, are
+    faster as they are.
+    """
+    n = dst.size.bit_length() - 1
+    if dst.dtype == src.dtype == np.float64 and n:
+        if not x & 1:
+            d, s = (a.view(np.complex128).reshape((2,) * (n - 1)) for a in (dst, src))
+            return ((d, s[_reversed(x >> 1, n - 1)]),)
+        if not x & 0b110:
+            d, s = (a.reshape((2,) * n) for a in (dst, src))
+            flip = _reversed(x >> 1, n - 1)
+            return ((d[..., 0], s[..., 1][flip]), (d[..., 1], s[..., 0][flip]))
+    return ((dst.reshape((2,) * n), src.reshape((2,) * n)[_reversed(x, n)]),)
 
 
 def dense_matrix(pattern, n_sites: int) -> np.ndarray:
@@ -275,34 +310,55 @@ class HermitianOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """O @ vec without forming a matrix, from a plan built by `_build_plan` on each call.
 
-        Each group with a diagonal scales `vec` and adds the product into the
-        output through its flip; the scalar groups of one coefficient add
-        their flipped `vec` into an accumulator that is scaled once (see the
-        module docstring).  The output is float64 for a real operator and a
-        real state, complex128 otherwise.
+        X-mask 0's diagonal is the output when it has 2**N entries of the
+        output's dtype; a work array is allocated only for an accumulator
+        beside it or a flipped diagonal (see the module docstring).  The
+        output is float64 for a real operator and a real state, complex128
+        otherwise.
         """
+        size = 1 << self.n_sites
         vec = np.asarray(vec)
-        if vec.shape != (1 << self.n_sites,):
-            raise ValueError(f"state has shape {vec.shape}, expected ({1 << self.n_sites},)")
-        is_real, diagonals, scalars = _build_plan(self.n_sites, self.terms)
+        if vec.shape != (size,):
+            raise ValueError(f"state has shape {vec.shape}, expected ({size},)")
+        vec = np.ascontiguousarray(vec)
+        is_real, diagonals, scalars = _build_plan(self.terms)
         dtype = np.result_type(vec.dtype, np.float64 if is_real else np.complex128)
-        # the first coefficient accumulates in `out` itself, so it needs no zeroing
-        out = np.empty(vec.size, dtype) if scalars else np.zeros(vec.size, dtype)
-        work = np.empty_like(out)
-        shape = (2,) * self.n_sites
-        vec_nd, out_nd, work_nd = vec.reshape(shape), out.reshape(shape), work.reshape(shape)
-        for k, (coefficient, flips) in enumerate(scalars):
-            acc_nd = work_nd if k else out_nd
-            np.copyto(acc_nd, vec_nd[flips[0]])
-            for flip in flips[1:]:
-                acc_nd += vec_nd[flip]
-            acc_nd *= coefficient
-            if k:
-                out += work
-        for flip, diag in diagonals:
+        out = work = None
+        if diagonals and diagonals[0][0] == 0:
+            (_, diag), diagonals = diagonals[0], diagonals[1:]
+            # numpy copies an input that overlaps the output unless both are one view
+            diag = diag.reshape(1, -1)
+            own = diag.size == size and diag.dtype == dtype
+            out = np.multiply(diag, vec.reshape(-1, diag.size),
+                              out=diag if own else None).reshape(-1)
+        for coefficient, masks in scalars:
+            if out is not None and coefficient in (1, -1):
+                ufunc = np.add if coefficient == 1 else np.subtract
+                for x in masks:
+                    for d, s in _flip_views(x, out, vec):
+                        ufunc(d, s, out=d)
+                continue
+            if out is None:
+                acc = out = np.empty(size, dtype)
+            else:
+                acc = work = np.empty(size, dtype) if work is None else work
+            for k, x in enumerate(masks):
+                for d, s in _flip_views(x, acc, vec):
+                    if k:
+                        d += s
+                    else:
+                        np.copyto(d, s)
+            acc *= coefficient
+            if acc is not out:
+                out += acc
+        for x, diag in diagonals:
+            work = np.empty(size, dtype) if work is None else work
             np.multiply(diag, vec.reshape(-1, diag.size), out=work.reshape(-1, diag.size))
-            out_nd += work_nd[flip]
-        return out
+            if out is None:
+                out = np.zeros(size, dtype)
+            for d, s in _flip_views(x, out, work):
+                d += s
+        return np.zeros(size, dtype) if out is None else out
 
     def restricted(self, sites: tuple[int, ...]) -> tuple[tuple[float, str], ...]:
         """Each term's (coefficient, letters at `sites`): the operator's pattern on those sites.

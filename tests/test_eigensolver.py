@@ -1,6 +1,7 @@
 """The exact ground state: the Pfaffian construction against dense and textbook oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from oracles import (
 from qetsim import chain, eigensolver
 from qetsim.chain import ChainSpec, build_hamiltonian, calibrated_chain
 from qetsim.eigensolver import ground_state, pfaffian_amplitudes
-from qetsim.pauli import HermitianOperator
+from qetsim.pauli import HermitianOperator, norm
 
 
 @pytest.mark.parametrize("n_sites", range(3, 13))
@@ -183,6 +184,57 @@ def test_deterministic_for_fixed_seed():
         assert res.energy == first[1].energy
         assert np.array_equal(res.state, first[1].state)
         assert res.iterations == first[1].iterations
+
+
+@pytest.mark.parametrize("vec", [
+    [1.0, -1.0], [-1.0, 1.0], [0.5, -2.0, 2.0], [2.0, 0.1, -2.0], [-3.0, 3.0, -3.0],
+    [-1.0, -5.0, -2.0], [-2.0, -2.0, -0.5], [4.0], [-4.0], [0.0], [0.0, -0.0, 0.0],
+    [0.3, -0.7, 0.7, -0.7, 0.2]])
+def test_largest_entry_is_the_first_of_largest_magnitude(vec):
+    vec = np.array(vec)
+    assert eigensolver._largest_entry(vec) == np.argmax(np.abs(vec))
+
+
+def test_largest_entry_on_vectors_full_of_ties():
+    rng = np.random.default_rng(40)
+    for size in (1, 2, 3, 7, 64):
+        for _ in range(50):
+            vec = rng.integers(-3, 4, size).astype(float)
+            assert eigensolver._largest_entry(vec) == np.argmax(np.abs(vec))
+
+
+@pytest.mark.parametrize("n_sites", range(3, 15))
+@pytest.mark.parametrize("boundary", chain.BOUNDARIES)
+def test_phase_is_fixed_at_the_first_largest_amplitude(n_sites, boundary, monkeypatch):
+    # the state is the Pfaffian amplitudes divided by their norm, signed by
+    # the entry np.argmax(np.abs(amp)) picks, to the last bit
+    amps = []
+
+    def recording(pairing):
+        amp = pfaffian_amplitudes(pairing)
+        amps.append(amp.copy())
+        return amp
+
+    monkeypatch.setattr(eigensolver, "pfaffian_amplitudes", recording)
+    state = ground_state(ChainSpec(n_sites, boundary=boundary)).state
+    (amp,) = amps
+    expected = amp / np.copysign(norm(amp), amp[np.argmax(np.abs(amp))])
+    assert state.dtype == expected.dtype and state.tobytes() == expected.tobytes()
+
+
+def test_ground_state_allocates_the_state_and_one_array_for_its_check():
+    # traced at N = 14: the state, the Pfaffian fill's quarter-length work
+    # arrays, the check's one fresh array and numpy's iterator buffers;
+    # 3.15 times the state's bytes, where the h_g - E0 g route read 4.74
+    spec = ChainSpec(14)
+    ground_state(spec)
+    tracemalloc.start()
+    try:
+        state = ground_state(spec).state
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * state.nbytes
 
 
 def test_phase_fixing_largest_amplitude_positive(chains):

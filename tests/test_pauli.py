@@ -1,10 +1,11 @@
 """Pauli string and operator machinery against independent kron-built matrices."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     apply_single_qubit,
@@ -17,6 +18,7 @@ from oracles import (
     term_diagonal,
 )
 
+from qetsim.chain import ChainSpec, build_hamiltonian
 from qetsim.pauli import (
     HermitianOperator,
     PauliString,
@@ -104,10 +106,36 @@ def test_terms_sharing_an_x_mask_are_grouped():
         ref = dense_reference(op)
         for v in (real_vec, complex_vec):
             assert np.max(np.abs(op.apply(v) - ref @ v)) < 1e-12
-        assert len(_build_plan(op.n_sites, op.terms)[1]) == n_groups
+        assert len(_build_plan(op.terms)[1]) == n_groups
     assert real_op.apply(real_vec).dtype == np.float64
     assert real_op.apply(complex_vec).dtype == np.complex128
     assert complex_op.apply(real_vec).dtype == np.complex128
+
+
+def test_apply_of_the_ising_h_allocates_one_array_and_numpy_buffers():
+    # traced at N = 14: the plan's diagonal, which becomes the output, and
+    # numpy's 8192-element iterator buffer of the complex128 view (as large
+    # as the state here); 2.04 times the state's bytes, where an output, a
+    # work array and a diagonal apart from each other read 3.63
+    n = 14
+    h = build_hamiltonian(ChainSpec(n))
+    vec = np.random.default_rng(14).standard_normal(1 << n)
+    h.apply(vec)
+    tracemalloc.start()
+    try:
+        h.apply(vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * vec.nbytes
+
+
+def test_apply_reads_a_strided_state_as_its_copy():
+    # the chain's H is real, so its flips read through the complex128 pair
+    # view or the even and odd halves, which need a contiguous state
+    h = build_hamiltonian(ChainSpec(6))
+    vec = np.random.default_rng(6).standard_normal(128)
+    assert np.array_equal(h.apply(vec[::2]), h.apply(vec[::2].copy()))
 
 
 def test_apply_on_a_single_site():
@@ -152,8 +180,49 @@ shared_coefficient_sums = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.booleans()))
 
 
+def letters_at(n: int, ops: dict[int, str]) -> str:
+    return "".join(ops.get(site, "I") for site in range(n))
+
+
+def kernel_cases(n: int) -> list:
+    """Cases of the test below, on n sites, that take each of `apply`'s paths.
+
+    The flips cover X-masks {0,1}, {1,2} and {0,N-1}, masks without bit 0,
+    and bit 0 alone.  The scalar groups have coefficients +-1 and others,
+    and some cases have two or more such groups.  Some diagonals have their
+    top Z-bit below N-1, so they are broadcast.  One case has no X-mask 0
+    diagonal to form the output in.  Each case runs with and without an
+    odd Y, which makes the operator complex.
+    """
+    pairs = [(k, k + 1) for k in range(n - 1)] + ([(0, n - 1)] if n > 2 else [])
+    z_terms = [(-1.0, letters_at(n, {k: "Z"})) for k in range(n)]
+    bonds = [letters_at(n, {a: "X", b: "X"}) for a, b in pairs]
+    cycled = [((1.0, -1.0, 0.5, 2.0)[k % 4], b) for k, b in enumerate(bonds)]
+    low_z = [(0.5, letters_at(n, {0: "Z"}))] + ([(-1.0, "ZZ" + "I" * (n - 2))] if n > 2 else [])
+    flipped_diagonals = [(0.5, letters_at(n, {0: "Z", 1: "X", 2: "X"})) if n > 2 else (0.5, "ZX"),
+                         (2.0, letters_at(n, {0: "X", n - 1: "Z"})),
+                         (-1.0, letters_at(n, {0: "Y", n - 1: "Y"}))]
+    cases = [
+        (z_terms + [(-1.0, b) for b in bonds], 0.5),                        # the Ising H - E0
+        (z_terms + cycled + [(2.0, letters_at(n, {0: "X"})), (1.0, letters_at(n, {1: "X"}))],
+         None),
+        (low_z + [(-1.0, b) for b in bonds] + [(2.0, letters_at(n, {n - 1: "X"}))], None),
+        ([(-1.0, b) for b in bonds] + [(0.5, b) for b in bonds[::2]], None),
+        (z_terms + flipped_diagonals + [(-1.0, b) for b in bonds], -1.0),
+    ]
+    return [(n, terms, identity, odd_y) for terms, identity in cases for odd_y in (False, True)]
+
+
+def with_kernel_cases(test):
+    for n in range(2, 11):
+        for case in kernel_cases(n):
+            test = example(case, 0)(test)
+    return test
+
+
 @settings(max_examples=120, deadline=None)
 @given(shared_coefficient_sums, st.integers(0, 2**32 - 1))
+@with_kernel_cases
 def test_apply_folds_groups_that_share_a_coefficient(case, seed):
     n, terms, identity, odd_y = case
     strings = [PauliString(c, letters) for c, letters in terms]
@@ -176,9 +245,9 @@ def test_apply_folds_groups_that_share_a_coefficient(case, seed):
         plain.setdefault(x, []).append((z, term.coefficient))
     plain = {x: members[0][1] for x, members in plain.items()
              if len(members) == 1 and members[0][0] == 0}
-    _, diagonals, scalars = _build_plan(op.n_sites, op.terms)
+    _, diagonals, scalars = _build_plan(op.terms)
     assert len(diagonals) + len(plain) == len({_masks(t.letters)[0] for t in op.terms})
-    assert sorted(len(flips) for _, flips in scalars) == sorted(
+    assert sorted(len(masks) for _, masks in scalars) == sorted(
         sum(c == d for c in plain.values()) for d in set(plain.values()))
 
 
@@ -203,18 +272,15 @@ def test_plan_diagonals_are_the_dense_matrix_entries(case):
     mat = dense_matrix(terms, n)
     idx = np.arange(1 << n)
     bound = 1e-12 * max(1.0, sum(abs(c) for c, _ in terms))
-    _, diagonals, scalars = _build_plan(n, strings)
-    groups = list(diagonals) + [(flip, np.array([c])) for c, flips in scalars for flip in flips]
-    masks = []
-    for flip, diag in groups:
-        x = sum(1 << (n - 1 - axis) for axis, s in enumerate(flip) if s.step == -1)
-        masks.append(x)
+    _, diagonals, scalars = _build_plan(strings)
+    groups = list(diagonals) + [(x, np.array([c])) for c, masks in scalars for x in masks]
+    for x, diag in groups:
         full = np.broadcast_to(diag, ((1 << n) // diag.size, diag.size)).reshape(-1)
         assert np.max(np.abs(full - mat[idx ^ x, idx])) <= bound
         members = [(s.coefficient * 1j ** s.letters.count("Y"), _masks(s.letters)[1])
                    for s in strings if _masks(s.letters)[0] == x]
         assert np.max(np.abs(full - term_diagonal(n, members))) <= bound
-    assert sorted(masks) == sorted({_masks(s.letters)[0] for s in strings})
+    assert sorted(x for x, _ in groups) == sorted({_masks(s.letters)[0] for s in strings})
 
 
 pauli_sum_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*(
