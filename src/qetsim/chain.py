@@ -8,7 +8,10 @@ whose offset eps_n is tuned so that the ground state has exactly zero energy
 density everywhere, <g|T_n|g> = 0.  The chain Hamiltonian is H = sum_n T_n;
 after calibration it annihilates the ground state and is nonnegative.  On a
 periodic chain translation invariance makes all eps_n equal; on an open chain
-the offsets vary near the edges, so they are kept per-site.
+the offsets vary near the edges, so they are kept per-site.  Every <T_n> is
+read from the ground state's N x N Majorana covariance (`energy_densities`),
+never from its 2^N amplitudes: on this free-fermion chain the covariance is
+the whole ground state.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import HermitianOperator, PauliString, from_sites, inner
+from .pauli import HermitianOperator, PauliString, from_sites
 
 if TYPE_CHECKING:
     from .eigensolver import EigenResult
@@ -116,73 +119,38 @@ def build_hamiltonian(spec: ChainSpec) -> HermitianOperator:
     return HermitianOperator.from_strings(spec.n_sites, strings, drop_tol=1e-15 * spec.coupling)
 
 
-def local_observables(spec: ChainSpec, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site z[n] = <sz_n> and xx[n] = <sx_n sx_{n+1 mod N}>, read from one state.
+def energy_densities(spec: ChainSpec, covariance: np.ndarray) -> np.ndarray:
+    """Every <T_n> of a pure Gaussian state, read from its Majorana covariance T.
 
-    <sz_n> is the weight of |psi|^2 with bit n of the index clear minus the
-    weight with it set; summing out each bit once it is read makes all N
-    marginals cost two passes over |psi|^2.  sx_n sx_m flips bits n and m, so
-    with psi_st the amplitudes whose bits (m, n) are (s, t),
-    <sx_n sx_m> = 2 Re(<psi_00|psi_11> + <psi_01|psi_10>): two inner products
-    of quarter-length strided views, with no flipped copy of the state.  On
-    an open chain xx[N-1] = 0, since the last site has no bond to the first.
-    """
-    n_sites = spec.n_sites
-    psi = np.asarray(state).reshape(-1)
-    marginal = np.abs(psi) ** 2
-    z = np.empty(n_sites)
-    xx = np.zeros(n_sites)
-    for n in range(n_sites):
-        clear, set_ = marginal[0::2], marginal[1::2]
-        z[n] = clear.sum() - set_.sum()
-        marginal = clear + set_
-    # bond (n, n+1) as axes (higher bits, bit n+1, bit n, lower bits); the closing
-    # bond (N-1, 0) as (middle bits, bit N-1, bit 0, nothing)
-    bonds = [psi.reshape(-1, 2, 2, 1 << n) for n in range(n_sites - 1)]
-    if spec.boundary == "periodic":
-        bonds.append(psi.reshape(2, -1, 2, 1).swapaxes(0, 1))
-    for n, v in enumerate(bonds):
-        xx[n] = 2.0 * (inner(v[:, 0, 0], v[:, 1, 1]) + inner(v[:, 0, 1], v[:, 1, 0])).real
-    return z, xx
-
-
-def energy_densities(spec: ChainSpec, state: np.ndarray) -> np.ndarray:
-    """Every <T_n> of a normalized state at once, from `local_observables`.
-
-    Site n's bonds are xx[n] and xx[n-1]; on an open chain the missing edge
-    bond is the zero xx[N-1], so one formula serves both boundaries.
-    """
-    return _densities(spec, *local_observables(spec, state))
-
-
-def _densities(spec: ChainSpec, z: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Every <T_n> from z[n] = <sz_n> and xx[n] = <sx_n sx_{n+1 mod N}>."""
-    j = spec.coupling
-    return -j * z - (j / 2.0) * (xx + np.roll(xx, 1)) - np.asarray(spec.epsilon)
-
-
-def calibrate_epsilon(spec: ChainSpec, covariance: np.ndarray) -> np.ndarray:
-    """Offsets eps_n = <g|(-J sz_n - (J/2) sx_n sx_{n+-1})|g> that zero every <T_n>.
-
-    They are read from the ground state's covariance T (`EigenResult.covariance`,
-    see :mod:`qetsim.eigensolver`), N^2 numbers rather than 2^N amplitudes:
-    <sz_n> = T[n, n], <sx_n sx_{n+1}> = -T[n, n+1] and, on a periodic chain,
-    the closing bond's +T[N-1, 0].  A normalized pure state's T is
-    orthogonal; any other raises ValueError.  On a periodic chain each
-    offset is the mean, as translation invariance makes them equal up to
-    rounding.  The offsets are pure identity shifts, so they do not change g.
+    T is `EigenResult.covariance` (see :mod:`qetsim.eigensolver`), N^2
+    numbers rather than 2^N amplitudes: <sz_n> = T[n, n],
+    <sx_n sx_{n+1}> = -T[n, n+1] and, on a periodic chain, the closing
+    bond's +T[N-1, 0]; an open chain has no closing bond.  A normalized pure
+    state's T is orthogonal; any other raises ValueError.
     """
     n_sites = spec.n_sites
     t = np.asarray(covariance)
     if t.shape != (n_sites, n_sites) or not np.allclose(t @ t.T, np.eye(n_sites),
                                                         rtol=0.0, atol=1e-8):
         raise ValueError("covariance is not orthogonal, as a normalized pure state's is")
-    xx = np.zeros(n_sites)
+    xx = np.zeros(n_sites)      # xx[n] = <sx_n sx_{n+1 mod N}>; site n's bonds are xx[n], xx[n-1]
     xx[:-1] = -np.diagonal(t, 1)
     if spec.boundary == "periodic":
         xx[-1] = t[-1, 0]
-    eps = _densities(spec.with_epsilon((0.0,) * n_sites), np.diagonal(t), xx)
-    return np.full(n_sites, eps.mean()) if spec.boundary == "periodic" else eps
+    j = spec.coupling
+    return -j * np.diagonal(t) - (j / 2.0) * (xx + np.roll(xx, 1)) - np.asarray(spec.epsilon)
+
+
+def calibrate_epsilon(spec: ChainSpec, covariance: np.ndarray) -> np.ndarray:
+    """Offsets eps_n = <g|(-J sz_n - (J/2) sx_n sx_{n+-1})|g> that zero every <T_n>.
+
+    They are the bare chain's `energy_densities` of the ground state's
+    covariance.  On a periodic chain each offset is the mean, as translation
+    invariance makes them equal up to rounding.  The offsets are pure
+    identity shifts, so they do not change g.
+    """
+    eps = energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), covariance)
+    return np.full(spec.n_sites, eps.mean()) if spec.boundary == "periodic" else eps
 
 
 def calibrated_chain(n_sites: int, coupling: float = 1.0, boundary: str = "periodic",

@@ -79,6 +79,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _output_path(path: str) -> str:
     """An --out path in an existing directory, not one itself, so it fails before any solve."""
+    if not path:
+        raise argparse.ArgumentTypeError("empty path")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"no such directory: {folder!r}")
@@ -172,7 +174,7 @@ def _prepare(args: argparse.Namespace):
     """Chain, prepared ground state and setup, with the params that say which axes were used."""
     axes = _parse_axis(args.axis_a), _parse_axis(args.axis_b)      # before the solve
     spec, res = _build_chain(args, args.sites, site_a=args.site_a, site_b=args.site_b)
-    ground = protocol.PreparedGround(spec, res.state)
+    ground = protocol.PreparedGround(spec, res)
     setup, axis_origin = _resolve_setup(axes, spec, ground)
     return spec, ground, setup, {"axes_from": axis_origin, "axis_a_used": list(setup.axis_a),
                                  "axis_b_used": list(setup.axis_b)}
@@ -207,7 +209,7 @@ def _report(args: argparse.Namespace, ok: bool, header: list[str], rows: list[li
 
 def cmd_ground(args: argparse.Namespace) -> int:
     spec, res = _build_chain(args, args.sites)
-    t_expect = [float(t) for t in chain.energy_densities(spec, res.state)]
+    t_expect = [float(t) for t in chain.energy_densities(spec, res.covariance)]
     eps_min = [float(chain.local_density_spectrum(spec, n)[0]) for n in range(spec.n_sites)]
     ok = abs(res.energy) < 1e-9 * args.j and max(abs(t) for t in t_expect) < 1e-10 * args.j
     rows = [[n, spec.epsilon[n], t_expect[n], eps_min[n]] for n in range(spec.n_sites)]
@@ -268,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ok = True
     for n_sites, distances in plan:
         spec, res = _build_chain(args, n_sites)
-        ground = protocol.PreparedGround(spec, res.state)
+        ground = protocol.PreparedGround(spec, res)
         e_b = {}
         for dist in distances:
             dspec = spec.with_sites(0, dist)

@@ -18,9 +18,9 @@ psi_k = x_k - y_k with (A + B) phi_k = eps_k psi_k and
 every eps_k and, with the rows X = (x_k), Y = (y_k), the pairing matrix
 G = -X^-1 Y; E0 = -(1/2) sum_k eps_k.  With A + B = U diag(eps) V^T, the
 orthogonal polar factor T = U V^T is the ground state's Majorana
-covariance: <sz_n> = T[n, n] and <sx_n sx_{n+1}> = -T[n, n+1], and a
-periodic chain's closing bond <sx_{N-1} sx_0> = +T[N-1, 0], the sign its
-antiperiodic fermions give it.  The SVD stands in for an `eigh` of
+covariance, from which `chain.energy_densities` reads every <T_n> (a
+periodic chain's closing bond takes the sign of its antiperiodic fermions:
+<sx_{N-1} sx_0> = +T[N-1, 0]).  The SVD stands in for an `eigh` of
 the 2N x 2N matrix because LAPACK's divide-and-conquer `eigh` above 25 rows
 wakes numpy's OpenBLAS thread pool, whose workers then spin through the
 rest of the computation.  Nothing iterates, and no number depends on a seed.
@@ -28,7 +28,9 @@ The check ||H g - E0 g|| is one `apply` of H - E0, the bare H with -E0 as
 an identity term, whose output is the one fresh 2**N array it takes.
 
 States are plain numpy vectors of length 2**n_sites in the basis described
-in :mod:`qetsim.pauli`, reduced with `pauli.norm`.
+in :mod:`qetsim.pauli`, reduced with `pauli.norm`.  The state and T come
+from the one SVD; only the check here and `protocol.PreparedGround.reduced`
+read the state.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def ground_state(spec: ChainSpec) -> EigenResult:
     odd sector's lowest level lies about 1.6 J/N above E0 on a periodic
     chain and 3 J/N on an open one, so it cannot close the gap unseen.
     `covariance` is the polar factor T of A + B, from which
-    `chain.calibrated_chain` reads every <sz_n> and <sx_n sx_{n+1}>.
+    `chain.energy_densities` reads every <T_n>.
     """
     n_sites = spec.n_sites
     a, b = bdg_blocks(n_sites, spec.boundary == "periodic")

@@ -56,11 +56,7 @@ LETTERS = "IXYZ"
 
 
 def inner(a: np.ndarray, b: np.ndarray):
-    """<a|b> of two arrays of one shape, summed by einsum's own loops rather than BLAS.
-
-    einsum sums over every axis in place, so a strided view is read as it
-    lies, without the copy that raveling it would make.
-    """
+    """<a|b> of two arrays of one shape, summed by einsum's own loops rather than BLAS."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"inner product of arrays of shapes {a.shape} and {b.shape}")

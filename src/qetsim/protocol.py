@@ -13,12 +13,15 @@ which extracts E_B = (sqrt(xi^2 + eta^2) - xi) / 2 from the chain.  No time
 evolution is applied between steps (the short-time regime is hard-coded).
 
 Every number is a trace Tr(rho_S O) over the ground state's reduced density
-matrix on a few sites S.  The measurement acts at A and the feedback at B,
-and a term without a letter at the acting site commutes with every projector
-and rotation there, so each step changes only the terms of the T_m at its
-own site: the intermediate sites are not excited.  The sender is read from
-rho on supp T_A, the sites within one of A, and each receiver from rho on A
-and supp T_B, so no state of 2^N amplitudes is formed after the ground state.
+matrix on a few sites S, or a sum of the ground profile <T_n>, which
+`check_calibration` reads from the ground state's covariance.  The
+measurement acts at A and the feedback at B, and a term without a letter at
+the acting site commutes with every projector and rotation there, so each
+step changes only the terms of the T_m at its own site: the intermediate
+sites are not excited.  The sender is read from rho on supp T_A, the sites
+within one of A, and each receiver from rho on A and supp T_B.  No state of
+2^N amplitudes is formed after the ground state, whose one reader here is
+`PreparedGround.reduced`.
 """
 
 from __future__ import annotations
@@ -125,9 +128,9 @@ def apply_feedback(blocks: np.ndarray, sigma_b: np.ndarray, theta: float) -> np.
     return v @ blocks @ v.conj().transpose(0, 2, 1)
 
 
-def check_calibration(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
-    """The ground profile <T_n>; raises ValueError unless every |<T_n>| <= CALIBRATION_BOUND J."""
-    densities = energy_densities(spec, ground)
+def check_calibration(spec: ChainSpec, covariance: np.ndarray) -> np.ndarray:
+    """Every <T_n> of `covariance`; raises ValueError unless all |<T_n>| <= CALIBRATION_BOUND J."""
+    densities = energy_densities(spec, covariance)
     worst = float(np.max(np.abs(densities)))
     if not worst <= CALIBRATION_BOUND * spec.coupling:    # a NaN density fails too
         raise ValueError(
@@ -139,8 +142,9 @@ def check_calibration(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
 class PreparedGround:
     """A calibrated chain's ground state, read through its reduced density matrices.
 
-    Construction runs `check_calibration` and keeps the ground profile it
-    returns and the calibrated H; it builds nothing else.  Everything the
+    Construction runs `check_calibration` on the EigenResult's covariance T
+    and keeps the ground profile it returns, the state, which only `reduced`
+    reads, and the calibrated H; it builds nothing else.  Everything the
     protocol reads is built on first use and memoized on this object, for as
     long as it lives and no longer: `reduced` per site set (supp T_A for the
     sender, A and supp T_B for a receiver), the correlation tensors per
@@ -158,9 +162,12 @@ class PreparedGround:
     shares them.
     """
 
-    def __init__(self, spec: ChainSpec, state: np.ndarray):
-        self.state = np.asarray(state)
-        self.ground_profile = tuple(float(t) for t in check_calibration(spec, self.state))
+    def __init__(self, spec: ChainSpec, ground: eigensolver.EigenResult):
+        if not isinstance(ground, eigensolver.EigenResult):     # its covariance gives the profile
+            raise TypeError(f"ground is {type(ground).__name__}, not an EigenResult; "
+                            "take the ground state from chain.calibrated_chain")
+        self.state = np.asarray(ground.state)
+        self.ground_profile = tuple(float(t) for t in check_calibration(spec, ground.covariance))
         self.spec = spec
         self.hamiltonian = build_hamiltonian(spec)
         self._memo: dict[tuple, object] = {}
@@ -295,19 +302,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _resolve_ground(spec: ChainSpec, ground) -> PreparedGround:
-    """`ground` as a PreparedGround: a state, an EigenResult, or one already prepared.
+    """`ground` as a PreparedGround: an EigenResult, or one already prepared.
 
     The one check that a spec describes the prepared chain (N, J, boundary
-    and offsets); its protocol sites are free.
+    and offsets); its protocol sites are free.  Any other `ground`, a bare
+    state among them, raises TypeError in PreparedGround.
     """
-    if isinstance(ground, PreparedGround):
-        if _chain_of(spec) != _chain_of(ground.spec):
-            raise ValueError("spec describes a different chain (N, J, boundary or offsets) "
-                             "than the prepared ground state")
-        return ground
-    if isinstance(ground, eigensolver.EigenResult):
-        ground = ground.state
-    return PreparedGround(spec, ground)
+    if not isinstance(ground, PreparedGround):
+        return PreparedGround(spec, ground)
+    if _chain_of(spec) != _chain_of(ground.spec):
+        raise ValueError("spec describes a different chain (N, J, boundary or offsets) "
+                         "than the prepared ground state")
+    return ground
 
 
 def closed_form_applies(sigma_a: HermitianOperator, sigma_b: HermitianOperator,
@@ -329,16 +335,16 @@ def run_protocol(spec: ChainSpec, setup: MeasurementSetup, ground,
                  theta: float | None = None) -> ProtocolResult:
     """Full measurement -> communication -> feedback pipeline with energy bookkeeping.
 
-    `ground` is the calibrated chain's solved ground state: a state, an
-    EigenResult, or a PreparedGround shared across calls.  `theta` overrides
-    the optimal feedback angle (the reported theta_star is always the
-    optimum).  Per-site <T_n> profiles are recorded for the ground state,
-    after the measurement, and after the feedback.  The feedback is read from
-    rho on A and supp T_B: with `change` its change of the outcome blocks
-    there, each T_m moves by Tr(change T_m|B).  The trace energy takes a
-    second route, E_A + Tr(change H_B), and the bookkeeping check compares
-    the E_B it gives with the closed form.  Raises ValueError for a `theta`
-    that is not finite.
+    `ground` is the calibrated chain's EigenResult, or a PreparedGround
+    shared across calls.  `theta` overrides the optimal feedback angle (the
+    reported theta_star is always the optimum).  Per-site <T_n> profiles are
+    recorded for the ground state, after the measurement, and after the
+    feedback.  The feedback is read from rho on A and supp T_B: with
+    `change` its change of the outcome blocks there, each T_m moves by
+    Tr(change T_m|B).  The trace energy takes a second route,
+    E_A + Tr(change H_B), and the bookkeeping check compares the E_B it
+    gives with the closed form.  Raises ValueError for a `theta` that is not
+    finite.
     """
     if theta is not None and not math.isfinite(theta):
         raise ValueError(f"theta must be finite, not {theta!r}")

@@ -15,8 +15,10 @@ and `term_diagonal` sums an `apply` group's diagonal term by term.  `distance`
 and `one_norm` are small measures that only the tests use, and
 `identity`, `add`, `scaled`, `support`, `is_real` and `projectors` the Pauli
 arithmetic that builds the branch route's N-site projectors.  The routes the
-package replaced with cheaper ones are kept as references: `state_offsets`
-reads the calibration offsets from the amplitudes rather than the covariance,
+package replaced with cheaper ones are kept as references:
+`operator_densities` reads every <T_n> of a state as the T_n operators'
+expectations and `state_offsets` the calibration offsets from the same
+amplitudes, where the package reads both from the covariance;
 `reduced_by_einsum` forms rho_S by einsum rather than one BLAS product,
 `power_law_slope` refits the closed form's slope that the package keeps as a
 constant, and `solve_choi_sdp` solves one cooling dual at a time, in the
@@ -38,7 +40,6 @@ from qetsim.chain import (
     build_energy_density,
     build_hamiltonian,
     density_support,
-    energy_densities,
 )
 from qetsim.cooling import _DUAL_BASIS, LocalChannel, OutcomeObjective
 from qetsim.eigensolver import bdg_blocks
@@ -118,6 +119,12 @@ def expectation(op: HermitianOperator, vec: np.ndarray) -> float:
     if abs(val.imag) > 1e-12 * one_norm(op):
         raise ValueError(f"expectation has imaginary part {val.imag:g}; operator is not Hermitian")
     return float(val.real)
+
+
+def operator_densities(spec: ChainSpec, state: np.ndarray) -> np.ndarray:
+    """Every <T_n> of a normalized state, as the expectation of the T_n operator."""
+    return np.array([expectation(build_energy_density(spec, n), state)
+                     for n in range(spec.n_sites)])
 
 
 def apply_single_qubit(mat: np.ndarray, vec: np.ndarray, site: int, n_sites: int) -> np.ndarray:
@@ -214,7 +221,7 @@ def apply_feedback(ensemble: MixedEnsemble, sigma_b: HermitianOperator,
 
 def density_profile(spec: ChainSpec, states) -> tuple[float, ...]:
     """Per-site <T_n> averaged over weighted states [(weight, state), ...]."""
-    profile = sum(w * energy_densities(spec, s) for w, s in states if w > 0.0)
+    profile = sum(w * operator_densities(spec, s) for w, s in states if w > 0.0)
     return tuple(float(t) for t in profile)
 
 
@@ -589,7 +596,7 @@ def state_offsets(spec: ChainSpec, ground: np.ndarray) -> np.ndarray:
     nrm = norm(ground)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"ground state is not normalized (norm {nrm:.3e})")
-    eps = energy_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
+    eps = operator_densities(spec.with_epsilon((0.0,) * spec.n_sites), ground)
     return np.full(spec.n_sites, eps.mean()) if spec.boundary == "periodic" else eps
 
 

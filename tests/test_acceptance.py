@@ -75,7 +75,7 @@ def test_criterion_3_energy_identity(chains):
         spec, res = chains(n_sites)
         spec = spec.with_sites(0, 2)
         h = build_hamiltonian(spec)
-        xi_mat, eta_mat = correlation_tensors(spec, res.state)
+        xi_mat, eta_mat = correlation_tensors(spec, res)
         for p, a_label in enumerate("xyz"):
             p0, p1 = projectors(protocol.AXES[a_label], 0, n_sites)
             ensemble, e_a = measure(res.state, p0, p1, h)
@@ -100,7 +100,7 @@ def test_criterion_4_optimality_and_positivity(chains):
     sigma_b = axis_operator(setup.axis_b, 2, 10)
     p0, p1 = projectors(setup.axis_a, 0, 10)
     ensemble, e_a = measure(res.state, p0, p1, h)
-    xi_mat, eta_mat = correlation_tensors(spec, res.state)
+    xi_mat, eta_mat = correlation_tensors(spec, res)
     a_vec, b_vec = np.asarray(setup.axis_a), np.asarray(setup.axis_b)
     xi, eta = b_vec @ xi_mat @ b_vec, a_vec @ eta_mat @ b_vec
     theta_star = protocol.optimal_theta(xi, eta)

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from oracles import (
     correlation_check,
     density_eigenbasis_weights,
-    density_profile,
     distance,
     even_parity_indices,
     even_parity_sector,
     expectation,
     one_norm,
+    operator_densities,
     state_offsets,
 )
 
@@ -30,7 +30,6 @@ from qetsim.chain import (
     calibrated_chain,
     energy_densities,
     local_density_spectrum,
-    local_observables,
 )
 from qetsim.pauli import HermitianOperator, PauliString, from_sites, single_site
 
@@ -110,13 +109,15 @@ def test_calibration_uniform_on_periodic_chain(chains):
 @pytest.mark.parametrize("n_sites", range(3, 21))
 def test_periodic_offsets_are_exactly_equal(n_sites):
     # one offset, the mean of densities that differ only by rounding, so every
-    # T_n has the same pattern; each <T_n> stays at rounding and the offsets
-    # still sum to E0 = -2J / sin(pi/2N), each within a few ulp of E0 / N
+    # T_n has the same pattern; each <T_n>, read from T and from the state,
+    # stays at rounding and the offsets still sum to E0 = -2J / sin(pi/2N),
+    # each within a few ulp of E0 / N
     spec, res = calibrated_chain(n_sites)
     assert len(set(spec.epsilon)) == 1
     expected = -2.0 / (n_sites * math.sin(math.pi / (2 * n_sites)))
     assert abs(spec.epsilon[0] - expected) <= 8 * np.spacing(abs(expected))
-    assert np.max(np.abs(energy_densities(spec, res.state))) < 1e-13
+    assert np.max(np.abs(energy_densities(spec, res.covariance))) < 1e-13
+    assert np.max(np.abs(operator_densities(spec, res.state))) < 1e-13
     assert math.fsum(spec.epsilon) == pytest.approx(-2.0 / math.sin(math.pi / (2 * n_sites)),
                                                     abs=1e-13 * n_sites)
 
@@ -237,50 +238,11 @@ def test_failed_residual_check_reports_the_residual_in_units_of_the_coupling(mon
     assert f"by {1e6 * unit:.3e} (bound 1.0e-24)" in str(excinfo.value)
 
 
-def operator_densities(spec, state):
-    return np.array([expectation(build_energy_density(spec, n), state)
-                     for n in range(spec.n_sites)])
-
-
 def random_state(n_sites, rng, complex_):
     vec = rng.standard_normal(1 << n_sites)
     if complex_:
         vec = vec + 1j * rng.standard_normal(1 << n_sites)
     return vec / np.linalg.norm(vec)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(3, 10), st.sampled_from(chain.BOUNDARIES), st.floats(1e-3, 1e3),
-       st.booleans(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_local_observables_match_operator_densities(n_sites, boundary, coupling, complex_,
-                                                    weight, seed):
-    # every <T_n> read from (z, xx) equals the T_n operator's expectation,
-    # for one state and for a weighted two-branch ensemble
-    rng = np.random.default_rng(seed)
-    spec = ChainSpec(n_sites, coupling, boundary,
-                     epsilon=tuple(coupling * rng.standard_normal(n_sites)))
-    first, second = (random_state(n_sites, rng, complex_) for _ in range(2))
-    tol = 1e-12 * coupling
-    assert np.max(np.abs(energy_densities(spec, first)
-                         - operator_densities(spec, first))) <= tol
-    ensemble = [(weight, first), (1.0 - weight, second)]
-    expected = sum(w * operator_densities(spec, s) for w, s in ensemble if w > 0.0)
-    assert np.max(np.abs(np.array(density_profile(spec, ensemble)) - expected)) <= tol
-
-
-def test_local_observables_of_a_product_state():
-    # site n in cos(t_n/2)|0> + sin(t_n/2)|1> has <sz> = cos t_n and <sx> = sin t_n;
-    # distinct angles pin each value to its site, and the open chain drops xx[N-1]
-    angles = np.array([0.3, 1.1, 2.0, 2.9, 0.7])
-    state = np.ones(1)
-    for t in angles:                         # site N-1 ends up as the leftmost factor
-        state = np.kron([math.cos(t / 2.0), math.sin(t / 2.0)], state)
-    bonds = np.sin(angles) * np.roll(np.sin(angles), -1)
-    for boundary in chain.BOUNDARIES:
-        z, xx = local_observables(ChainSpec(len(angles), boundary=boundary), state)
-        assert z == pytest.approx(np.cos(angles), abs=1e-15)
-        expected = bonds if boundary == "periodic" else np.append(bonds[:-1], 0.0)
-        assert xx == pytest.approx(expected, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)

@@ -778,15 +778,23 @@ def test_out_into_a_missing_directory_fails_before_any_solve(tmp_path, capsys, m
 
 
 def test_out_naming_a_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    # so does an empty path, on the command line or as a config line `out =`,
+    # which would otherwise write to stdout
     def fail(*args, **kwargs):
         raise SolverCalled
 
     monkeypatch.setattr(eigensolver, "ground_state", fail)
-    with pytest.raises(SystemExit) as exc:
-        main(["ground", "--sites", "18", "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert f"argument --out: is a directory: {str(tmp_path)!r}" in captured.err
+    config = tmp_path / "empty_out.cfg"
+    config.write_text("out =\n")
+    for flags, message in ((["--out", str(tmp_path)],
+                            f"argument --out: is a directory: {str(tmp_path)!r}"),
+                           (["--out", ""], "argument --out: empty path"),
+                           (["--config", str(config)], f"{config}:1: argument --out: empty path")):
+        with pytest.raises(SystemExit) as exc:
+            main(["ground", "--sites", "18", *flags])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert message in captured.err
 
 
 def test_out_writes_file(tmp_path, capsys):

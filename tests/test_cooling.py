@@ -85,7 +85,7 @@ def gram_energy(objective, kraus) -> float:
 
 def y_objectives(spec, res):
     """The package's objectives for the y measurement, read from rho on supp T_A."""
-    return cooling.outcome_objectives(protocol.PreparedGround(spec, res.state), spec,
+    return cooling.outcome_objectives(protocol.PreparedGround(spec, res), spec,
                                       protocol.AXES["y"])
 
 

@@ -80,6 +80,16 @@ def test_exact_energy_is_the_closed_form(n_sites):
                                            rel=1e-14)
 
 
+@pytest.mark.parametrize("n_sites", range(3, 21))
+def test_periodic_covariance_is_the_finite_n_propagator(n_sites):
+    # every <T_n> is read from T, which on a periodic chain is the Toeplitz
+    # matrix T[n, m] = G_N(n - m), with G_N(r) = 1 / (N sin(pi (2r + 1) / 2N))
+    res = ground_state(ChainSpec(n_sites))
+    r = np.subtract.outer(np.arange(n_sites), np.arange(n_sites))
+    propagator = 1.0 / (n_sites * np.sin(np.pi * (2 * r + 1) / (2 * n_sites)))
+    assert np.max(np.abs(res.covariance - propagator)) <= 1e-14
+
+
 @pytest.mark.parametrize("n_sites", range(3, 11))
 @pytest.mark.parametrize("boundary", chain.BOUNDARIES)
 def test_exact_gap_is_the_second_even_level(n_sites, boundary, monkeypatch):

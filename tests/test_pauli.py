@@ -411,7 +411,7 @@ def test_dense_on_sites_is_the_operator_rebuilt_there(chains, case, data):
     assert np.array_equal(mat, expected)
 
     spec, res = chains(n)
-    prepared = PreparedGround(spec, res.state)
+    prepared = PreparedGround(spec, res)
     shared = prepared.dense(op, sites)
     assert shared.dtype == mat.dtype and np.array_equal(shared, mat)
     assert prepared.dense(op, sites) is shared and not shared.flags.writeable
@@ -483,8 +483,8 @@ def test_inner_and_norm_match_blas(n_sites):
     real_a, real_b = rng.standard_normal(dim), rng.standard_normal(dim)
     cplx_a = real_a + 1j * rng.standard_normal(dim)
     cplx_b = real_b + 1j * rng.standard_normal(dim)
-    # a state's (2,)*N view against its flip on two axes, and the strided
-    # quarter-length blocks of one bond that local_observables reads
+    # a state's (2,)*N view against its flip on two axes, and two strided
+    # quarter-length blocks of one bond, which einsum reads without a copy
     psi = cplx_a.reshape((2,) * n_sites)
     flipped = np.flip(psi, (0, n_sites - 1))
     bond = cplx_a.reshape(-1, 2, 2, 1 << (n_sites // 2))

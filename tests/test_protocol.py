@@ -111,19 +111,26 @@ def test_measured_energy_equals_density_profile_sum(chains):
 def test_xi_nonnegative_everywhere(chains):
     # xi(b) = b . Xi b >= 0 on every axis b, so Xi is positive semidefinite
     spec, res = chains(8)
-    xi_mat, _ = correlation_tensors(spec, res.state)
+    xi_mat, _ = correlation_tensors(spec, res)
     for q in range(3):
         assert xi_mat[q, q] >= -1e-12
     assert np.linalg.eigvalsh(xi_mat).min() >= -1e-12
+
+
+def product_ground(n_sites):
+    """The all-up product state as an EigenResult: every <sz_n> is 1 and no bond
+    correlates, so its covariance is T = I."""
+    return eigensolver.EigenResult(0.0, basis_state(n_sites, 0), 0.0, 0,
+                                   covariance=np.eye(n_sites))
 
 
 def test_eta_vanishes_for_product_ground_state():
     # the chain's own H with its offsets calibrated on the all-up product state:
     # N[p,q] factorizes into <sigma^p_A> <[H, sigma^q_B]>, and one factor vanishes
     n = 6
-    ground = basis_state(n, 0)
+    ground = product_ground(n)
     spec = chain.ChainSpec(n, site_b=3)
-    spec = spec.with_epsilon(state_offsets(spec, ground))
+    spec = spec.with_epsilon(state_offsets(spec, ground.state))
     _, eta_mat = correlation_tensors(spec, ground)
     assert np.max(np.abs(eta_mat)) < 1e-12
 
@@ -132,9 +139,9 @@ def test_axis_sweep_breaks_a_tie_toward_the_first_pair():
     # on the product state of the test above every pair teleports nothing, so
     # all nine tie and the sweep keeps the first in x, y, z order: x|x
     n = 6
-    ground = basis_state(n, 0)
+    ground = product_ground(n)
     spec = chain.ChainSpec(n, site_b=3)
-    spec = spec.with_epsilon(state_offsets(spec, ground))
+    spec = spec.with_epsilon(state_offsets(spec, ground.state))
     assert set(cardinal_energies(spec, ground).values()) == {0.0}
     assert axis_sweep(spec, ground=ground) == MeasurementSetup.cardinal("x", "x")
 
@@ -231,7 +238,7 @@ def test_simulation_matches_closed_form_over_theta_grid(chains):
     spec, res = chains(8)
     spec = spec.with_sites(0, 3)
     h = build_hamiltonian(spec)
-    xi_mat, eta_mat = correlation_tensors(spec, res.state)
+    xi_mat, eta_mat = correlation_tensors(spec, res)
     for a in ("x", "y"):
         for b in ("x", "y"):
             p0, p1 = projectors(protocol.AXES[a], 0, 8)
@@ -252,6 +259,22 @@ def test_run_protocol_teleports_positive_energy(chains):
     assert result.e_a >= result.e_b
     assert result.e_b == pytest.approx(
         teleported_energy(result.xi, result.eta), abs=1e-10)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.37])
+def test_e_a_and_xi_are_the_finite_n_forms(coupling):
+    # on a periodic chain at y|x, E_A = 3J s(N) and xi = 2J s(N) at every N,
+    # with s(N) = 1 / (N sin(pi/2N)) the chain's <sigma^z>, for the receiver
+    # next to the sender and half the chain away
+    setup = MeasurementSetup.cardinal("y", "x")
+    for n_sites in range(4, 21):
+        spec, res = chain.calibrated_chain(n_sites, coupling)
+        prepared = protocol.PreparedGround(spec, res)
+        scale = 1.0 / (n_sites * math.sin(math.pi / (2 * n_sites)))
+        for site_b in (1, n_sites // 2):
+            result = run_protocol(spec.with_sites(0, site_b), setup, ground=prepared)
+            assert abs(result.e_a - 3.0 * coupling * scale) <= 2e-14 * coupling
+            assert abs(result.xi - 2.0 * coupling * scale) <= 2e-14 * coupling
 
 
 def test_run_protocol_profiles_are_consistent(chains):
@@ -347,7 +370,7 @@ def test_axis_sweep_agrees_with_direct_xi_eta(chains):
     spec, res = chains(10)
     h = build_hamiltonian(spec)
     g = res.state
-    xi_mat, eta_mat = correlation_tensors(spec, g)
+    xi_mat, eta_mat = correlation_tensors(spec, res)
 
     def direct(axis_a, axis_b):
         sig_a = axis_operator(axis_a, spec.site_a, 10)
@@ -380,7 +403,7 @@ def test_parity_and_reality_selection_rules(chains, boundary, n_sites, site_a, s
     spec, res = chains(n_sites, boundary)
     spec = spec.with_sites(site_a, site_b)
     j = spec.coupling
-    xi_mat, eta_mat = correlation_tensors(spec, res.state)
+    xi_mat, eta_mat = correlation_tensors(spec, res)
     x, y = XYZ.index("x"), XYZ.index("y")
     assert np.max(np.abs(xi_mat - np.diag(np.diag(xi_mat)))) <= 1e-12 * j
     others = eta_mat.copy()
@@ -400,12 +423,16 @@ def test_parity_and_reality_selection_rules(chains, boundary, n_sites, site_a, s
 
 
 def test_check_calibration_rejects_uncalibrated_and_nan_states(chains):
+    # the profile is read from the covariance: a spec with other offsets, NaN
+    # offsets and a NaN covariance, which is not orthogonal, are all refused
     spec, res = chains(8)
-    protocol.check_calibration(spec, res.state)
-    for bad_spec, state in ((spec.with_epsilon((0.0,) * 8), res.state),
-                            (spec, np.full_like(res.state, np.nan))):
-        with pytest.raises(ValueError, match="not calibrated"):
-            protocol.check_calibration(bad_spec, state)
+    protocol.check_calibration(spec, res.covariance)
+    for bad_spec, covariance, message in (
+            (spec.with_epsilon((0.0,) * 8), res.covariance, "not calibrated"),
+            (spec.with_epsilon((np.nan,) * 8), res.covariance, "not calibrated"),
+            (spec, np.full_like(res.covariance, np.nan), "covariance is not orthogonal")):
+        with pytest.raises(ValueError, match=message):
+            protocol.check_calibration(bad_spec, covariance)
 
 
 EDGE_CASES = [(n_sites, a, b) for n_sites in (8, 10)
@@ -421,7 +448,7 @@ def test_selection_rules_with_the_receiver_at_an_open_edge(chains, n_sites, site
     spec, res = chains(n_sites, "open")
     spec = spec.with_sites(site_a, site_b)
     j = spec.coupling
-    xi_mat, eta_mat = correlation_tensors(spec, res.state)
+    xi_mat, eta_mat = correlation_tensors(spec, res)
     x, y = XYZ.index("x"), XYZ.index("y")
     assert np.max(np.abs(xi_mat - np.diag(np.diag(xi_mat)))) <= 1e-12 * j
     others = eta_mat.copy()
@@ -442,7 +469,7 @@ def test_selection_rules_with_the_receiver_at_an_open_edge(chains, n_sites, site
 
 def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains, monkeypatch):
     spec, res = chains(8)
-    prepared = protocol.PreparedGround(spec, res.state)
+    prepared = protocol.PreparedGround(spec, res)
     far = spec.with_sites(0, 3)
     assert prepared.tensors(0, 3) is prepared.tensors(0, 3) is correlation_tensors(far, prepared)
     assert prepared.tensors(0, 3) is not prepared.tensors(0, 1)
@@ -477,6 +504,19 @@ def test_prepared_ground_memoizes_per_sites_and_rejects_another_chain(chains, mo
         reads.clear()
         use(spec.with_sites(2, 5))
         assert len(reads) == 2
+
+
+def test_a_bare_state_is_refused_as_ground(chains):
+    # the ground profile is read from the covariance, which a bare state lacks
+    spec, res = chains(8)
+    uses = (lambda g: protocol.PreparedGround(spec, g),
+            lambda g: run_protocol(spec, MeasurementSetup(), ground=g),
+            lambda g: correlation_tensors(spec, g), lambda g: axis_sweep(spec, g),
+            lambda g: cooling.minimize_residual(spec, MeasurementSetup(), ground=g))
+    for use in uses:
+        with pytest.raises(TypeError, match="ground is ndarray, not an EigenResult; take the "
+                                            "ground state from chain.calibrated_chain"):
+            use(res.state)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])

@@ -6,6 +6,7 @@ replaced, which pushes outcome branches of 2^N amplitudes through every
 stage; the two must agree to 1e-12 J.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -63,7 +64,7 @@ def test_protocol_matches_the_branch_oracle(chains, n_sites, boundary):
     # every separation n = 1..N/2, adjacent parties included, and all nine
     # cardinal pairs at the optimal angle, plus y|x at a fixed one
     spec, res = chains(n_sites, boundary)
-    prepared, oracle = PreparedGround(spec, res.state), BranchGround(spec, res.state)
+    prepared, oracle = PreparedGround(spec, res), BranchGround(spec, res.state)
     site_a = sender(n_sites, boundary)
     worst = 0.0
     for n in range(1, n_sites // 2 + 1):
@@ -100,7 +101,7 @@ def test_cooling_matches_the_branch_oracle(chains, n_sites, boundary):
     spec = spec.with_sites(sender(n_sites, boundary), sender(n_sites, boundary) + 1)
     setup = MeasurementSetup.cardinal("y", "x")
     cool = cooling.minimize_residual(spec, setup, ground=res)
-    objectives = cooling.outcome_objectives(PreparedGround(spec, res.state), spec, setup.axis_a)
+    objectives = cooling.outcome_objectives(PreparedGround(spec, res), spec, setup.axis_a)
 
     h = build_hamiltonian(spec)
     ensemble, e_a = measure(res.state, *projectors(setup.axis_a, spec.site_a, n_sites), h)
@@ -124,7 +125,7 @@ def test_outcome_blocks_match_the_n_site_projectors(chains, n_sites, boundary):
     # N-site Pauli projectors restricted to the same sites, at every sender
     # site, on the site set the measurement reads and on a receiver's
     spec, res = chains(n_sites, boundary)
-    prepared = PreparedGround(spec, res.state)
+    prepared = PreparedGround(spec, res)
     rng = np.random.default_rng(n_sites)
     axes = [protocol.AXES["y"], *(tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(3, 3)))]
     for site in range(n_sites):
@@ -146,7 +147,7 @@ def test_the_density_terms_at_a_site_sum_to_the_terms_of_h_there(chains, n_sites
     # H's terms at s, and every other T_m has none, so the profile shifts that
     # the measurement and the feedback read add up to their energy changes
     spec, res = chains(n_sites, boundary)
-    prepared = PreparedGround(spec, res.state)
+    prepared = PreparedGround(spec, res)
     for site in range(n_sites):
         touched = chain.density_support(spec, site)
         parts = [t for m in touched for t in prepared.density(m, site).terms]
@@ -203,7 +204,7 @@ def test_bracket_matches_the_pauli_commutator(chains, n_sites, boundary, axis, d
     # axis): a whole tilted sigma with a component near 1e-16 would lose its
     # terms to `from_strings`' drop below 1e-15 of the largest coefficient
     spec, res = chains(n_sites, boundary)
-    prepared = PreparedGround(spec, res.state)
+    prepared = PreparedGround(spec, res)
     site = data.draw(st.integers(0, n_sites - 1))
     h = prepared.acting_on(site)
     held = {n for t in h.terms for n, letter in enumerate(t.letters) if letter != "I"}
@@ -221,7 +222,7 @@ def test_given_a_prepared_ground_no_operator_is_applied(chains, monkeypatch):
     grounds = []
     for boundary in chain.BOUNDARIES:
         spec, res = chains(10, boundary)
-        grounds.append(PreparedGround(spec, res.state))
+        grounds.append(PreparedGround(spec, res))
     monkeypatch.setattr(HermitianOperator, "apply", refuse)
     for prepared in grounds:
         for site_a, site_b in ((0, 1), (2, 5), (4, 3)):
@@ -271,7 +272,7 @@ def test_a_prepared_ground_builds_each_operator_and_matrix_once(chains, monkeypa
 
     for n_sites, boundary in ((12, "periodic"), (10, "open")):
         spec, res = chains(n_sites, boundary)
-        first, second = (PreparedGround(spec, res.state) for _ in range(2))
+        first, second = (PreparedGround(spec, res) for _ in range(2))
         one_pass(first)
         assert built[0] > 0 and computed[0] > 0
         built[0] = computed[0] = 0
@@ -292,7 +293,7 @@ def test_reduced_density_matrix_is_the_partial_trace(chains, boundary):
     # against |g><g| traced down as a dense 2^N x 2^N matrix, and every <T_n>
     # read from it against energy_densities
     spec, res = chains(8, boundary)
-    prepared = PreparedGround(spec, res.state)
+    prepared = PreparedGround(spec, res)
     full = np.outer(res.state, res.state.conj()).reshape((2,) * 16)
     for sites in ((0,), (2, 3), (7, 0, 1), (1, 3, 4, 6), (0, 2, 3, 4), (6, 7, 0, 1)):
         keep = sorted(sites)
@@ -308,7 +309,7 @@ def test_reduced_density_matrix_is_the_partial_trace(chains, boundary):
         rho = prepared.reduced(sites)
         assert np.max(np.abs(rho - expected)) <= 1e-14
         assert abs(np.trace(rho) - 1.0) <= 1e-13
-    densities = energy_densities(spec, res.state)
+    densities = energy_densities(spec, res.covariance)
     for n in range(8):
         sites = chain.density_support(spec, n)
         t_n = build_energy_density(spec, n).dense(sites)
@@ -319,15 +320,14 @@ def test_reduced_density_matrix_is_the_partial_trace(chains, boundary):
 @pytest.mark.parametrize("n_sites", range(3, 11))
 def test_reduced_density_matrix_matches_the_einsum_oracle(chains, n_sites, boundary):
     # every site set of up to four sites, on the real ground state and on a
-    # complex state calibrated to read as one; rho is exactly Hermitian, and
-    # a fifth site is refused
+    # complex state that carries the ground state's covariance, to which the
+    # spec is calibrated; rho is exactly Hermitian, and a fifth site is refused
     spec, res = chains(n_sites, boundary)
     rng = np.random.default_rng(n_sites)
     mixed = rng.standard_normal(1 << n_sites) + 1j * rng.standard_normal(1 << n_sites)
     mixed /= np.linalg.norm(mixed)
-    bare = spec.with_epsilon((0.0,) * n_sites)
-    for state, here in ((res.state, spec), (mixed, bare.with_epsilon(energy_densities(bare, mixed)))):
-        prepared = PreparedGround(here, state)
+    for state in (res.state, mixed):
+        prepared = PreparedGround(spec, dataclasses.replace(res, state=state))
         for k in range(1, min(n_sites, 4) + 1):
             for sites in itertools.combinations(range(n_sites), k):
                 rho = prepared.reduced(sites)
@@ -349,7 +349,7 @@ def test_reduced_density_matrices_leave_the_blas_pool_idle():
         import numpy as np
         from qetsim import chain, protocol
         spec, res = chain.calibrated_chain(16)
-        prepared = protocol.PreparedGround(spec, res.state)
+        prepared = protocol.PreparedGround(spec, res)
         work = np.empty_like(res.state)
         # supp T_A of each sender and A and supp T_B of each receiver
         site_sets = ([(m, m + 1, m + 2) for m in range(14)]
